@@ -10,6 +10,7 @@ from .errors import (
     PlanError,
     PointParseError,
     SingularUpdate,
+    StepRuleViolation,
     TooFewPoints,
 )
 from .harness import (
@@ -31,7 +32,6 @@ from .linalg import (
     logdet,
     quad_form,
     rank_one_modify,
-    scale_factor,
 )
 from .problem import (
     CertificateReport,

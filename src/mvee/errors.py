@@ -10,11 +10,21 @@ class NotFullRank(MveeError):
 
 
 class DowndateBreaksPD(MveeError):
-    """A rank-one downdate would make the factored matrix indefinite."""
+    """A rank-one downdate would make the factored matrix indefinite.
+
+    The solver no longer raises this: it keeps M^{-1} explicitly, and a
+    numerically singular rank-one change surfaces as SingularUpdate.  The
+    name stays public so that code catching it keeps importing.
+    """
 
 
 class SingularUpdate(MveeError):
     """A rank-one gradient update has a vanishing or negative denominator."""
+
+
+class StepRuleViolation(MveeError):
+    """A step rule was called outside its preconditions, or (debug mode) a
+    step fell short of its guaranteed objective decrement."""
 
 
 class TooFewPoints(MveeError):

@@ -1,11 +1,14 @@
-"""Triangular-factor maintenance for the weighted scatter matrix M = X U X^T.
+"""Explicit-inverse maintenance for the weighted scatter matrix M = X U X^T.
 
-Every solver iteration goes through this module.  The matrix is held as a
-lower-triangular Cholesky factor L with M = L L^T, modified in O(n^2) per
-rank-one change, while the gradient vector kappa_i = x_i^T M^{-1} x_i is
-maintained in O(m) via Sherman-Morrison.  A full refactorization from the
-current weights costs O(m n^2) and is used at initialization, periodically
-to bound floating-point drift, and as a fallback when a downdate fails.
+Every solver iteration goes through this module.  The step rules need only
+M^{-1} x_j, the quadratic forms kappa_i = x_i^T M^{-1} x_i and ln det M, so
+the state holds M^{-1} and ln det M rather than a factor of M.  A rank-one
+change M -> s (M + theta x x^T) is one Sherman-Morrison step on M^{-1} and
+one determinant-lemma step on ln det M, O(n^2) either way; kappa follows in
+O(m) from the O(m n) pass w = X^T M^{-1} x.  A full rebuild from the
+current weights (an orthogonal factorization, O(m n^2)) is used at
+initialization, periodically to bound floating-point drift, and when an
+update is numerically singular.
 """
 
 from dataclasses import dataclass
@@ -13,30 +16,33 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DowndateBreaksPD, NotFullRank, SingularUpdate
+from .errors import NotFullRank, SingularUpdate
 
-# Relative positive-definiteness threshold for triangular diagonals, near
-# machine-epsilon scale for doubles.
+# Relative positive-definiteness threshold for triangular diagonals and for
+# rank-one update denominators, near machine-epsilon scale for doubles.
 PD_TOL = 1e-12
 
 
 @dataclass
 class FactorState:
-    """Lower-triangular factor of M = X U X^T plus refactorization bookkeeping.
+    """M^{-1} and ln det M for M = X U X^T, plus rebuild bookkeeping.
 
     Attributes
     ----------
-    L : ndarray, shape (n, n)
-        Lower triangular with strictly positive diagonal; M = L @ L.T.
+    Minv : ndarray, shape (n, n)
+        Symmetric positive definite inverse of M.
+    log_det : float
+        ln det M.
     n : int
         Dimension.
     update_count : int
-        Rank-one modifications applied since the last full refactorization.
+        Rank-one modifications applied since the last full rebuild.
     refactor_period : int
         Cadence after which callers should rebuild from (X, u).
     """
 
-    L: np.ndarray
+    Minv: np.ndarray
+    log_det: float
     n: int
     update_count: int = 0
     refactor_period: int = 0
@@ -47,11 +53,12 @@ class FactorState:
 
 
 def factor_from_weights(X, u, refactor_period=0):
-    """Factor M = sum_i u_i x_i x_i^T through the support columns.
+    """Build the state for M = sum_i u_i x_i x_i^T through the support columns.
 
-    Forms B = X_support * sqrt(u_support) and takes the triangular part of an
-    orthogonal factorization of B^T, which is numerically safer than forming
-    M explicitly and costs O(m n^2).
+    Forms B = X_support * sqrt(u_support) and takes the triangular factor R
+    of an orthogonal factorization of B^T, so M = R^T R without forming M,
+    which is numerically safer; then M^{-1} = R^{-1} R^{-T} and
+    ln det M = 2 sum_i ln |R_ii|.  O(m n^2).
 
     Parameters
     ----------
@@ -77,107 +84,62 @@ def factor_from_weights(X, u, refactor_period=0):
             f"support has {support.size} points, need at least {n}")
     B = pts[:, support] * np.sqrt(u.u[support])
     (R,) = sla.qr(B.T, mode="r", check_finite=False)
-    L = np.ascontiguousarray(R.T[:n, :n])
-    d = np.abs(np.diag(L))
+    R = R[:n, :n]
+    d = np.abs(np.diag(R))
     if d.max() <= 0.0 or d.min() <= PD_TOL * d.max():
         raise NotFullRank("weighted points are rank deficient")
-    # flip column signs so the diagonal is positive; M = L L^T is unchanged
-    L *= np.sign(np.diag(L))
-    return FactorState(L, n, 0, refactor_period)
+    Rinv = sla.solve_triangular(R, np.eye(n), check_finite=False)
+    Minv = Rinv @ Rinv.T
+    return FactorState(Minv, 2.0 * float(np.log(d).sum()), n, 0,
+                       refactor_period)
 
 
-def _chol_update(L, v):
-    # classical O(n^2) rank-one update: L L^T + v v^T, in place
-    n = L.shape[0]
-    for k in range(n):
-        lkk = L[k, k]
-        r = np.hypot(lkk, v[k])
-        c = r / lkk
-        s = v[k] / lkk
-        L[k, k] = r
-        if k + 1 < n:
-            col = L[k + 1:, k]
-            col += s * v[k + 1:]
-            col /= c
-            v[k + 1:] = c * v[k + 1:] - s * col
+def rank_one_modify(state, y, theta, kappa_j, scale=1.0):
+    """Return the state of M' = scale * (M + theta * x x^T).
 
-
-def _chol_downdate(L, v):
-    # classical O(n^2) rank-one downdate: L L^T - v v^T, in place
-    n = L.shape[0]
-    floor = PD_TOL * L.diagonal().max()
-    floor2 = floor * floor
-    for k in range(n):
-        lkk = L[k, k]
-        r2 = (lkk - v[k]) * (lkk + v[k])
-        if r2 <= floor2:
-            raise DowndateBreaksPD(
-                f"downdate drives diagonal {k} to {r2:.3e} (squared)")
-        r = np.sqrt(r2)
-        c = r / lkk
-        s = v[k] / lkk
-        L[k, k] = r
-        if k + 1 < n:
-            col = L[k + 1:, k]
-            col -= s * v[k + 1:]
-            col /= c
-            v[k + 1:] = c * v[k + 1:] - s * col
-
-
-def rank_one_modify(state, x, theta):
-    """Return a state factoring M + theta * x x^T.
-
-    O(n^2).  Increments update_count; callers watch needs_refactor and
-    rebuild from the weights on the configured cadence.
+    Takes y = M^{-1} x and kappa_j = x^T M^{-1} x rather than x, since the
+    caller has already formed y for its gradient pass:
+    M'^{-1} = (M^{-1} - theta y y^T / (1 + theta kappa_j)) / scale and
+    ln det M' = ln det M + ln(1 + theta kappa_j) + n ln scale.  O(n^2).
+    Increments update_count; callers watch needs_refactor and rebuild from
+    the weights on the configured cadence.
 
     Raises
     ------
-    DowndateBreaksPD
-        If theta < 0 and the downdate loses positive definiteness; the
-        caller should refactor from (X, u) instead.
+    SingularUpdate
+        If 1 + theta * kappa_j <= PD_TOL: M + theta x x^T is (numerically)
+        singular and the caller should rebuild from (X, u) instead.
     """
-    if theta == 0.0:
-        return state
-    L = state.L.copy()
-    v = x * np.sqrt(abs(theta))
-    if theta > 0:
-        _chol_update(L, v)
-    else:
-        _chol_downdate(L, v)
-    return FactorState(L, state.n, state.update_count + 1,
-                       state.refactor_period)
-
-
-def scale_factor(state, s):
-    """Return a state factoring s * M for s > 0.  Exact up to one rounding."""
-    if s <= 0.0:
-        raise ValueError("scale must be positive")
-    return FactorState(state.L * np.sqrt(s), state.n, state.update_count,
+    denom = 1.0 + theta * kappa_j
+    if denom <= PD_TOL:
+        raise SingularUpdate(f"update denominator {denom:.3e}")
+    Minv = state.Minv - (theta / denom) * np.outer(y, y)
+    log_det = state.log_det + float(np.log(denom))
+    if scale != 1.0:
+        Minv /= scale
+        log_det += state.n * float(np.log(scale))
+    return FactorState(Minv, log_det, state.n, state.update_count + 1,
                        state.refactor_period)
 
 
 def quad_form(state, x):
-    """x^T M^{-1} x via one forward solve and a squared norm.  O(n^2)."""
-    y = sla.solve_triangular(state.L, x, lower=True, check_finite=False)
-    return float(y @ y)
+    """x^T M^{-1} x.  O(n^2)."""
+    return float(x @ (state.Minv @ x))
 
 
 def apply_inverse(state, x):
-    """M^{-1} x via forward and transposed triangular solves.  O(n^2)."""
-    y = sla.solve_triangular(state.L, x, lower=True, check_finite=False)
-    return sla.solve_triangular(state.L, y, lower=True, trans="T",
-                                check_finite=False)
+    """M^{-1} x, one matrix-vector product.  O(n^2)."""
+    return state.Minv @ x
 
 
 def logdet(state):
-    """ln det M = 2 sum_i ln L_ii."""
-    return 2.0 * float(np.log(state.L.diagonal()).sum())
+    """ln det M, held on the state.  O(1)."""
+    return state.log_det
 
 
 def gradient_refresh(state, X):
     """Recompute kappa_i = x_i^T M^{-1} x_i for all columns.  O(m n^2)."""
-    Y = sla.solve_triangular(state.L, X.points, lower=True, check_finite=False)
-    return np.einsum("ij,ij->j", Y, Y)
+    return np.einsum("ij,ij->j", X.points, state.Minv @ X.points)
 
 
 def gradient_rank_one(kappa, w, theta, kappa_j):
@@ -202,7 +164,7 @@ def gradient_rank_one(kappa, w, theta, kappa_j):
     ------
     SingularUpdate
         If 1 + theta * kappa_j <= PD_TOL, i.e. the update is (numerically)
-        singular and the factor must be rebuilt instead.
+        singular and the state must be rebuilt instead.
     """
     denom = 1.0 + theta * kappa_j
     if denom <= PD_TOL:

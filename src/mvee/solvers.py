@@ -14,9 +14,11 @@ grad h(u)_i = n - kappa_i:
 - rcd: randomized coordinate descent, axis sampled proportionally to the
   absolute gradient, constant-stepsize update.
 
-Each iteration is O(m n) after an O(m n^2) initialization: the Cholesky
-factor and the kappa vector are maintained incrementally (see linalg) with
-a periodic full refactorization to bound drift.
+Each iteration is O(m n) after an O(m n^2) initialization: M^{-1}, ln det M
+and the kappa vector are maintained incrementally, one Sherman-Morrison
+step per iteration on the vector y = M^{-1} x_j that the O(m n) gradient
+pass needs anyway (see linalg), with a periodic full rebuild to bound
+drift.
 """
 
 import time
@@ -27,11 +29,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    DowndateBreaksPD,
     ExactOptimum,
     LineSearchStalled,
     NotFullRank,
     SingularUpdate,
+    StepRuleViolation,
 )
 from .linalg import (
     apply_inverse,
@@ -39,7 +41,6 @@ from .linalg import (
     gradient_rank_one,
     gradient_refresh,
     rank_one_modify,
-    scale_factor,
 )
 from .problem import DualWeights, PointSet, objective_h
 
@@ -214,7 +215,9 @@ def fwk_step(u: DualWeights, kappa: np.ndarray, j: int, n: int) -> StepOutcome:
     kj = float(kappa[j])
     # on a full-rank symmetric instance kappa at the argmax exceeds 1
     # whenever the iterate is not yet optimal
-    assert kj > 1.0, "stepsize denominator requires kappa_j > 1"
+    if not kj > 1.0:
+        raise StepRuleViolation(
+            f"fwk stepsize denominator requires kappa_j > 1, got {kj}")
     lam = (kj - n) / (n * (kj - 1.0))
     step_type = StepType.ADD if u.u[j] == 0.0 else StepType.INCREASE
     u.u *= 1.0 - lam
@@ -245,7 +248,9 @@ def wa_step(u: DualWeights, kappa: np.ndarray, choice: AxisChoice,
     j = choice.j_minus
     kj = float(kappa[j])
     uj = float(u.u[j])
-    assert uj < 1.0, "away step needs mass outside the pivot"
+    if not uj < 1.0:
+        raise StepRuleViolation(
+            f"away step needs mass outside the pivot, u_j = {uj}")
     lam_drop = uj / (1.0 - uj)
     lam_decrease = ((n - kj) / (n * (kj - 1.0))) if kj > 1.0 else np.inf
     if lam_drop <= lam_decrease:
@@ -274,7 +279,9 @@ def cd_step(u: DualWeights, kappa: np.ndarray, choice: AxisChoice,
     if choice.eps_plus >= choice.eps_minus:
         j = choice.j_plus
         kj = float(kappa[j])
-        assert kj >= n
+        if not kj >= n:
+            raise StepRuleViolation(
+                f"increase branch needs kappa_j >= n, got {kj} < {n}")
         theta = (kj - n) / (kj * kj)
         step_type = StepType.ADD if u.u[j] == 0.0 else StepType.INCREASE
         u.u[j] += theta
@@ -282,7 +289,9 @@ def cd_step(u: DualWeights, kappa: np.ndarray, choice: AxisChoice,
         return StepOutcome(step_type, j, theta, 1.0, theta)
     j = choice.j_minus
     kj = float(kappa[j])
-    assert kj <= n
+    if not kj <= n:
+        raise StepRuleViolation(
+            f"decrease branch needs kappa_j <= n, got {kj} > {n}")
     theta = (kj - n) / (n * kj)
     if u.u[j] + theta >= 0.0:
         u.u[j] += theta
@@ -427,9 +436,10 @@ def _decrement_assertions(outcome: StepOutcome, kappa_j: float, n: int) -> None:
         bound = (n - kappa_j) ** 2 / (2.0 * n * kappa_j)
     else:  # drop: no decrease guaranteed, but never an increase
         bound = 0.0
-    assert dec >= bound - 1e-10, (
-        f"decrement {dec:.3e} below bound {bound:.3e} "
-        f"({outcome.step_type.value}, kappa={kappa_j})")
+    if not dec >= bound - 1e-10:
+        raise StepRuleViolation(
+            f"decrement {dec:.3e} below bound {bound:.3e} "
+            f"({outcome.step_type.value}, kappa={kappa_j})")
 
 
 def solve(X: PointSet, config: SolverConfig, debug: bool = False) -> SolveReport:
@@ -446,8 +456,9 @@ def solve(X: PointSet, config: SolverConfig, debug: bool = False) -> SolveReport
         Must be symmetric; lift(...) arbitrary instances first.
     config : SolverConfig
     debug : bool
-        Assert per-step decrement lower bounds on constant-stepsize
-        coordinate steps (slows the loop; tests only).
+        Check per-step decrement lower bounds on constant-stepsize
+        coordinate steps, raising StepRuleViolation (slows the loop; tests
+        only).
 
     Returns
     -------
@@ -504,7 +515,7 @@ def solve(X: PointSet, config: SolverConfig, debug: bool = False) -> SolveReport
         if debug and alg in (Algorithm.CD_CONST, Algorithm.RCD):
             _decrement_assertions(outcome, float(kappa[outcome.axis]), n)
 
-        # factor and gradient maintenance
+        # inverse and gradient maintenance
         if outcome.scale < _SCALE_FLOOR or not np.isfinite(outcome.theta_rel):
             # degenerate convex combination (lambda = 1): rebuild outright
             state = factor_from_weights(X, u, period)
@@ -512,21 +523,22 @@ def solve(X: PointSet, config: SolverConfig, debug: bool = False) -> SolveReport
         elif outcome.theta_rel != 0.0:
             xj = pts[:, outcome.axis]
             kj = float(kappa[outcome.axis])
-            w = pts.T @ apply_inverse(state, xj)
+            y = apply_inverse(state, xj)
+            w = pts.T @ y
             try:
-                nxt = state if outcome.scale == 1.0 else scale_factor(
-                    state, outcome.scale)
-                nxt = rank_one_modify(nxt, xj,
-                                      outcome.scale * outcome.theta_rel)
                 kappa = gradient_rank_one(kappa, w, outcome.theta_rel, kj)
-                if outcome.scale != 1.0:
-                    kappa /= outcome.scale
-                state = nxt
-            except (DowndateBreaksPD, SingularUpdate):
+                # the inverse takes its own quadratic form x_j^T y = w_j, not
+                # the maintained kappa_j: the Sherman-Morrison step is then
+                # exact for the matrix the stored inverse represents
+                state = rank_one_modify(state, y, outcome.theta_rel,
+                                        float(w[outcome.axis]), outcome.scale)
+            except SingularUpdate:
                 # exact drop of a geometrically loaded point; rebuild
                 state = factor_from_weights(X, u, period)
                 kappa = gradient_refresh(state, X)
             else:
+                if outcome.scale != 1.0:
+                    kappa /= outcome.scale
                 if state.needs_refactor:
                     state = factor_from_weights(X, u, period)
                     kappa = gradient_refresh(state, X)

@@ -13,9 +13,9 @@ loosened or re-chosen to make them pass.
   every seed (h to 1e-13, shape to 2e-7), but 20,000 fwk iterations leave
   h about 4e-4 relative and the shape 4-10e-4 off: the ~1/k tail of fwk.
   The budget is kept as written, since the paper's comparison protocol
-  for fwk is not in the repository.  On a 2-core host the 30 s clause
-  fails too (about 40 s, most of it fwk's 200,000 iterations at roughly
-  0.2 ms each).
+  for fwk is not in the repository.  The 30 s clause holds: the whole
+  criterion takes about 9 s on a 2-core host, 7.4 s of it fwk's 200,000
+  iterations at about 37 us each.
 - Criteria 3, 4, 9 (its cd_const clause; the rcd clause passes) and 10
   hold per-instance iteration caps against gen_sample's instance family:
   a uniformly filled ball, then skewed and shifted.  The skew and shift
@@ -178,7 +178,7 @@ def test_criterion_02_cross_solver_uniqueness():
     budgets = {
         Algorithm.CD_CONST: 100_000,
         Algorithm.WA: 100_000,
-        Algorithm.FWK: 20_000,  # keeps the 30s budget; measured honestly
+        Algorithm.FWK: 20_000,  # about 0.75 s per seed on a 2-core host
     }
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -209,9 +209,14 @@ def test_criterion_02_cross_solver_uniqueness():
             if dh > 1e-4:
                 failures.append(f"seed {seed} {a.value}/{b.value}: "
                                 f"shape max diff {dh:.3e}")
-    assert elapsed < 30.0, f"took {elapsed:.1f}s"
-    assert not failures, f"{len(failures)} disagreements: " + \
-        "; ".join(failures[:6])
+    # both clauses in one message, so a slow run does not hide disagreements
+    problems = []
+    if not elapsed < 30.0:
+        problems.append(f"took {elapsed:.1f}s")
+    if failures:
+        problems.append(f"{len(failures)} disagreements: "
+                        + "; ".join(failures[:6]))
+    assert not problems, " | ".join(problems)
 
 
 def test_criterion_03_small_regime_iteration_budget(cd_small, wa_small):
@@ -349,7 +354,7 @@ def test_criterion_08_factor_oracle_and_drift():
         u = DualWeights(w)
         state = factor_from_weights(X, u)
         M = (X.points * w) @ X.points.T
-        assert np.abs(state.L @ state.L.T - M).max() < 1e-10
+        assert np.abs(state.Minv - np.linalg.inv(M)).max() < 1e-10
         assert abs(logdet(state) - np.linalg.slogdet(M)[1]) < 1e-10
         x = rng.standard_normal(n)
         assert abs(quad_form(state, x) - x @ np.linalg.solve(M, x)) < 1e-10
@@ -360,13 +365,17 @@ def test_criterion_08_factor_oracle_and_drift():
         theta = float(rng.uniform(0.1, 0.6))
         j = int(rng.integers(m))
         xj = X.points[:, j]
-        up = rank_one_modify(state, xj, theta)
-        Mup = M + theta * np.outer(xj, xj)
-        assert np.abs(up.L @ up.L.T - Mup).max() < 1e-10
-        down = rank_one_modify(up, xj, -theta)
-        assert np.abs(down.L @ down.L.T - M).max() < 1e-10
         kj = float(dense_kappa[j])
-        wvec = X.points.T @ apply_inverse(state, xj)
+        y = apply_inverse(state, xj)
+        up = rank_one_modify(state, y, theta, kj)
+        Mup = M + theta * np.outer(xj, xj)
+        assert np.abs(up.Minv - np.linalg.inv(Mup)).max() < 1e-10
+        assert abs(logdet(up) - np.linalg.slogdet(Mup)[1]) < 1e-10
+        down = rank_one_modify(up, apply_inverse(up, xj), -theta,
+                               quad_form(up, xj))
+        assert np.abs(down.Minv - np.linalg.inv(M)).max() < 1e-10
+        assert abs(logdet(down) - np.linalg.slogdet(M)[1]) < 1e-10
+        wvec = X.points.T @ y
         inc = gradient_rank_one(dense_kappa, wvec, theta, kj)
         dense_up = np.einsum("ij,ij->j", X.points,
                              np.linalg.solve(Mup, X.points))
@@ -388,9 +397,10 @@ def test_criterion_08_factor_oracle_and_drift():
         if 1.0 + theta * kj <= 0.05:
             continue
         xj = X.points[:, j]
-        wvec = X.points.T @ apply_inverse(state, xj)
-        state = rank_one_modify(state, xj, theta)
+        y = apply_inverse(state, xj)
+        wvec = X.points.T @ y
         kappa = gradient_rank_one(kappa, wvec, theta, kj)
+        state = rank_one_modify(state, y, theta, float(wvec[j]))
         w[j] += theta
         if state.needs_refactor:
             state = factor_from_weights(X, DualWeights(w),

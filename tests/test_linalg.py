@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mvee.errors import DowndateBreaksPD, NotFullRank, SingularUpdate
+from mvee.errors import NotFullRank, SingularUpdate
 from mvee.linalg import (
     FactorState,
     apply_inverse,
@@ -12,14 +12,20 @@ from mvee.linalg import (
     logdet,
     quad_form,
     rank_one_modify,
-    scale_factor,
 )
 from mvee.problem import DualWeights, PointSet
 
 
 def state_from_matrix(M):
-    """Build a FactorState for an explicit SPD matrix via its Cholesky factor."""
-    return FactorState(L=np.linalg.cholesky(M), n=M.shape[0])
+    """Build a FactorState for an explicit SPD matrix from its dense inverse."""
+    return FactorState(Minv=np.linalg.inv(M), log_det=np.linalg.slogdet(M)[1],
+                       n=M.shape[0])
+
+
+def modify(state, x, theta, scale=1.0):
+    """The state of scale * (M + theta x x^T), fed as solve() feeds it."""
+    return rank_one_modify(state, apply_inverse(state, x), theta,
+                           quad_form(state, x), scale)
 
 
 def random_state(rng, n):
@@ -35,14 +41,16 @@ def test_factor_cross_uniform_weights():
                  symmetric=True)
     u = DualWeights(np.full(4, 0.25))
     st_ = factor_from_weights(X, u)
-    assert np.allclose(st_.L, np.diag([np.sqrt(0.5)] * 2), atol=1e-14)
+    assert np.allclose(st_.Minv, 2.0 * np.eye(2), atol=1e-14)
+    assert logdet(st_) == pytest.approx(np.log(0.25), abs=1e-14)
 
 
 def test_factor_scalar_instance():
     X = PointSet(np.array([[1.0, 2.0]]), symmetric=True)
     u = DualWeights(np.array([0.5, 0.5]))
     st_ = factor_from_weights(X, u)
-    assert st_.L[0, 0] == pytest.approx(np.sqrt(2.5), abs=1e-15)
+    assert st_.Minv[0, 0] == pytest.approx(1.0 / 2.5, abs=1e-15)
+    assert logdet(st_) == pytest.approx(np.log(2.5), abs=1e-15)
 
 
 def test_factor_matches_dense_accumulation():
@@ -51,7 +59,10 @@ def test_factor_matches_dense_accumulation():
     u = DualWeights(rng.uniform(0.1, 1.0, 5))
     st_ = factor_from_weights(X, u)
     dense = (X.points * u.u) @ X.points.T
-    assert np.allclose(st_.L @ st_.L.T, dense, atol=1e-12)
+    assert np.allclose(st_.Minv, np.linalg.inv(dense), atol=1e-12)
+    assert np.array_equal(st_.Minv, st_.Minv.T)
+    assert logdet(st_) == pytest.approx(np.linalg.slogdet(dense)[1],
+                                        abs=1e-12)
 
 
 def test_factor_rejects_rank_deficiency():
@@ -75,37 +86,38 @@ def test_factor_rejects_small_support():
 
 def test_rank_one_diagonal_update():
     st_ = state_from_matrix(np.eye(2))
-    nxt = rank_one_modify(st_, np.array([1.0, 0.0]), 3.0)
-    assert np.allclose(nxt.L @ nxt.L.T, np.diag([4.0, 1.0]), atol=1e-14)
+    nxt = modify(st_, np.array([1.0, 0.0]), 3.0)
+    assert np.allclose(nxt.Minv, np.diag([0.25, 1.0]), atol=1e-14)
     assert logdet(nxt) == pytest.approx(np.log(4.0), abs=1e-12)
 
 
 def test_rank_one_downdate():
     st_ = state_from_matrix(2.0 * np.eye(2))
-    nxt = rank_one_modify(st_, np.array([1.0, 1.0]), -0.5)
-    assert np.allclose(nxt.L @ nxt.L.T,
-                       np.array([[1.5, -0.5], [-0.5, 1.5]]), atol=1e-14)
+    nxt = modify(st_, np.array([1.0, 1.0]), -0.5)
+    assert np.allclose(nxt.Minv,
+                       np.linalg.inv([[1.5, -0.5], [-0.5, 1.5]]), atol=1e-14)
     assert logdet(nxt) == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_rank_one_downdate_to_singular_raises():
     st_ = state_from_matrix(np.eye(1))
-    with pytest.raises(DowndateBreaksPD):
-        rank_one_modify(st_, np.array([1.0]), -1.0)
+    with pytest.raises(SingularUpdate):
+        modify(st_, np.array([1.0]), -1.0)
 
 
 def test_rank_one_does_not_mutate_input():
     st_ = state_from_matrix(np.eye(2))
-    before = st_.L.copy()
-    rank_one_modify(st_, np.array([0.3, 0.4]), 1.0)
-    assert np.array_equal(st_.L, before)
+    before = st_.Minv.copy()
+    modify(st_, np.array([0.3, 0.4]), 1.0, scale=2.0)
+    assert np.array_equal(st_.Minv, before)
+    assert st_.log_det == 0.0
 
 
 def test_update_counter_and_refactor_flag():
-    st_ = FactorState(L=np.eye(3), n=3, refactor_period=2)
-    st_ = rank_one_modify(st_, np.array([1.0, 0.0, 0.0]), 0.5)
+    st_ = FactorState(Minv=np.eye(3), log_det=0.0, n=3, refactor_period=2)
+    st_ = modify(st_, np.array([1.0, 0.0, 0.0]), 0.5)
     assert not st_.needs_refactor
-    st_ = rank_one_modify(st_, np.array([0.0, 1.0, 0.0]), 0.5)
+    st_ = modify(st_, np.array([0.0, 1.0, 0.0]), 0.5)
     assert st_.needs_refactor
 
 
@@ -118,9 +130,10 @@ def test_rank_one_round_trip(seed, n, theta, down):
     t = -theta if down else theta
     if t < 0 and 1.0 + t * quad_form(s0, x) <= 0.05:
         return  # keep the downdate clearly PD
-    s1 = rank_one_modify(s0, x, t)
-    s2 = rank_one_modify(s1, x, -t)
+    s1 = modify(s0, x, t)
+    s2 = modify(s1, x, -t)
     assert logdet(s2) == pytest.approx(logdet(s0), abs=1e-10)
+    assert np.allclose(s2.Minv, s0.Minv, rtol=1e-9, atol=1e-10)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 6), st.floats(-0.4, 3.0))
@@ -132,7 +145,7 @@ def test_determinant_lemma(seed, n, theta):
     q = quad_form(s0, x)
     if 1.0 + theta * q <= 0.05:
         return
-    s1 = rank_one_modify(s0, x, theta)
+    s1 = modify(s0, x, theta)
     assert logdet(s1) - logdet(s0) == pytest.approx(np.log1p(theta * q),
                                                     abs=1e-10)
 
@@ -201,10 +214,16 @@ def test_logdet_matches_dense():
 
 @given(st.integers(0, 10_000), st.integers(1, 5), st.floats(0.1, 10.0))
 def test_scale_factor_shifts_logdet(seed, n, c):
+    # the convex-combination scale c folds into the rank-one update:
+    # c (M + theta x x^T) has ln det shifted by n ln c and inverse over c
     rng = np.random.default_rng(seed)
     s0 = random_state(rng, n)
-    assert logdet(scale_factor(s0, c)) == pytest.approx(
-        logdet(s0) + n * np.log(c), abs=1e-10)
+    x = rng.standard_normal(n)
+    plain = modify(s0, x, 0.5)
+    scaled = modify(s0, x, 0.5, scale=c)
+    assert logdet(scaled) == pytest.approx(logdet(plain) + n * np.log(c),
+                                           abs=1e-10)
+    assert np.allclose(scaled.Minv * c, plain.Minv, rtol=1e-12, atol=1e-14)
 
 
 # --- gradient maintenance --------------------------------------------------------
@@ -254,9 +273,11 @@ def test_gradient_rank_one_sequence_matches_refresh():
         if 1.0 + theta * kj <= 0.05:
             continue
         xj = X.points[:, j]
-        wvec = X.points.T @ apply_inverse(state, xj)
-        state = rank_one_modify(state, xj, theta)
+        y = apply_inverse(state, xj)
+        wvec = X.points.T @ y
         kappa = gradient_rank_one(kappa, wvec, theta, kj)
+        state = rank_one_modify(state, y, theta, float(wvec[j]))
         w[j] += theta
-        u = DualWeights(w.copy())
     assert np.allclose(kappa, gradient_refresh(state, X), atol=1e-10)
+    assert np.allclose(kappa, gradient_refresh(factor_from_weights(
+        X, DualWeights(w)), X), atol=1e-10)

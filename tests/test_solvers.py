@@ -2,17 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mvee.errors import ExactOptimum, LineSearchStalled, NotFullRank
+import mvee.solvers
+from mvee.errors import (
+    ExactOptimum,
+    LineSearchStalled,
+    NotFullRank,
+    StepRuleViolation,
+)
 from mvee.harness import gen_sample
 from mvee.linalg import factor_from_weights, gradient_refresh
-from mvee.problem import DualWeights, PointSet, lift
+from mvee.problem import DualWeights, PointSet, certificate, lift
 from mvee.solvers import (
     Algorithm,
     AxisChoice,
     InitScheme,
     SolverConfig,
+    StepOutcome,
     StepType,
     TRACE_HEADER,
+    _decrement_assertions,
     backtracking_stepsize,
     cd_diminishing_step,
     cd_step,
@@ -406,6 +414,101 @@ def test_debug_mode_decrement_assertions_hold():
     rep = solve(X, SolverConfig(algorithm=Algorithm.RCD, epsilon=1e-3,
                                 max_iter=10_000), debug=True)
     assert rep.iterations > 0
+
+
+# --- step-rule preconditions ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    # Frank-Wolfe stepsize denominator kappa_j - 1 must be positive
+    lambda: fwk_step(DualWeights([0.5, 0.5]), np.array([1.0, 0.5]), 0, 2),
+    # an away step from a point holding all the mass has nowhere to go
+    lambda: wa_step(DualWeights([1.0, 0.0]), np.array([1.0, 1.0]),
+                    AxisChoice(1, 0, -0.5, 0.5), 2),
+    # the increase branch needs kappa_j >= n
+    lambda: cd_step(DualWeights([0.5, 0.5]), np.array([1.0, 1.0]),
+                    AxisChoice(0, 1, 0.5, 0.1), 2),
+    # the decrease branch needs kappa_j <= n
+    lambda: cd_step(DualWeights([0.5, 0.5]), np.array([3.0, 3.0]),
+                    AxisChoice(0, 1, 0.1, 0.5), 2),
+    # debug mode: a zero step on kappa_j = 4 misses its decrement bound 1/8
+    lambda: _decrement_assertions(
+        StepOutcome(StepType.INCREASE, 0, 0.0, 1.0, 0.0), 4.0, 2),
+], ids=["fwk_kappa_above_one", "wa_away_mass", "cd_increase_kappa",
+        "cd_decrease_kappa", "debug_decrement_bound"])
+def test_step_rule_preconditions_raise(call):
+    # real checks, not asserts: they must survive python -O
+    with pytest.raises(StepRuleViolation):
+        call()
+
+
+# --- maintained state against dense recomputation -------------------------------------------------
+
+def _close(got, want, tol):
+    return np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("alg", list(Algorithm))
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(0, 8),
+       st.sampled_from(list(InitScheme)), st.sampled_from([None, 7]))
+def test_maintained_state_matches_dense_every_step(alg, seed, n, extra, init,
+                                                   period):
+    # after every step of every algorithm, M^{-1}, ln det M and kappa agree
+    # with a dense recomputation from the weights; period 7 forces rebuilds
+    rng = np.random.default_rng(seed)
+    X = PointSet(rng.standard_normal((n, n + extra)), symmetric=True)
+    checked = []
+
+    def dense(u):
+        M = (X.points * u.u) @ X.points.T
+        Minv = np.linalg.inv(M)
+        return M, Minv, np.einsum("ij,ij->j", X.points, Minv @ X.points)
+
+    def select(kappa, u, dim):
+        M, _, kappa_dense = dense(u)
+        tol = 1e-13 * np.linalg.cond(M)
+        assert _close(kappa, kappa_dense, tol), (len(checked), kappa,
+                                                 kappa_dense)
+        return real_select(kappa, u, dim)
+
+    def objective(u, state):
+        M, Minv, _ = dense(u)
+        tol = 1e-13 * np.linalg.cond(M)
+        assert _close(state.Minv, Minv, tol), (len(checked), state.Minv, Minv)
+        assert abs(state.log_det - np.linalg.slogdet(M)[1]) <= tol
+        checked.append(state.update_count)
+        return real_objective(u, state)
+
+    real_select = mvee.solvers.select_axis_gauss_southwell
+    real_objective = mvee.solvers.objective_h
+    mvee.solvers.select_axis_gauss_southwell = select
+    mvee.solvers.objective_h = objective
+    try:
+        rep = solve(X, SolverConfig(algorithm=alg, init=init, epsilon=1e-12,
+                                    max_iter=50, seed=seed,
+                                    refactor_period=period))
+    finally:
+        mvee.solvers.select_axis_gauss_southwell = real_select
+        mvee.solvers.objective_h = real_objective
+    # one check per step plus the final objective
+    assert len(checked) == rep.iterations + 1
+
+
+@pytest.mark.parametrize("runs", ["cd_small", "wa_small", "cd_moderate",
+                                  "wa_moderate"])
+def test_reported_eps_matches_fresh_certificate(runs, request):
+    # the eps a solve reports from its maintained kappa agrees with one
+    # fresh rebuild and refresh from the final weights, on the fixed-seed
+    # small (n=10, m=500) and moderate (n=30, m=1800) regimes
+    instances = request.getfixturevalue(
+        "small_instances" if runs.endswith("small") else "moderate_instances")
+    reports, _elapsed = request.getfixturevalue(runs)
+    for seed, rep in reports.items():
+        X = instances[seed]
+        kappa = gradient_refresh(factor_from_weights(X, rep.u_final), X)
+        cert = certificate(rep.u_final, kappa, X.dim, 1e-7)
+        fresh = max(cert.eps_plus, cert.eps_minus)
+        assert abs(fresh - rep.final_eps) <= 1e-10, (seed, fresh,
+                                                     rep.final_eps)
 
 
 def test_khachiyan_init_supported():
