@@ -23,16 +23,7 @@ from .harness import (
     gen_sample,
     run_benchmark,
 )
-from .linalg import (
-    FactorState,
-    apply_inverse,
-    factor_from_weights,
-    gradient_rank_one,
-    gradient_refresh,
-    logdet,
-    quad_form,
-    rank_one_modify,
-)
+from .linalg import FactorState, factor_from_weights, gradient_refresh, logdet
 from .problem import (
     CertificateReport,
     DualWeights,
@@ -53,18 +44,7 @@ from .solvers import (
     SolveReport,
     SolverConfig,
     StepType,
-    backtracking_stepsize,
-    cd_backtracking_step,
-    cd_diminishing_step,
-    cd_step,
-    fwk_step,
-    init_khachiyan,
-    init_kumar_yildirim,
-    rcd_pick,
-    rcd_step,
-    select_axis_gauss_southwell,
     solve,
-    wa_step,
     write_trace,
 )
 

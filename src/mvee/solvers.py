@@ -1,18 +1,29 @@
 """Iterative dual solvers for the minimum volume enclosing ellipsoid.
 
-Six algorithm variants over the dual objective
+Six algorithms over the dual objective
 h(u) = -ln det(X U X^T) + n (e^T u - 1), all driven by the quadratic forms
 kappa_i = x_i^T (X U X^T)^{-1} x_i and the gradient identity
-grad h(u)_i = n - kappa_i:
+grad h(u)_i = n - kappa_i.  They are one coordinate-wise method: an axis
+rule picks a point j and a direction (increase or decrease u_j), and one of
+two kernels moves u along e_j.
 
-- fwk: Frank-Wolfe / Khachiyan, increase-only steps on the simplex.
-- wa: Wolfe-Atwood, Frank-Wolfe plus away (decrease/drop) steps.
-- cd_const: Gauss-Southwell coordinate descent, per-axis exact smoothness
-  stepsize, projection onto u >= 0.
-- cd_diminish: same axis rule with the 2/(k+2) schedule.
-- cd_backtrack: same axis rule with Armijo backtracking.
-- rcd: randomized coordinate descent, axis sampled proportionally to the
-  absolute gradient, constant-stepsize update.
+- wa_step, the simplex step: u <- (1 - t) u + t e_j with the exact
+  line-search stepsize; keeps e^T u = 1.
+- cd_step, the projected coordinate step: u_j <- max(u_j + theta, 0) with
+  theta from a stepsize rule; e^T u moves freely.
+
+    algorithm     axis rule                   kernel   stepsize
+    fwk           argmax kappa, increase      simplex  exact
+    wa            Gauss-Southwell             simplex  exact, capped at a drop
+    cd_const      Gauss-Southwell             cd       exact_stepsize
+    cd_diminish   Gauss-Southwell             cd       schedule_stepsize
+    cd_backtrack  Gauss-Southwell             cd       armijo_stepsize
+    rcd           sampled by |grad h_j|       cd       exact_stepsize
+
+The Gauss-Southwell rule takes the larger certificate violation: argmax
+kappa (increase) or argmin kappa over the support (decrease), ties to the
+increase.  rcd samples j with probability proportional to |grad h_j| and
+steps in the descent direction.
 
 Each iteration is O(m n) after an O(m n^2) initialization: M^{-1}, ln det M
 and the kappa vector are maintained incrementally, one Sherman-Morrison
@@ -80,8 +91,6 @@ class SolverConfig:
     max_iter: int = 100_000
     init: InitScheme = InitScheme.KUMAR_YILDIRIM
     seed: int = 0
-    backtrack_alpha: float = 0.5
-    backtrack_beta: float = 0.5
     refactor_period: Optional[int] = None  # None means 50 * n
 
     def __post_init__(self):
@@ -91,8 +100,6 @@ class SolverConfig:
             raise ValueError("epsilon must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not 0.0 < self.backtrack_beta < 1.0:
-            raise ValueError("backtrack_beta must lie in (0, 1)")
 
 
 @dataclass
@@ -124,6 +131,11 @@ class AxisChoice:
     j_minus: int
     eps_plus: float
     eps_minus: float
+
+    @property
+    def increase(self) -> bool:
+        """Direction of the Gauss-Southwell step; ties go to the increase."""
+        return self.eps_plus >= self.eps_minus
 
 
 @dataclass
@@ -205,122 +217,115 @@ def select_axis_gauss_southwell(kappa: np.ndarray, u: DualWeights,
                       float(1.0 - kappa[j_minus] / n))
 
 
-def fwk_step(u: DualWeights, kappa: np.ndarray, j: int, n: int) -> StepOutcome:
-    """Frank-Wolfe increase step u' = u + lambda (e_j - u) with the exact
-    minimizing stepsize lambda = (kappa_j - n) / (n (kappa_j - 1)).
+def wa_step(u: DualWeights, kappa: np.ndarray, j: int, increase: bool,
+            n: int) -> StepOutcome:
+    """Simplex step u' = (1 - t) u + t e_j on the exact line-search stepsize.
 
-    Keeps e^T u = 1.  After the step the chosen point lies exactly on the
-    trial ellipsoid boundary (kappa'_j = n).
+    Increase (t = lambda, the Frank-Wolfe step):
+    lambda = (kappa_j - n) / (n (kappa_j - 1)); afterwards the point lies
+    exactly on the trial ellipsoid boundary (kappa'_j = n).  Away step
+    (t = -lambda): lambda = min{ (n - kappa_j)/(n (kappa_j - 1)),
+    u_j/(1 - u_j) }; when the second candidate attains the min, u_j lands
+    exactly on zero and the step is a drop.  For kappa_j <= 1 the first
+    candidate is +inf: the objective decreases along the whole ray, so only
+    the drop bound is active.  Keeps e^T u = 1.
     """
     kj = float(kappa[j])
-    # on a full-rank symmetric instance kappa at the argmax exceeds 1
-    # whenever the iterate is not yet optimal
-    if not kj > 1.0:
-        raise StepRuleViolation(
-            f"fwk stepsize denominator requires kappa_j > 1, got {kj}")
-    lam = (kj - n) / (n * (kj - 1.0))
-    step_type = StepType.ADD if u.u[j] == 0.0 else StepType.INCREASE
-    u.u *= 1.0 - lam
-    u.u[j] += lam
-    u.support[j] = True
-    if lam >= 1.0:
-        # full jump (n = 1 only): every other weight just became zero
-        u.support = u.u > 0
-    scale = 1.0 - lam
-    theta_rel = lam / scale if scale > _SCALE_FLOOR else np.inf
+    if increase:
+        # on a full-rank symmetric instance kappa at the argmax exceeds 1
+        # whenever the iterate is not yet optimal
+        if not kj > 1.0:
+            raise StepRuleViolation(
+                f"increase step needs kappa_j > 1, got {kj}")
+        lam = (kj - n) / (n * (kj - 1.0))
+        step_type = StepType.ADD if u.u[j] == 0.0 else StepType.INCREASE
+        t = lam
+    else:
+        uj = float(u.u[j])
+        if not uj < 1.0:
+            raise StepRuleViolation(
+                f"away step needs mass outside the pivot, u_j = {uj}")
+        lam_drop = uj / (1.0 - uj)
+        lam = ((n - kj) / (n * (kj - 1.0))) if kj > 1.0 else np.inf
+        step_type = StepType.DECREASE
+        if lam_drop <= lam:
+            lam, step_type = lam_drop, StepType.DROP
+        t = -lam
+    scale = 1.0 - t
+    u.u *= scale
+    if step_type is StepType.DROP:
+        u.u[j] = 0.0
+        u.support[j] = False
+    else:
+        u.u[j] += t
+        u.support[j] = True
+        if t >= 1.0:
+            # full jump (n = 1 only): every other weight just became zero
+            u.support = u.u > 0
+    theta_rel = t / scale if scale > _SCALE_FLOOR else np.inf
     return StepOutcome(step_type, j, lam, scale, theta_rel)
 
 
-def wa_step(u: DualWeights, kappa: np.ndarray, choice: AxisChoice,
-            n: int) -> StepOutcome:
-    """Wolfe-Atwood step: the Frank-Wolfe increase when eps_plus >= eps_minus
-    (ties to the increase branch), otherwise the away step
-    u' = u + lambda (u - e_{j-}) with
-    lambda = min{ (n - kappa_j)/(n (kappa_j - 1)), u_{j-}/(1 - u_{j-}) }.
+def cd_step(u: DualWeights, j: int, theta: float) -> StepOutcome:
+    """Projected coordinate step u_j <- u_j + theta onto u_j >= 0.
 
-    When the second candidate attains the min the weight lands exactly on
-    zero and the step is a drop.  For kappa_j <= 1 the first candidate is
-    treated as +inf: the objective decreases along the whole ray, so only
-    the drop bound is active.
+    A decrease that does not leave u_j > 0 is clamped to zero and is a
+    drop.  A zero step (a stationary axis) moves nothing and is labelled an
+    increase on the support, a drop off it.
     """
-    if choice.eps_plus >= choice.eps_minus:
-        return fwk_step(u, kappa, choice.j_plus, n)
-    j = choice.j_minus
-    kj = float(kappa[j])
-    uj = float(u.u[j])
-    if not uj < 1.0:
-        raise StepRuleViolation(
-            f"away step needs mass outside the pivot, u_j = {uj}")
-    lam_drop = uj / (1.0 - uj)
-    lam_decrease = ((n - kj) / (n * (kj - 1.0))) if kj > 1.0 else np.inf
-    if lam_drop <= lam_decrease:
-        lam = lam_drop
-        u.u *= 1.0 + lam
-        u.u[j] = 0.0
-        u.support[j] = False
-        step_type = StepType.DROP
-    else:
-        lam = lam_decrease
-        u.u *= 1.0 + lam
-        u.u[j] -= lam
+    if theta > 0.0:
+        step_type = StepType.ADD if u.u[j] == 0.0 else StepType.INCREASE
+        u.u[j] += theta
+        u.support[j] = True
+    elif theta == 0.0:
+        step_type = StepType.INCREASE if u.support[j] else StepType.DROP
+    elif u.u[j] + theta > 0.0:
         step_type = StepType.DECREASE
-    scale = 1.0 + lam
-    return StepOutcome(step_type, j, lam, scale, -lam / scale)
-
-
-def cd_step(u: DualWeights, kappa: np.ndarray, choice: AxisChoice,
-            n: int) -> StepOutcome:
-    """Coordinate-descent step with the per-axis exact smoothness constant.
-
-    Increase branch (kappa_j >= n): theta = (kappa_j - n) / kappa_j^2.
-    Decrease branch (kappa_j <= n): theta = (kappa_j - n) / (n kappa_j),
-    projected onto u >= 0; a clamped step is a drop.  e^T u moves freely.
-    """
-    if choice.eps_plus >= choice.eps_minus:
-        j = choice.j_plus
-        kj = float(kappa[j])
-        if not kj >= n:
-            raise StepRuleViolation(
-                f"increase branch needs kappa_j >= n, got {kj} < {n}")
-        theta = (kj - n) / (kj * kj)
-        step_type = StepType.ADD if u.u[j] == 0.0 else StepType.INCREASE
         u.u[j] += theta
-        u.support[j] = True
-        return StepOutcome(step_type, j, theta, 1.0, theta)
-    j = choice.j_minus
-    kj = float(kappa[j])
-    if not kj <= n:
-        raise StepRuleViolation(
-            f"decrease branch needs kappa_j <= n, got {kj} > {n}")
-    theta = (kj - n) / (n * kj)
-    if u.u[j] + theta >= 0.0:
-        u.u[j] += theta
-        return StepOutcome(StepType.DECREASE, j, theta, 1.0, theta)
-    theta = -float(u.u[j])
-    u.u[j] = 0.0
-    u.support[j] = False
-    return StepOutcome(StepType.DROP, j, theta, 1.0, theta)
-
-
-def cd_diminishing_step(u: DualWeights, kappa: np.ndarray, k: int,
-                        choice: AxisChoice, n: int) -> StepOutcome:
-    """Schedule stepsize 2/(k+2) on the Gauss-Southwell axis; the decrease
-    branch clamps at zero (drop).  Ties go to the increase branch."""
-    lam = 2.0 / (k + 2.0)
-    if choice.eps_plus >= choice.eps_minus:
-        j = choice.j_plus
-        step_type = StepType.ADD if u.u[j] == 0.0 else StepType.INCREASE
-        u.u[j] += lam
-        u.support[j] = True
-        return StepOutcome(step_type, j, lam, 1.0, lam)
-    j = choice.j_minus
-    if u.u[j] <= lam:
+    else:
+        step_type = StepType.DROP
         theta = -float(u.u[j])
         u.u[j] = 0.0
         u.support[j] = False
-        return StepOutcome(StepType.DROP, j, theta, 1.0, theta)
-    u.u[j] -= lam
-    return StepOutcome(StepType.DECREASE, j, -lam, 1.0, -lam)
+    return StepOutcome(step_type, j, theta, 1.0, theta)
+
+
+# Stepsize rules of the coordinate step.  Each maps
+# (u_j, kappa_j, increase, n, k) to the signed step theta on the chosen
+# axis at iteration k; solve() picks one per algorithm before its loop.
+
+def exact_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
+                   k: int) -> float:
+    """Per-axis exact smoothness step: (kappa_j - n) / kappa_j^2 on an
+    increase (kappa_j >= n), (kappa_j - n) / (n kappa_j) on a decrease
+    (kappa_j <= n)."""
+    if increase:
+        if not kappa_j >= n:
+            raise StepRuleViolation(
+                f"increase branch needs kappa_j >= n, got {kappa_j} < {n}")
+        return (kappa_j - n) / (kappa_j * kappa_j)
+    if not kappa_j <= n:
+        raise StepRuleViolation(
+            f"decrease branch needs kappa_j <= n, got {kappa_j} > {n}")
+    return (kappa_j - n) / (n * kappa_j)
+
+
+def schedule_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
+                      k: int) -> float:
+    """The 2/(k+2) schedule, signed by the direction."""
+    lam = 2.0 / (k + 2.0)
+    return lam if increase else -lam
+
+
+def armijo_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
+                    k: int) -> float:
+    """Armijo backtracking along the direction.  Weights below the drop
+    floor are removed outright: backtracking alone shrinks them
+    geometrically but never to zero, which would stall the support
+    certificate."""
+    if not increase and u_j <= _DROP_FLOOR:
+        return -u_j
+    return backtracking_stepsize(u_j, kappa_j, 1.0 if increase else -1.0, n)
 
 
 def backtracking_stepsize(u_j: float, kappa_j: float, d: float, n: int,
@@ -356,36 +361,6 @@ def backtracking_stepsize(u_j: float, kappa_j: float, d: float, n: int,
     raise LineSearchStalled(f"no acceptable step above 1e-16 (kappa={kappa_j})")
 
 
-def cd_backtracking_step(u: DualWeights, kappa: np.ndarray, choice: AxisChoice,
-                         n: int, alpha: float, beta: float) -> StepOutcome:
-    """Gauss-Southwell axis, Armijo stepsize.  The search direction is the
-    descent sign -sign(grad h_j).  Weights below the drop floor are removed
-    outright: backtracking alone shrinks them geometrically but never to
-    zero, which would stall the support certificate."""
-    if choice.eps_plus >= choice.eps_minus:
-        j = choice.j_plus
-        theta = backtracking_stepsize(float(u.u[j]), float(kappa[j]), +1.0, n,
-                                      alpha, beta)
-        step_type = StepType.ADD if u.u[j] == 0.0 else StepType.INCREASE
-        u.u[j] += theta
-        u.support[j] = True
-        return StepOutcome(step_type, j, theta, 1.0, theta)
-    j = choice.j_minus
-    if u.u[j] <= _DROP_FLOOR:
-        theta = -float(u.u[j])
-        u.u[j] = 0.0
-        u.support[j] = False
-        return StepOutcome(StepType.DROP, j, theta, 1.0, theta)
-    theta = backtracking_stepsize(float(u.u[j]), float(kappa[j]), -1.0, n,
-                                  alpha, beta)
-    u.u[j] += theta
-    if u.u[j] <= 0.0:
-        u.u[j] = 0.0
-        u.support[j] = False
-        return StepOutcome(StepType.DROP, j, theta, 1.0, theta)
-    return StepOutcome(StepType.DECREASE, j, theta, 1.0, theta)
-
-
 def rcd_pick(grad: np.ndarray, rng: np.random.Generator) -> int:
     """Sample an axis with probability proportional to |grad h_i|.
 
@@ -399,31 +374,6 @@ def rcd_pick(grad: np.ndarray, rng: np.random.Generator) -> int:
     if total <= 0.0:
         raise ExactOptimum("gradient is identically zero")
     return int(rng.choice(weights.size, p=weights / total))
-
-
-def rcd_step(u: DualWeights, kappa: np.ndarray, j: int, n: int) -> StepOutcome:
-    """Constant-stepsize coordinate update on a sampled axis, descent sign,
-    projected onto u >= 0.  Sampling can land on a zero-weight interior
-    point; the projected step is then zero and classified as a drop."""
-    kj = float(kappa[j])
-    if kj > n:
-        theta = (kj - n) / (kj * kj)
-        step_type = StepType.ADD if u.u[j] == 0.0 else StepType.INCREASE
-        u.u[j] += theta
-        u.support[j] = True
-        return StepOutcome(step_type, j, theta, 1.0, theta)
-    if kj < n:
-        theta = (kj - n) / (n * kj)
-        if u.u[j] + theta > 0.0:
-            u.u[j] += theta
-            return StepOutcome(StepType.DECREASE, j, theta, 1.0, theta)
-        theta = -float(u.u[j])
-        u.u[j] = 0.0
-        u.support[j] = False
-        return StepOutcome(StepType.DROP, j, theta, 1.0, theta)
-    # kappa_j == n: stationary axis, nothing to do
-    step_type = StepType.DROP if u.u[j] == 0.0 else StepType.INCREASE
-    return StepOutcome(step_type, j, 0.0, 1.0, 0.0)
 
 
 def _decrement_assertions(outcome: StepOutcome, kappa_j: float, n: int) -> None:
@@ -470,6 +420,11 @@ def solve(X: PointSet, config: SolverConfig, debug: bool = False) -> SolveReport
     period = config.refactor_period if config.refactor_period else 50 * n
     alg = config.algorithm
 
+    stepsize = {Algorithm.CD_CONST: exact_stepsize,
+                Algorithm.RCD: exact_stepsize,
+                Algorithm.CD_DIMINISH: schedule_stepsize,
+                Algorithm.CD_BACKTRACK: armijo_stepsize}.get(alg)
+
     if config.init is InitScheme.KHACHIYAN:
         u = init_khachiyan(m)
     else:
@@ -477,53 +432,45 @@ def solve(X: PointSet, config: SolverConfig, debug: bool = False) -> SolveReport
 
     t0 = time.perf_counter()
     pts = X.points
-    state = factor_from_weights(X, u, period)
-    kappa = gradient_refresh(state, X)
     rng = np.random.default_rng(config.seed)
     trace: list[IterationRecord] = []
-    converged = False
-    final_eps = np.inf
+    rebuild = True
 
-    for k in range(config.max_iter):
+    # the last pass only evaluates the stopping rule at max_iter
+    for k in range(config.max_iter + 1):
+        if rebuild:
+            state = factor_from_weights(X, u, period)
+            kappa = gradient_refresh(state, X)
         choice = select_axis_gauss_southwell(kappa, u, n)
         eps_k = max(choice.eps_plus, choice.eps_minus)
         stop_eps = choice.eps_plus if alg is Algorithm.FWK else eps_k
-        if stop_eps <= config.epsilon:
-            converged = True
-            final_eps = stop_eps
+        if stop_eps <= config.epsilon or k == config.max_iter:
             break
         h_k = objective_h(u, state)
         kappa_max = float(kappa[choice.j_plus])
         kappa_min = float(kappa[choice.j_minus])
 
-        if alg is Algorithm.FWK:
-            outcome = fwk_step(u, kappa, choice.j_plus, n)
-        elif alg is Algorithm.WA:
-            outcome = wa_step(u, kappa, choice, n)
-        elif alg is Algorithm.CD_CONST:
-            outcome = cd_step(u, kappa, choice, n)
-        elif alg is Algorithm.CD_DIMINISH:
-            outcome = cd_diminishing_step(u, kappa, k, choice, n)
-        elif alg is Algorithm.CD_BACKTRACK:
-            outcome = cd_backtracking_step(u, kappa, choice, n,
-                                           config.backtrack_alpha,
-                                           config.backtrack_beta)
-        else:
+        if alg is Algorithm.RCD:
             j = rcd_pick(n - kappa, rng)
-            outcome = rcd_step(u, kappa, j, n)
+            increase = kappa[j] > n  # descent sign
+        else:
+            increase = alg is Algorithm.FWK or choice.increase
+            j = choice.j_plus if increase else choice.j_minus
+        kj = float(kappa[j])
+        if stepsize is None:
+            outcome = wa_step(u, kappa, j, increase, n)
+        else:
+            theta = stepsize(float(u.u[j]), kj, increase, n, k)
+            outcome = cd_step(u, j, theta)
+        if debug and stepsize is exact_stepsize:
+            _decrement_assertions(outcome, kj, n)
 
-        if debug and alg in (Algorithm.CD_CONST, Algorithm.RCD):
-            _decrement_assertions(outcome, float(kappa[outcome.axis]), n)
-
-        # inverse and gradient maintenance
-        if outcome.scale < _SCALE_FLOOR or not np.isfinite(outcome.theta_rel):
-            # degenerate convex combination (lambda = 1): rebuild outright
-            state = factor_from_weights(X, u, period)
-            kappa = gradient_refresh(state, X)
-        elif outcome.theta_rel != 0.0:
-            xj = pts[:, outcome.axis]
-            kj = float(kappa[outcome.axis])
-            y = apply_inverse(state, xj)
+        # inverse and gradient maintenance; a degenerate convex combination
+        # (lambda = 1) rebuilds outright
+        rebuild = (outcome.scale < _SCALE_FLOOR
+                   or not np.isfinite(outcome.theta_rel))
+        if not rebuild and outcome.theta_rel != 0.0:
+            y = apply_inverse(state, pts[:, j])
             w = pts.T @ y
             try:
                 kappa = gradient_rank_one(kappa, w, outcome.theta_rel, kj)
@@ -531,36 +478,23 @@ def solve(X: PointSet, config: SolverConfig, debug: bool = False) -> SolveReport
                 # the maintained kappa_j: the Sherman-Morrison step is then
                 # exact for the matrix the stored inverse represents
                 state = rank_one_modify(state, y, outcome.theta_rel,
-                                        float(w[outcome.axis]), outcome.scale)
+                                        float(w[j]), outcome.scale)
             except SingularUpdate:
                 # exact drop of a geometrically loaded point; rebuild
-                state = factor_from_weights(X, u, period)
-                kappa = gradient_refresh(state, X)
+                rebuild = True
             else:
                 if outcome.scale != 1.0:
                     kappa /= outcome.scale
-                if state.needs_refactor:
-                    state = factor_from_weights(X, u, period)
-                    kappa = gradient_refresh(state, X)
+                rebuild = state.needs_refactor
 
-        trace.append(IterationRecord(k, outcome.step_type, outcome.axis,
-                                     kappa_max, kappa_min, eps_k, h_k,
-                                     outcome.recorded))
+        trace.append(IterationRecord(k, outcome.step_type, j, kappa_max,
+                                     kappa_min, eps_k, h_k, outcome.recorded))
 
-    if converged:
-        final_eps = float(final_eps)
-    else:
-        choice = select_axis_gauss_southwell(kappa, u, n)
-        final_eps = float(choice.eps_plus if alg is Algorithm.FWK
-                          else max(choice.eps_plus, choice.eps_minus))
-        if final_eps <= config.epsilon:
-            # max_iter landed exactly on the boundary
-            converged = True
-    final_h = objective_h(u, state)
-    return SolveReport(converged=converged, iterations=len(trace),
-                       final_eps=final_eps, final_h=float(final_h),
-                       trace=trace, wall_time=time.perf_counter() - t0,
-                       u_final=u)
+    final_eps = float(stop_eps)
+    return SolveReport(converged=final_eps <= config.epsilon,
+                       iterations=len(trace), final_eps=final_eps,
+                       final_h=float(objective_h(u, state)), trace=trace,
+                       wall_time=time.perf_counter() - t0, u_final=u)
 
 
 TRACE_HEADER = "iter,step_type,axis,kappa_max,kappa_min_support,eps,h,theta"

@@ -21,14 +21,14 @@ from mvee.solvers import (
     StepType,
     TRACE_HEADER,
     _decrement_assertions,
+    armijo_stepsize,
     backtracking_stepsize,
-    cd_diminishing_step,
     cd_step,
-    fwk_step,
+    exact_stepsize,
     init_khachiyan,
     init_kumar_yildirim,
     rcd_pick,
-    rcd_step,
+    schedule_stepsize,
     select_axis_gauss_southwell,
     solve,
     wa_step,
@@ -40,6 +40,25 @@ CROSS = PointSet(np.eye(2), symmetric=True)  # {+-e1, +-e2} via implicit mirror
 
 def axis_choice(kappa, u, n):
     return select_axis_gauss_southwell(np.asarray(kappa, float), u, n)
+
+
+def gs_axis(choice):
+    """The axis and direction solve() takes from a Gauss-Southwell choice."""
+    increase = choice.increase
+    return (choice.j_plus if increase else choice.j_minus), increase
+
+
+def gs_cd_step(u, kappa, choice, n, stepsize=exact_stepsize, k=0):
+    """One coordinate step on the Gauss-Southwell axis, as solve() makes it."""
+    j, increase = gs_axis(choice)
+    return cd_step(u, j, stepsize(float(u.u[j]), float(kappa[j]), increase,
+                                  n, k))
+
+
+def rcd_cd_step(u, kappa, j, n):
+    """One rcd step on a sampled axis j: descent sign, exact stepsize."""
+    kj = float(kappa[j])
+    return cd_step(u, j, exact_stepsize(float(u.u[j]), kj, kj > n, n, 0))
 
 
 # --- initialization -------------------------------------------------------------
@@ -112,7 +131,7 @@ def test_axis_selection_lowest_index_ties():
 
 def test_fwk_fixed_point():
     u = DualWeights(np.array([0.5, 0.5]))
-    out = fwk_step(u, np.array([2.0, 2.0]), 0, 2)
+    out = wa_step(u, np.array([2.0, 2.0]), 0, True, 2)
     assert out.recorded == 0.0
     assert np.array_equal(u.u, [0.5, 0.5])
 
@@ -124,7 +143,7 @@ def test_fwk_keeps_simplex_and_lands_on_boundary():
     state = factor_from_weights(X, u)
     kappa = gradient_refresh(state, X)
     j = int(np.argmax(kappa))
-    fwk_step(u, kappa, j, 3)
+    wa_step(u, kappa, j, True, 3)
     assert u.total() == pytest.approx(1.0, abs=1e-12)
     fresh = gradient_refresh(factor_from_weights(X, u), X)
     assert fresh[j] == pytest.approx(3.0, abs=1e-8)
@@ -132,7 +151,7 @@ def test_fwk_keeps_simplex_and_lands_on_boundary():
 
 def test_fwk_add_vs_increase():
     u = DualWeights(np.array([0.5, 0.5, 0.0]), support=[True, True, False])
-    out = fwk_step(u, np.array([1.5, 1.5, 3.0]), 2, 2)
+    out = wa_step(u, np.array([1.5, 1.5, 3.0]), 2, True, 2)
     assert out.step_type is StepType.ADD
     assert u.support[2]
 
@@ -141,7 +160,9 @@ def test_fwk_add_vs_increase():
 
 def test_wa_tie_takes_increase_branch():
     u = DualWeights(np.full(3, 1 / 3))
-    out = wa_step(u, np.array([2.4, 2.0, 1.6]), axis_choice([2.4, 2.0, 1.6], u, 2), 2)
+    choice = axis_choice([2.4, 2.0, 1.6], u, 2)
+    assert choice.increase
+    out = wa_step(u, np.array([2.4, 2.0, 1.6]), *gs_axis(choice), 2)
     assert out.step_type in (StepType.ADD, StepType.INCREASE)
     assert out.axis == 0
 
@@ -151,7 +172,7 @@ def test_wa_decrease_formula():
     u = DualWeights(np.array([0.3, 0.3, 0.4]))
     kappa = np.array([2.1, 2.05, 1.5])
     choice = AxisChoice(0, 2, 0.05, 0.25)
-    out = wa_step(u, kappa, choice, 2)
+    out = wa_step(u, kappa, *gs_axis(choice), 2)
     assert out.step_type is StepType.DECREASE
     assert out.recorded == pytest.approx(0.5)
     assert u.u[2] == pytest.approx(0.4 * 1.5 - 0.5)
@@ -162,7 +183,7 @@ def test_wa_drop_lands_on_zero():
     u = DualWeights(np.array([0.65, 0.30, 0.05]))
     kappa = np.array([2.1, 2.05, 1.2])
     choice = AxisChoice(0, 2, 0.05, 0.4)
-    out = wa_step(u, kappa, choice, 2)
+    out = wa_step(u, kappa, *gs_axis(choice), 2)
     assert out.step_type is StepType.DROP
     assert out.recorded == pytest.approx(0.05 / 0.95)
     assert u.u[2] == 0.0 and not u.support[2]
@@ -174,7 +195,7 @@ def test_wa_small_kappa_only_drop_bound():
     u = DualWeights(np.array([0.4, 0.3, 0.3]))
     kappa = np.array([2.2, 2.0, 0.9])
     choice = AxisChoice(0, 2, 0.1, 0.55)
-    out = wa_step(u, kappa, choice, 2)
+    out = wa_step(u, kappa, *gs_axis(choice), 2)
     assert out.step_type is StepType.DROP
     assert u.u[2] == 0.0
 
@@ -184,7 +205,7 @@ def test_wa_small_kappa_only_drop_bound():
 def test_cd_add_step_and_decrement_value():
     u = DualWeights(np.array([0.5, 0.5, 0.0]), support=[True, True, False])
     kappa = np.array([1.9, 1.8, 4.0])
-    out = cd_step(u, kappa, AxisChoice(2, 1, 1.0, 0.1), 2)
+    out = gs_cd_step(u, kappa, AxisChoice(2, 1, 1.0, 0.1), 2)
     assert out.step_type is StepType.ADD
     assert out.recorded == pytest.approx(0.125)
     dec = np.log1p(out.recorded * 4.0) - 2 * out.recorded
@@ -194,7 +215,7 @@ def test_cd_add_step_and_decrement_value():
 
 def test_cd_decrease_step():
     u = DualWeights(np.array([0.2, 0.8]))
-    out = cd_step(u, np.array([3.0, 1.0]), AxisChoice(0, 1, 0.1, 0.5), 2)
+    out = gs_cd_step(u, np.array([3.0, 1.0]), AxisChoice(0, 1, 0.1, 0.5), 2)
     assert out.step_type is StepType.DECREASE
     assert out.recorded == pytest.approx(-0.5)
     assert u.u[1] == pytest.approx(0.3)
@@ -202,25 +223,37 @@ def test_cd_decrease_step():
 
 def test_cd_projected_drop():
     u = DualWeights(np.array([0.8, 0.2]))
-    out = cd_step(u, np.array([3.0, 1.0]), AxisChoice(0, 1, 0.1, 0.5), 2)
+    out = gs_cd_step(u, np.array([3.0, 1.0]), AxisChoice(0, 1, 0.1, 0.5), 2)
     assert out.step_type is StepType.DROP
     assert out.recorded == pytest.approx(-0.2)
     assert u.u[1] == 0.0 and not u.support[1]
+
+
+def test_cd_decrease_landing_on_zero_is_a_drop():
+    # theta = (1 - 2) / (2 * 1) = -0.5 takes u_1 exactly to zero: the weight
+    # leaves the support, so support still means u_i > 0
+    u = DualWeights(np.array([0.5, 0.5]))
+    kappa = np.array([2.2, 1.0])
+    out = gs_cd_step(u, kappa, axis_choice(kappa, u, 2), 2)
+    assert out.step_type is StepType.DROP
+    assert out.recorded == pytest.approx(-0.5)
+    assert np.array_equal(u.u, [0.5, 0.0])
+    assert np.array_equal(u.support, [True, False])
 
 
 # --- diminishing stepsize --------------------------------------------------------------
 
 def test_diminishing_first_step_is_full():
     u = DualWeights(np.array([0.5, 0.5]))
-    out = cd_diminishing_step(u, np.array([3.0, 1.5]), 0,
-                              AxisChoice(0, 1, 0.5, 0.25), 2)
+    out = gs_cd_step(u, np.array([3.0, 1.5]), AxisChoice(0, 1, 0.5, 0.25), 2,
+                     schedule_stepsize, 0)
     assert out.recorded == pytest.approx(1.0)
 
 
 def test_diminishing_clamps_to_drop():
     u = DualWeights(np.array([0.95, 0.05]))
-    out = cd_diminishing_step(u, np.array([2.5, 1.4]), 8,
-                              AxisChoice(0, 1, 0.25, 0.3), 2)
+    out = gs_cd_step(u, np.array([2.5, 1.4]), AxisChoice(0, 1, 0.25, 0.3), 2,
+                     schedule_stepsize, 8)
     assert out.step_type is StepType.DROP
     assert out.recorded == pytest.approx(-0.05)
     assert u.u[1] == 0.0
@@ -228,8 +261,8 @@ def test_diminishing_clamps_to_drop():
 
 def test_diminishing_vanishes():
     u = DualWeights(np.array([0.5, 0.5]))
-    out = cd_diminishing_step(u, np.array([2.5, 1.4]), 10 ** 6,
-                              AxisChoice(0, 1, 0.25, 0.3), 2)
+    out = gs_cd_step(u, np.array([2.5, 1.4]), AxisChoice(0, 1, 0.25, 0.3), 2,
+                     schedule_stepsize, 10 ** 6)
     assert abs(out.recorded) <= 2e-6
 
 
@@ -258,6 +291,18 @@ def test_backtracking_stalls_when_target_unreachable():
         backtracking_stepsize(0.0, 2.5, +1.0, 2, alpha=1.0)
 
 
+def test_armijo_drops_weights_below_floor():
+    # a decrease on a weight at the drop floor removes it outright; above the
+    # floor, and on increases, the rule is the Armijo search
+    u = DualWeights(np.array([1.0, 1e-14]))
+    out = gs_cd_step(u, np.array([3.0, 1.0]), AxisChoice(0, 1, 0.1, 0.5), 2,
+                     armijo_stepsize)
+    assert out.step_type is StepType.DROP and out.recorded == -1e-14
+    assert u.u[1] == 0.0 and not u.support[1]
+    assert armijo_stepsize(0.3, 1.0, False, 2, 0) == pytest.approx(-0.25)
+    assert armijo_stepsize(0.0, 4.0, True, 2, 0) == pytest.approx(0.125)
+
+
 # --- randomized coordinate descent -----------------------------------------------------------
 
 def test_rcd_pick_degenerate_distribution():
@@ -282,16 +327,25 @@ def test_rcd_pick_frequencies():
 
 def test_rcd_step_branches():
     u = DualWeights(np.array([0.5, 0.5, 0.0]), support=[True, True, False])
-    out = rcd_step(u, np.array([2.0, 1.5, 4.0]), 2, 2)
+    out = rcd_cd_step(u, np.array([2.0, 1.5, 4.0]), 2, 2)
     assert out.step_type is StepType.ADD and u.u[2] > 0
 
     u = DualWeights(np.array([0.5, 0.5, 0.0]), support=[True, True, False])
-    out = rcd_step(u, np.array([2.0, 1.5, 1.0]), 2, 2)  # zero-weight interior
+    out = rcd_cd_step(u, np.array([2.0, 1.5, 1.0]), 2, 2)  # zero-weight interior
     assert out.step_type is StepType.DROP and out.recorded == 0.0
 
+    # stationary axis: a zero step moves nothing; it is labelled an increase
+    # on the support and a drop off it
     u = DualWeights(np.array([0.5, 0.5]))
-    out = rcd_step(u, np.array([2.0, 2.0]), 0, 2)  # stationary axis
+    out = rcd_cd_step(u, np.array([2.0, 2.0]), 0, 2)
     assert out.recorded == 0.0 and u.u[0] == 0.5
+    assert out.step_type is StepType.INCREASE and u.support[0]
+
+    u = DualWeights(np.array([0.5, 0.5, 0.0]), support=[True, True, False])
+    out = rcd_cd_step(u, np.array([2.0, 2.0, 2.0]), 2, 2)
+    assert out.step_type is StepType.DROP and out.recorded == 0.0
+    assert np.array_equal(u.u, [0.5, 0.5, 0.0])
+    assert np.array_equal(u.support, [True, True, False])
 
 
 # --- axis rule equivalence ---------------------------------------------------------------------
@@ -420,16 +474,16 @@ def test_debug_mode_decrement_assertions_hold():
 
 @pytest.mark.parametrize("call", [
     # Frank-Wolfe stepsize denominator kappa_j - 1 must be positive
-    lambda: fwk_step(DualWeights([0.5, 0.5]), np.array([1.0, 0.5]), 0, 2),
+    lambda: wa_step(DualWeights([0.5, 0.5]), np.array([1.0, 0.5]), 0, True, 2),
     # an away step from a point holding all the mass has nowhere to go
     lambda: wa_step(DualWeights([1.0, 0.0]), np.array([1.0, 1.0]),
-                    AxisChoice(1, 0, -0.5, 0.5), 2),
+                    *gs_axis(AxisChoice(1, 0, -0.5, 0.5)), 2),
     # the increase branch needs kappa_j >= n
-    lambda: cd_step(DualWeights([0.5, 0.5]), np.array([1.0, 1.0]),
-                    AxisChoice(0, 1, 0.5, 0.1), 2),
+    lambda: gs_cd_step(DualWeights([0.5, 0.5]), np.array([1.0, 1.0]),
+                       AxisChoice(0, 1, 0.5, 0.1), 2),
     # the decrease branch needs kappa_j <= n
-    lambda: cd_step(DualWeights([0.5, 0.5]), np.array([3.0, 3.0]),
-                    AxisChoice(0, 1, 0.1, 0.5), 2),
+    lambda: gs_cd_step(DualWeights([0.5, 0.5]), np.array([3.0, 3.0]),
+                       AxisChoice(0, 1, 0.1, 0.5), 2),
     # debug mode: a zero step on kappa_j = 4 misses its decrement bound 1/8
     lambda: _decrement_assertions(
         StepOutcome(StepType.INCREASE, 0, 0.0, 1.0, 0.0), 4.0, 2),
@@ -511,6 +565,63 @@ def test_reported_eps_matches_fresh_certificate(runs, request):
                                                      rep.final_eps)
 
 
+# iterations and final h of every algorithm from both starts on lifted
+# gen_sample(3, 40, 0) at eps 1e-5, max_iter 2000, seed 0.  Recorded with the
+# six separate step functions that preceded the two kernels, so a refactor of
+# the step layer that moves any trajectory shows here.
+TRAJECTORIES = {
+    ("fwk", "khachiyan"): (2000, -3.006161417439895),
+    ("fwk", "kumar_yildirim"): (2000, -3.006481203573109),
+    ("wa", "khachiyan"): (106, -3.00919434612231),
+    ("wa", "kumar_yildirim"): (62, -3.009194346151878),
+    ("cd_const", "khachiyan"): (157, -3.009194346161955),
+    ("cd_const", "kumar_yildirim"): (99, -3.009194346183434),
+    ("cd_diminish", "khachiyan"): (2000, -3.00918615669384),
+    ("cd_diminish", "kumar_yildirim"): (2000, -3.009185526892855),
+    ("cd_backtrack", "khachiyan"): (895, -3.009194345982945),
+    ("cd_backtrack", "kumar_yildirim"): (167, -3.0091943460566073),
+    ("rcd", "khachiyan"): (2000, -3.003931010624363),
+    ("rcd", "kumar_yildirim"): (2000, -2.973633916161336),
+}
+
+
+@pytest.fixture(scope="module")
+def small_lifted():
+    return lift(gen_sample(3, 40, 0))
+
+
+@pytest.mark.parametrize("alg,init", list(TRAJECTORIES))
+def test_trajectory_pinned(small_lifted, alg, init):
+    rep = solve(small_lifted, SolverConfig(algorithm=alg, init=init,
+                                           epsilon=1e-5, max_iter=2000))
+    iterations, final_h = TRAJECTORIES[alg, init]
+    assert rep.iterations == iterations
+    assert rep.final_h == pytest.approx(final_h, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_kernels_called_once_per_iteration_through_module(small_lifted, alg,
+                                                          monkeypatch):
+    # the benchmark traces the step layer by patching these module
+    # attributes, so solve() must look the kernels up at call time
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(mvee.solvers, "cd_step", counting(cd_step))
+    monkeypatch.setattr(mvee.solvers, "wa_step", counting(wa_step))
+    rep = solve(small_lifted, SolverConfig(algorithm=alg, epsilon=1e-5,
+                                           max_iter=300))
+    assert rep.iterations > 0
+    assert len(calls) == rep.iterations
+    kernel = "wa_step" if alg in (Algorithm.FWK, Algorithm.WA) else "cd_step"
+    assert set(calls) == {kernel}
+
+
 def test_khachiyan_init_supported():
     X = lift(gen_sample(3, 40, 8))
     rep = solve(X, SolverConfig(init=InitScheme.KHACHIYAN, epsilon=1e-7,
@@ -536,8 +647,6 @@ def test_solver_config_coerces_and_validates():
         SolverConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(backtrack_beta=1.0)
     with pytest.raises(ValueError):
         SolverConfig(algorithm="newton")
 
