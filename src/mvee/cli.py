@@ -21,16 +21,9 @@ from .problem import (
 )
 from .solvers import Algorithm, InitScheme, SolverConfig, solve, write_trace
 
-# accepted names on the command line and in plan files
-ALGORITHM_NAMES = {
-    "fwk": Algorithm.FWK,
-    "wa": Algorithm.WA,
-    "cd": Algorithm.CD_CONST,
-    "cd_const": Algorithm.CD_CONST,
-    "cd_diminish": Algorithm.CD_DIMINISH,
-    "cd_backtrack": Algorithm.CD_BACKTRACK,
-    "rcd": Algorithm.RCD,
-}
+# accepted names on the command line and in plan files: every algorithm's
+# value, plus "cd" for cd_const
+ALGORITHM_NAMES = {a.value: a for a in Algorithm} | {"cd": Algorithm.CD_CONST}
 
 DEFAULT_PLAN = """\
 [plan]

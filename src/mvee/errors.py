@@ -23,8 +23,7 @@ class SingularUpdate(MveeError):
 
 
 class StepRuleViolation(MveeError):
-    """A step rule was called outside its preconditions, or (debug mode) a
-    step fell short of its guaranteed objective decrement."""
+    """A step rule or kernel was called outside its preconditions."""
 
 
 class TooFewPoints(MveeError):

@@ -11,7 +11,7 @@ table with per-(regime, algorithm) arithmetic means.
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 

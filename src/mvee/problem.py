@@ -9,7 +9,7 @@ level equal to the ambient dimension n.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -51,10 +51,9 @@ class PointSet:
 
 @dataclass
 class DualWeights:
-    """Nonnegative weights u with an explicit support mask (u_i > 0)."""
+    """Nonnegative weights u; the support {i : u_i > 0} is derived from u."""
 
     u: np.ndarray
-    support: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float).copy()
@@ -62,17 +61,10 @@ class DualWeights:
             raise ValueError("u must be a vector")
         if (self.u < 0).any():
             raise ValueError("weights must be nonnegative")
-        if self.support is None:
-            self.support = self.u > 0
-        else:
-            self.support = np.asarray(self.support, dtype=bool).copy()
 
     @property
-    def support_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.support)
-
-    def total(self) -> float:
-        return float(self.u.sum())
+    def support(self) -> np.ndarray:
+        return self.u > 0
 
 
 @dataclass
@@ -189,14 +181,16 @@ def certificate(u: DualWeights, kappa: np.ndarray, n: int,
 def read_points(path) -> np.ndarray:
     """Read a point file: one point per row, CSV or whitespace-delimited.
 
-    An optional header row is auto-detected by a non-numeric first token.
-    Returns the points as rows (count x dim).  Errors carry line numbers.
+    `#` starts a comment that runs to the end of the line; blank and
+    comment-only lines are skipped.  An optional header row is auto-detected
+    by a non-numeric first token.  Returns the points as rows (count x dim).
+    Errors carry line numbers.
     """
     rows = []
     header_allowed = True
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
+            line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             toks = (line.split(",") if "," in line else line.split())

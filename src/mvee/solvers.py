@@ -32,8 +32,9 @@ pass needs anyway (see linalg), with a periodic full rebuild to bound
 drift.
 """
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -213,8 +214,8 @@ def select_axis_gauss_southwell(kappa: np.ndarray, u: DualWeights,
     masked = np.where(u.support, kappa, np.inf)
     j_minus = int(np.argmin(masked))
     return AxisChoice(j_plus, j_minus,
-                      float(kappa[j_plus] / n - 1.0),
-                      float(1.0 - kappa[j_minus] / n))
+                      float(kappa[j_plus]) / n - 1.0,
+                      1.0 - float(kappa[j_minus]) / n)
 
 
 def wa_step(u: DualWeights, kappa: np.ndarray, j: int, increase: bool,
@@ -255,13 +256,8 @@ def wa_step(u: DualWeights, kappa: np.ndarray, j: int, increase: bool,
     u.u *= scale
     if step_type is StepType.DROP:
         u.u[j] = 0.0
-        u.support[j] = False
     else:
         u.u[j] += t
-        u.support[j] = True
-        if t >= 1.0:
-            # full jump (n = 1 only): every other weight just became zero
-            u.support = u.u > 0
     theta_rel = t / scale if scale > _SCALE_FLOOR else np.inf
     return StepOutcome(step_type, j, lam, scale, theta_rel)
 
@@ -276,9 +272,8 @@ def cd_step(u: DualWeights, j: int, theta: float) -> StepOutcome:
     if theta > 0.0:
         step_type = StepType.ADD if u.u[j] == 0.0 else StepType.INCREASE
         u.u[j] += theta
-        u.support[j] = True
     elif theta == 0.0:
-        step_type = StepType.INCREASE if u.support[j] else StepType.DROP
+        step_type = StepType.INCREASE if u.u[j] > 0 else StepType.DROP
     elif u.u[j] + theta > 0.0:
         step_type = StepType.DECREASE
         u.u[j] += theta
@@ -286,7 +281,6 @@ def cd_step(u: DualWeights, j: int, theta: float) -> StepOutcome:
         step_type = StepType.DROP
         theta = -float(u.u[j])
         u.u[j] = 0.0
-        u.support[j] = False
     return StepOutcome(step_type, j, theta, 1.0, theta)
 
 
@@ -376,23 +370,7 @@ def rcd_pick(grad: np.ndarray, rng: np.random.Generator) -> int:
     return int(rng.choice(weights.size, p=weights / total))
 
 
-def _decrement_assertions(outcome: StepOutcome, kappa_j: float, n: int) -> None:
-    # closed-form per-step decrement against the guaranteed lower bounds
-    theta = outcome.theta_rel
-    dec = np.log1p(theta * kappa_j) - n * theta
-    if outcome.step_type in (StepType.ADD, StepType.INCREASE):
-        bound = (n - kappa_j) ** 2 / (2.0 * kappa_j * kappa_j)
-    elif outcome.step_type is StepType.DECREASE:
-        bound = (n - kappa_j) ** 2 / (2.0 * n * kappa_j)
-    else:  # drop: no decrease guaranteed, but never an increase
-        bound = 0.0
-    if not dec >= bound - 1e-10:
-        raise StepRuleViolation(
-            f"decrement {dec:.3e} below bound {bound:.3e} "
-            f"({outcome.step_type.value}, kappa={kappa_j})")
-
-
-def solve(X: PointSet, config: SolverConfig, debug: bool = False) -> SolveReport:
+def solve(X: PointSet, config: SolverConfig) -> SolveReport:
     """Run the configured algorithm on a symmetric instance.
 
     Stops when the certificate reaches the tolerance: fwk certifies primal
@@ -405,14 +383,15 @@ def solve(X: PointSet, config: SolverConfig, debug: bool = False) -> SolveReport
     X : PointSet
         Must be symmetric; lift(...) arbitrary instances first.
     config : SolverConfig
-    debug : bool
-        Check per-step decrement lower bounds on constant-stepsize
-        coordinate steps, raising StepRuleViolation (slows the loop; tests
-        only).
 
     Returns
     -------
     SolveReport
+
+    Raises
+    ------
+    NotFullRank
+        If the points do not span R^n, as for a lifted lower-dimensional set.
     """
     if not X.symmetric:
         raise ValueError("solve expects a symmetric instance; lift(...) first")
@@ -462,13 +441,10 @@ def solve(X: PointSet, config: SolverConfig, debug: bool = False) -> SolveReport
         else:
             theta = stepsize(float(u.u[j]), kj, increase, n, k)
             outcome = cd_step(u, j, theta)
-        if debug and stepsize is exact_stepsize:
-            _decrement_assertions(outcome, kj, n)
 
         # inverse and gradient maintenance; a degenerate convex combination
-        # (lambda = 1) rebuilds outright
-        rebuild = (outcome.scale < _SCALE_FLOOR
-                   or not np.isfinite(outcome.theta_rel))
+        # (lambda = 1, where wa_step reports theta_rel = inf) rebuilds outright
+        rebuild = not math.isfinite(outcome.theta_rel)
         if not rebuild and outcome.theta_rel != 0.0:
             y = apply_inverse(state, pts[:, j])
             w = pts.T @ y

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from mvee.cli import main
+from mvee.cli import ALGORITHM_NAMES, main
+from mvee.solvers import Algorithm
 
 SQUARE_ROWS = "1 1\n1 -1\n-1 1\n-1 -1\n"
 
@@ -82,6 +83,46 @@ def test_solve_rejects_unknown_algorithm(tmp_path, capsys):
     path.write_text(SQUARE_ROWS)
     code, _, err = run(capsys, "solve", str(path), "--algorithm", "newton")
     assert code == 1
+
+
+def test_algorithm_names_are_the_enum_values_plus_cd():
+    assert ALGORITHM_NAMES == {
+        "fwk": Algorithm.FWK,
+        "wa": Algorithm.WA,
+        "cd": Algorithm.CD_CONST,
+        "cd_const": Algorithm.CD_CONST,
+        "cd_diminish": Algorithm.CD_DIMINISH,
+        "cd_backtrack": Algorithm.CD_BACKTRACK,
+        "rcd": Algorithm.RCD,
+    }
+
+
+@pytest.mark.parametrize("algorithm", ["wa", "cd"])
+def test_solve_one_dimensional_file_with_interior_points(tmp_path, capsys,
+                                                         algorithm):
+    path = tmp_path / "heights.txt"
+    path.write_text("# heights\n3\n-2\n0.5 # interior\n1\n")
+    code, out, _ = run(capsys, "solve", str(path), "--algorithm", algorithm)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n"] == 1
+    assert payload["center"][0] == pytest.approx(0.5, abs=1e-7)
+    assert payload["shape"][0][0] == pytest.approx(1 / 2.5 ** 2, rel=1e-6)
+    assert payload["volume"] == pytest.approx(5.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("rows", [
+    "0 1\n1 3\n2 5\n3 7\n",
+    "0 0 1\n1 0 1\n0 1 1\n1 1 1\n2 3 1\n",
+    "2 2\n2 2\n2 2\n",
+], ids=["collinear_2d", "coplanar_3d", "all_equal"])
+def test_solve_lower_dimensional_set_is_an_input_error(tmp_path, capsys, rows):
+    path = tmp_path / "flat.txt"
+    path.write_text(rows)
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_solve_outputs_and_nonconvergence_exit(tmp_path, capsys):

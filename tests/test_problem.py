@@ -50,8 +50,11 @@ def test_pointset_too_few_points():
 
 def test_dual_weights_support():
     u = DualWeights(np.array([0.5, 0.0, 0.5]))
-    assert u.support_indices.tolist() == [0, 2]
-    assert u.total() == pytest.approx(1.0)
+    assert np.flatnonzero(u.support).tolist() == [0, 2]
+    assert u.u.sum() == pytest.approx(1.0)
+    # the support follows the weights: there is no mask to keep in step
+    u.u[1], u.u[2] = 0.5, 0.0
+    assert np.flatnonzero(u.support).tolist() == [0, 1]
 
 
 # --- lifting --------------------------------------------------------------------
@@ -250,6 +253,31 @@ def test_read_points_skips_blank_lines(tmp_path):
     path = tmp_path / "pts.txt"
     path.write_text("1.0 2.0\n\n3.0 4.0\n")
     assert read_points(path).shape == (2, 2)
+
+
+@pytest.mark.parametrize("text,rows", [
+    ("# a\n1 2\n# b\n3 4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1 2\n3 4 # x\n5 6\n", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
+    ("# written by mvee gen\nx,y\n1,2 # first\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+], ids=["full_line", "trailing", "before_csv_header"])
+def test_read_points_ignores_comments(tmp_path, text, rows):
+    path = tmp_path / "pts.txt"
+    path.write_text(text)
+    assert np.array_equal(read_points(path), rows)
+
+
+def test_read_points_comment_only_file_has_no_points(tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_text("# nothing\n\n  # here\n")
+    with pytest.raises(PointParseError, match="no points found"):
+        read_points(path)
+
+
+def test_read_points_comments_keep_line_numbers(tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_text("# a\n1 2\n3 oops # c\n")
+    with pytest.raises(PointParseError, match="line 3"):
+        read_points(path)
 
 
 def test_read_points_reports_bad_token_line(tmp_path):

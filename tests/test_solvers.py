@@ -11,16 +11,20 @@ from mvee.errors import (
 )
 from mvee.harness import gen_sample
 from mvee.linalg import factor_from_weights, gradient_refresh
-from mvee.problem import DualWeights, PointSet, certificate, lift
+from mvee.problem import (
+    DualWeights,
+    PointSet,
+    certificate,
+    lift,
+    recover_ellipsoid,
+)
 from mvee.solvers import (
     Algorithm,
     AxisChoice,
     InitScheme,
     SolverConfig,
-    StepOutcome,
     StepType,
     TRACE_HEADER,
-    _decrement_assertions,
     armijo_stepsize,
     backtracking_stepsize,
     cd_step,
@@ -66,7 +70,7 @@ def rcd_cd_step(u, kappa, j, n):
 def test_khachiyan_uniform():
     assert np.array_equal(init_khachiyan(4).u, np.full(4, 0.25))
     assert np.array_equal(init_khachiyan(1).u, [1.0])
-    assert init_khachiyan(37).total() == pytest.approx(1.0, abs=1e-15)
+    assert init_khachiyan(37).u.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_kumar_yildirim_forced_choice():
@@ -77,7 +81,7 @@ def test_kumar_yildirim_forced_choice():
 def test_kumar_yildirim_picks_spanning_pair():
     X = PointSet(np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 1.0]]), symmetric=True)
     u = init_kumar_yildirim(X, seed=0)
-    sup = u.support_indices
+    sup = np.flatnonzero(u.support)
     assert sup.size == 2
     assert np.allclose(u.u[sup], 0.5)
     assert np.linalg.matrix_rank(X.points[:, sup]) == 2
@@ -95,7 +99,7 @@ def test_kumar_yildirim_deterministic_per_seed():
     a = init_kumar_yildirim(X, seed=11)
     b = init_kumar_yildirim(X, seed=11)
     assert np.array_equal(a.u, b.u)
-    assert a.support_indices.size == 4
+    assert np.count_nonzero(a.support) == 4
     assert np.allclose(a.u[a.support], 0.25)
 
 
@@ -116,7 +120,7 @@ def test_axis_selection_at_optimum():
 
 
 def test_axis_selection_respects_support():
-    u = DualWeights(np.array([0.5, 0.5, 0.0]), support=[True, True, False])
+    u = DualWeights(np.array([0.5, 0.5, 0.0]))
     c = axis_choice([2.4, 2.0, 1.6], u, 2)
     assert c.j_minus == 1
 
@@ -144,13 +148,13 @@ def test_fwk_keeps_simplex_and_lands_on_boundary():
     kappa = gradient_refresh(state, X)
     j = int(np.argmax(kappa))
     wa_step(u, kappa, j, True, 3)
-    assert u.total() == pytest.approx(1.0, abs=1e-12)
+    assert u.u.sum() == pytest.approx(1.0, abs=1e-12)
     fresh = gradient_refresh(factor_from_weights(X, u), X)
     assert fresh[j] == pytest.approx(3.0, abs=1e-8)
 
 
 def test_fwk_add_vs_increase():
-    u = DualWeights(np.array([0.5, 0.5, 0.0]), support=[True, True, False])
+    u = DualWeights(np.array([0.5, 0.5, 0.0]))
     out = wa_step(u, np.array([1.5, 1.5, 3.0]), 2, True, 2)
     assert out.step_type is StepType.ADD
     assert u.support[2]
@@ -176,7 +180,7 @@ def test_wa_decrease_formula():
     assert out.step_type is StepType.DECREASE
     assert out.recorded == pytest.approx(0.5)
     assert u.u[2] == pytest.approx(0.4 * 1.5 - 0.5)
-    assert u.total() == pytest.approx(1.0, abs=1e-12)
+    assert u.u.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wa_drop_lands_on_zero():
@@ -187,7 +191,7 @@ def test_wa_drop_lands_on_zero():
     assert out.step_type is StepType.DROP
     assert out.recorded == pytest.approx(0.05 / 0.95)
     assert u.u[2] == 0.0 and not u.support[2]
-    assert u.total() == pytest.approx(1.0, abs=1e-12)
+    assert u.u.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wa_small_kappa_only_drop_bound():
@@ -203,7 +207,7 @@ def test_wa_small_kappa_only_drop_bound():
 # --- coordinate-descent constant step ------------------------------------------------
 
 def test_cd_add_step_and_decrement_value():
-    u = DualWeights(np.array([0.5, 0.5, 0.0]), support=[True, True, False])
+    u = DualWeights(np.array([0.5, 0.5, 0.0]))
     kappa = np.array([1.9, 1.8, 4.0])
     out = gs_cd_step(u, kappa, AxisChoice(2, 1, 1.0, 0.1), 2)
     assert out.step_type is StepType.ADD
@@ -326,11 +330,11 @@ def test_rcd_pick_frequencies():
 
 
 def test_rcd_step_branches():
-    u = DualWeights(np.array([0.5, 0.5, 0.0]), support=[True, True, False])
+    u = DualWeights(np.array([0.5, 0.5, 0.0]))
     out = rcd_cd_step(u, np.array([2.0, 1.5, 4.0]), 2, 2)
     assert out.step_type is StepType.ADD and u.u[2] > 0
 
-    u = DualWeights(np.array([0.5, 0.5, 0.0]), support=[True, True, False])
+    u = DualWeights(np.array([0.5, 0.5, 0.0]))
     out = rcd_cd_step(u, np.array([2.0, 1.5, 1.0]), 2, 2)  # zero-weight interior
     assert out.step_type is StepType.DROP and out.recorded == 0.0
 
@@ -341,7 +345,7 @@ def test_rcd_step_branches():
     assert out.recorded == 0.0 and u.u[0] == 0.5
     assert out.step_type is StepType.INCREASE and u.support[0]
 
-    u = DualWeights(np.array([0.5, 0.5, 0.0]), support=[True, True, False])
+    u = DualWeights(np.array([0.5, 0.5, 0.0]))
     out = rcd_cd_step(u, np.array([2.0, 2.0, 2.0]), 2, 2)
     assert out.step_type is StepType.DROP and out.recorded == 0.0
     assert np.array_equal(u.u, [0.5, 0.5, 0.0])
@@ -420,7 +424,7 @@ def test_support_bound_at_convergence():
     X = PointSet(rng.standard_normal((4, 200)), symmetric=True)
     rep = solve(X, SolverConfig(epsilon=1e-8, max_iter=50_000))
     assert rep.converged
-    assert rep.u_final.support_indices.size <= 4 * 7 // 2
+    assert np.count_nonzero(rep.u_final.support) <= 4 * 7 // 2
 
 
 def test_support_mask_matches_positive_weights():
@@ -461,13 +465,79 @@ def test_rcd_seed_reproducibility():
     assert a.final_h == b.final_h
 
 
-def test_debug_mode_decrement_assertions_hold():
+@pytest.mark.parametrize("alg,eps", [(Algorithm.CD_CONST, 1e-6),
+                                     (Algorithm.RCD, 1e-3)],
+                         ids=["cd_const", "rcd"])
+def test_exact_stepsize_decrements_meet_bounds(alg, eps, monkeypatch):
+    # every exact coordinate step lowers h by at least its guaranteed
+    # decrement: (n - kappa_j)^2 / (2 kappa_j^2) on an add or increase,
+    # (n - kappa_j)^2 / (2 n kappa_j) on a decrease, and 0 on a drop
     X = lift(gen_sample(4, 60, 6))
-    rep = solve(X, SolverConfig(epsilon=1e-6, max_iter=10_000), debug=True)
-    assert rep.converged
-    rep = solve(X, SolverConfig(algorithm=Algorithm.RCD, epsilon=1e-3,
-                                max_iter=10_000), debug=True)
+    n = X.dim
+    kappas = []
+
+    def recording(u_j, kappa_j, increase, dim, k):
+        kappas.append(kappa_j)
+        return exact_stepsize(u_j, kappa_j, increase, dim, k)
+
+    monkeypatch.setattr(mvee.solvers, "exact_stepsize", recording)
+    rep = solve(X, SolverConfig(algorithm=alg, epsilon=eps, max_iter=10_000))
+    if alg is Algorithm.CD_CONST:
+        assert rep.converged
     assert rep.iterations > 0
+    assert len(kappas) == rep.iterations
+    h = [r.h_value for r in rep.trace] + [rep.final_h]
+    short = []
+    for k, (rec, kj) in enumerate(zip(rep.trace, kappas)):
+        if rec.step_type in (StepType.ADD, StepType.INCREASE):
+            bound = (n - kj) ** 2 / (2.0 * kj * kj)
+        elif rec.step_type is StepType.DECREASE:
+            bound = (n - kj) ** 2 / (2.0 * n * kj)
+        else:
+            bound = 0.0
+        if not h[k] - h[k + 1] >= bound - 1e-10:
+            short.append((k, rec.step_type.value, h[k] - h[k + 1], bound))
+    assert not short, short[:5]
+
+
+# --- degenerate inputs ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alg", [Algorithm.CD_CONST, Algorithm.WA])
+@pytest.mark.parametrize("init", list(InitScheme))
+def test_duplicated_points_give_the_same_ellipsoid(alg, init):
+    # every point three times, shuffled: from the Khachiyan start the weights
+    # spread over the copies and the trajectory differs; the optimum does not
+    P = gen_sample(3, 40, 2)
+    perm = np.random.default_rng(0).permutation(3 * P.count)
+    tripled = PointSet(np.tile(P.points, 3)[:, perm])
+    ellipsoids = []
+    for X in (P, tripled):
+        lifted = lift(X)
+        rep = solve(lifted, SolverConfig(algorithm=alg, init=init,
+                                         epsilon=1e-8, max_iter=100_000))
+        assert rep.converged
+        ellipsoids.append(recover_ellipsoid(rep.u_final, X, lifted))
+    a, b = ellipsoids
+    assert np.allclose(a.center, b.center, rtol=0, atol=1e-6)
+    assert np.allclose(a.shape, b.shape, rtol=0,
+                       atol=1e-6 * np.abs(a.shape).max())
+
+
+_PLANE = np.random.default_rng(0).standard_normal((2, 12))
+FLAT_SETS = {
+    "collinear_2d": [[0.0, 1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 5.0, 7.0, 9.0]],
+    "coplanar_3d": np.vstack([_PLANE, _PLANE[0] - 2.0 * _PLANE[1] + 0.5]),
+    "all_equal": np.tile([[1.5], [-0.5]], 4),
+}
+
+
+@pytest.mark.parametrize("name", list(FLAT_SETS))
+@pytest.mark.parametrize("init", list(InitScheme))
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_lower_dimensional_sets_raise_not_full_rank(alg, init, name):
+    X = lift(PointSet(FLAT_SETS[name]))
+    with pytest.raises(NotFullRank):
+        solve(X, SolverConfig(algorithm=alg, init=init))
 
 
 # --- step-rule preconditions ---------------------------------------------------------------------
@@ -484,11 +554,8 @@ def test_debug_mode_decrement_assertions_hold():
     # the decrease branch needs kappa_j <= n
     lambda: gs_cd_step(DualWeights([0.5, 0.5]), np.array([3.0, 3.0]),
                        AxisChoice(0, 1, 0.1, 0.5), 2),
-    # debug mode: a zero step on kappa_j = 4 misses its decrement bound 1/8
-    lambda: _decrement_assertions(
-        StepOutcome(StepType.INCREASE, 0, 0.0, 1.0, 0.0), 4.0, 2),
 ], ids=["fwk_kappa_above_one", "wa_away_mass", "cd_increase_kappa",
-        "cd_decrease_kappa", "debug_decrement_bound"])
+        "cd_decrease_kappa"])
 def test_step_rule_preconditions_raise(call):
     # real checks, not asserts: they must survive python -O
     with pytest.raises(StepRuleViolation):
