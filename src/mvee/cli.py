@@ -10,7 +10,8 @@ import sys
 from pathlib import Path
 
 from .errors import MveeError, PlanError, PointParseError
-from .harness import BenchmarkPlan, Regime, emit_decrement_curves, run_benchmark
+from .harness import (BenchmarkPlan, Regime, emit_decrement_curves,
+                      gen_sample, run_benchmark)
 from .problem import (
     PointSet,
     lift,
@@ -25,12 +26,13 @@ from .solvers import Algorithm, InitScheme, SolverConfig, solve, write_trace
 # value, plus "cd" for cd_const
 ALGORITHM_NAMES = {a.value: a for a in Algorithm} | {"cd": Algorithm.CD_CONST}
 
+# `solve`'s epsilon, max_iter, seed and init, and a plan file's epsilon,
+# max_iter and init, default to the solver's own
+_DEFAULTS = SolverConfig()
+
 DEFAULT_PLAN = """\
 [plan]
 seed = 1234
-epsilon = 1e-7
-max_iter = 100000
-init = kumar_yildirim
 algorithms = cd_const, wa
 
 [regime.small]
@@ -62,10 +64,10 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("input", help="point file, one point per row")
     p_solve.add_argument("--algorithm", default="cd",
                          choices=sorted(ALGORITHM_NAMES))
-    p_solve.add_argument("--epsilon", type=float, default=1e-7)
-    p_solve.add_argument("--max-iter", type=int, default=100_000)
-    p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--init", default="kumar_yildirim",
+    p_solve.add_argument("--epsilon", type=float, default=_DEFAULTS.epsilon)
+    p_solve.add_argument("--max-iter", type=int, default=_DEFAULTS.max_iter)
+    p_solve.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    p_solve.add_argument("--init", default=_DEFAULTS.init.value,
                          choices=[i.value for i in InitScheme])
     p_solve.add_argument("--symmetric", action="store_true",
                          help="rows are one representative per +-x pair")
@@ -117,10 +119,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    from .harness import gen_sample
-
-    if args.m < args.n + 1:
-        raise MveeError(f"m must be at least n + 1 (got n={args.n}, m={args.m})")
     instance = gen_sample(args.n, args.m, args.seed)
     write_points(args.output, instance.points.T)
     return 0
@@ -143,9 +141,9 @@ def _load_plan(path) -> tuple[list[Regime], list[SolverConfig], int]:
     try:
         sec = cp["plan"]
         seed = sec.getint("seed", 1234)
-        epsilon = sec.getfloat("epsilon", 1e-7)
-        max_iter = sec.getint("max_iter", 100_000)
-        init = InitScheme(sec.get("init", "kumar_yildirim"))
+        epsilon = sec.getfloat("epsilon", _DEFAULTS.epsilon)
+        max_iter = sec.getint("max_iter", _DEFAULTS.max_iter)
+        init = InitScheme(sec.get("init", _DEFAULTS.init))
         names = [t.strip() for t in sec.get("algorithms", "cd_const,wa").split(",")
                  if t.strip()]
         algorithms = []

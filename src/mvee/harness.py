@@ -40,8 +40,8 @@ class Regime:
 class BenchmarkPlan:
     regimes: Sequence[Regime]
     algorithms: Sequence[SolverConfig]
+    output_dir: Path
     seed: int = 0
-    output_dir: Optional[Path] = None
 
     def __post_init__(self):
         if not self.regimes:
@@ -128,9 +128,11 @@ def emit_decrement_curves(n_values: Sequence[int], output) -> None:
                 writer.writerow([n, "minus", repr(float(k)), repr(float(d))])
 
 
-def run_benchmark(plan: BenchmarkPlan, parallelism: int = 1,
-                  write_traces: bool = True) -> list[BenchmarkRow]:
-    """Run every (regime, repetition, algorithm) cell of the plan.
+def run_benchmark(plan: BenchmarkPlan,
+                  parallelism: int = 1) -> list[BenchmarkRow]:
+    """Run every (regime, repetition, algorithm) cell of the plan on
+    `parallelism` worker threads, writing the per-run traces and the two
+    result tables into plan.output_dir.
 
     The instance seed is plan.seed + repetition, so all algorithms within a
     repetition solve the same instance.  Solver errors mark the row failed
@@ -159,24 +161,19 @@ def run_benchmark(plan: BenchmarkPlan, parallelism: int = 1,
                            report.final_eps, report.final_h, report.converged)
         return row, report.trace
 
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_run, tasks))
-    else:
-        results = [_run(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        results = list(pool.map(_run, tasks))
 
     rows = []
-    outdir = Path(plan.output_dir) if plan.output_dir else None
-    if outdir:
-        outdir.mkdir(parents=True, exist_ok=True)
+    outdir = Path(plan.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     for (regime, rep, cfg), (row, trace) in zip(tasks, results):
         rows.append(row)
-        if outdir and write_traces and trace is not None:
+        if trace is not None:
             name = f"{regime.label}_{cfg.algorithm.value}_{rep}.csv"
             write_trace(trace, outdir / name)
-    if outdir:
-        write_rows_csv(rows, outdir / "results.csv")
-        write_means_csv(rows, outdir / "results_means.csv")
+    write_rows_csv(rows, outdir / "results.csv")
+    write_means_csv(rows, outdir / "results_means.csv")
     return rows
 
 

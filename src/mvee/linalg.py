@@ -6,9 +6,9 @@ the state holds M^{-1} and ln det M rather than a factor of M.  A rank-one
 change M -> s (M + theta x x^T) is one Sherman-Morrison step on M^{-1} and
 one determinant-lemma step on ln det M, O(n^2) either way; kappa follows in
 O(m) from the O(m n) pass w = X^T M^{-1} x.  A full rebuild from the
-current weights (an orthogonal factorization, O(m n^2)) is used at
-initialization, periodically to bound floating-point drift, and when an
-update is numerically singular.
+current weights is an orthogonal factorization, O(m n^2).  When to rebuild
+(at initialization, on a schedule that bounds floating-point drift, and
+after a numerically singular update) is decided by solvers.solve, not here.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,8 @@ PD_TOL = 1e-12
 
 @dataclass
 class FactorState:
-    """M^{-1} and ln det M for M = X U X^T, plus rebuild bookkeeping.
+    """M^{-1} and ln det M for M = X U X^T; solvers.solve decides when to
+    rebuild them from the weights.
 
     Attributes
     ----------
@@ -33,26 +34,13 @@ class FactorState:
         Symmetric positive definite inverse of M.
     log_det : float
         ln det M.
-    n : int
-        Dimension.
-    update_count : int
-        Rank-one modifications applied since the last full rebuild.
-    refactor_period : int
-        Cadence after which callers should rebuild from (X, u).
     """
 
     Minv: np.ndarray
     log_det: float
-    n: int
-    update_count: int = 0
-    refactor_period: int = 0
-
-    @property
-    def needs_refactor(self) -> bool:
-        return self.refactor_period > 0 and self.update_count >= self.refactor_period
 
 
-def factor_from_weights(X, u, refactor_period=0):
+def factor_from_weights(X, u):
     """Build the state for M = sum_i u_i x_i x_i^T through the support columns.
 
     Forms B = X_support * sqrt(u_support) and takes the triangular factor R
@@ -64,8 +52,6 @@ def factor_from_weights(X, u, refactor_period=0):
     ----------
     X : PointSet
     u : DualWeights
-    refactor_period : int
-        Stored on the returned state; 0 disables cadence checks.
 
     Returns
     -------
@@ -90,8 +76,7 @@ def factor_from_weights(X, u, refactor_period=0):
         raise NotFullRank("weighted points are rank deficient")
     Rinv = sla.solve_triangular(R, np.eye(n), check_finite=False)
     Minv = Rinv @ Rinv.T
-    return FactorState(Minv, 2.0 * float(np.log(d).sum()), n, 0,
-                       refactor_period)
+    return FactorState(Minv, 2.0 * float(np.log(d).sum()))
 
 
 def rank_one_modify(state, y, theta, kappa_j, scale=1.0):
@@ -101,8 +86,6 @@ def rank_one_modify(state, y, theta, kappa_j, scale=1.0):
     caller has already formed y for its gradient pass:
     M'^{-1} = (M^{-1} - theta y y^T / (1 + theta kappa_j)) / scale and
     ln det M' = ln det M + ln(1 + theta kappa_j) + n ln scale.  O(n^2).
-    Increments update_count; callers watch needs_refactor and rebuild from
-    the weights on the configured cadence.
 
     Raises
     ------
@@ -117,9 +100,8 @@ def rank_one_modify(state, y, theta, kappa_j, scale=1.0):
     log_det = state.log_det + float(np.log(denom))
     if scale != 1.0:
         Minv /= scale
-        log_det += state.n * float(np.log(scale))
-    return FactorState(Minv, log_det, state.n, state.update_count + 1,
-                       state.refactor_period)
+        log_det += len(Minv) * float(np.log(scale))
+    return FactorState(Minv, log_det)
 
 
 def quad_form(state, x):

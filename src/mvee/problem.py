@@ -152,7 +152,7 @@ def shape_logdet(E: Ellipsoid) -> float:
 
 def objective_h(u: DualWeights, state) -> float:
     """h(u) = -ln det(X U X^T) + n (e^T u - 1), evaluated from the factor."""
-    return -logdet(state) + state.n * (u.u.sum() - 1.0)
+    return float(-logdet(state) + len(state.Minv) * (u.u.sum() - 1.0))
 
 
 def certificate(u: DualWeights, kappa: np.ndarray, n: int,

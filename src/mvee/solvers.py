@@ -28,15 +28,14 @@ steps in the descent direction.
 Each iteration is O(m n) after an O(m n^2) initialization: M^{-1}, ln det M
 and the kappa vector are maintained incrementally, one Sherman-Morrison
 step per iteration on the vector y = M^{-1} x_j that the O(m n) gradient
-pass needs anyway (see linalg), with a periodic full rebuild to bound
-drift.
+pass needs anyway (see linalg); solve() also decides when to rebuild them
+from the weights.
 """
 
 import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -62,6 +61,14 @@ _SCALE_FLOOR = 1e-14
 # weights below this are dropped outright by the backtracking variant rather
 # than decayed geometrically forever (the line search itself never hits zero)
 _DROP_FLOOR = 1e-14
+# about sqrt(machine epsilon): kappa_j carries a relative error of about
+# cond(M) * 1e-16, so u_j kappa_j = 1 can read 1 - 2e-11 at cond(M) = 3e6
+_SINGULAR_STEP_TOL = 1.5e-8
+# Armijo sufficient-decrease fraction and backtracking factor
+_ARMIJO_ALPHA = 0.5
+_ARMIJO_BETA = 0.5
+# incremental updates per dimension between rebuilds, bounding their drift
+_REBUILD_PER_DIM = 50
 
 
 class Algorithm(str, Enum):
@@ -92,7 +99,6 @@ class SolverConfig:
     max_iter: int = 100_000
     init: InitScheme = InitScheme.KUMAR_YILDIRIM
     seed: int = 0
-    refactor_period: Optional[int] = None  # None means 50 * n
 
     def __post_init__(self):
         self.algorithm = Algorithm(self.algorithm)
@@ -306,52 +312,50 @@ def exact_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
 
 def schedule_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
                       k: int) -> float:
-    """The 2/(k+2) schedule, signed by the direction."""
+    """The 2/(k+2) schedule, signed by the direction.  It ignores the barrier
+    in h, so a decrease leaving M (numerically) singular, as a drop of a
+    point with u_j kappa_j = 1 does, is not taken: the step is zero."""
     lam = 2.0 / (k + 2.0)
-    return lam if increase else -lam
+    if increase:
+        return lam
+    if 1.0 - min(lam, u_j) * kappa_j <= _SINGULAR_STEP_TOL:
+        return 0.0
+    return -lam
 
 
 def armijo_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
                     k: int) -> float:
-    """Armijo backtracking along the direction.  Weights below the drop
-    floor are removed outright: backtracking alone shrinks them
-    geometrically but never to zero, which would stall the support
-    certificate."""
-    if not increase and u_j <= _DROP_FLOOR:
-        return -u_j
-    return backtracking_stepsize(u_j, kappa_j, 1.0 if increase else -1.0, n)
-
-
-def backtracking_stepsize(u_j: float, kappa_j: float, d: float, n: int,
-                          alpha: float = 0.5, beta: float = 0.5) -> float:
-    """Armijo backtracking along +-e_j, exploiting the closed form
+    """Armijo backtracking along the direction, exploiting the closed form
     h(u + theta e_j) - h(u) = n theta - ln(1 + theta kappa_j).
 
-    Trials lambda = beta^t from 1 are rejected while infeasible (a negative
-    direction may not exceed u_j or make the log argument vanish) or while
-    the decrease is worse than alpha * lambda * |grad h_j|.  Returns the
-    signed step theta = d * lambda.
+    Trials lambda = beta^t from 1 are rejected while infeasible (a decrease
+    may not exceed u_j or make the log argument vanish) or while the
+    decrease is worse than alpha * lambda * |grad h_j|, with alpha and beta
+    the module's _ARMIJO_ALPHA and _ARMIJO_BETA.  Weights below the drop
+    floor are removed outright: backtracking alone shrinks them
+    geometrically but never to zero, which would stall the support
+    certificate.
 
     Raises
     ------
     LineSearchStalled
         If lambda underflows below 1e-16 without acceptance.
     """
+    if not increase and u_j <= _DROP_FLOOR:
+        return -u_j
     grad = n - kappa_j
-    if grad == 0.0 or d == 0.0:
+    if grad == 0.0:
         return 0.0
-    target = alpha * abs(grad)
+    d = 1.0 if increase else -1.0
+    target = _ARMIJO_ALPHA * abs(grad)
     lam = 1.0
     while lam >= 1e-16:
         theta = d * lam
-        feasible = True
-        if d < 0.0:
-            feasible = lam <= u_j and 1.0 + theta * kappa_j > 1e-12
-        if feasible:
+        if increase or (lam <= u_j and 1.0 + theta * kappa_j > 1e-12):
             dh = n * theta - np.log1p(theta * kappa_j)
             if dh <= -target * lam:
                 return theta
-        lam *= beta
+        lam *= _ARMIJO_BETA
     raise LineSearchStalled(f"no acceptable step above 1e-16 (kappa={kappa_j})")
 
 
@@ -378,6 +382,10 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
     max(eps_plus, eps_minus) <= epsilon.  Hitting max_iter returns a report
     with converged=False rather than raising.
 
+    M^{-1}, ln det M and kappa are rebuilt from the weights at the start,
+    after a degenerate convex combination (scale below 1e-14), after a
+    SingularUpdate, and after every 50 n incremental updates.
+
     Parameters
     ----------
     X : PointSet
@@ -396,7 +404,7 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
     if not X.symmetric:
         raise ValueError("solve expects a symmetric instance; lift(...) first")
     n, m = X.dim, X.count
-    period = config.refactor_period if config.refactor_period else 50 * n
+    period = _REBUILD_PER_DIM * n
     alg = config.algorithm
 
     stepsize = {Algorithm.CD_CONST: exact_stepsize,
@@ -418,8 +426,9 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
     # the last pass only evaluates the stopping rule at max_iter
     for k in range(config.max_iter + 1):
         if rebuild:
-            state = factor_from_weights(X, u, period)
+            state = factor_from_weights(X, u)
             kappa = gradient_refresh(state, X)
+            updates = 0
         choice = select_axis_gauss_southwell(kappa, u, n)
         eps_k = max(choice.eps_plus, choice.eps_minus)
         stop_eps = choice.eps_plus if alg is Algorithm.FWK else eps_k
@@ -443,25 +452,27 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
             outcome = cd_step(u, j, theta)
 
         # inverse and gradient maintenance; a degenerate convex combination
-        # (lambda = 1, where wa_step reports theta_rel = inf) rebuilds outright
+        # (lambda = 1, where wa_step reports theta_rel = inf) rebuilds
+        # outright, as do a singular update and the period-th update
         rebuild = not math.isfinite(outcome.theta_rel)
         if not rebuild and outcome.theta_rel != 0.0:
             y = apply_inverse(state, pts[:, j])
             w = pts.T @ y
+            # both updates take w_j = x_j^T y from the stored inverse, not the
+            # maintained kappa_j, whose error 1/(1 + theta kappa_j) would scale
+            wj = float(w[j])
             try:
-                kappa = gradient_rank_one(kappa, w, outcome.theta_rel, kj)
-                # the inverse takes its own quadratic form x_j^T y = w_j, not
-                # the maintained kappa_j: the Sherman-Morrison step is then
-                # exact for the matrix the stored inverse represents
-                state = rank_one_modify(state, y, outcome.theta_rel,
-                                        float(w[j]), outcome.scale)
+                kappa = gradient_rank_one(kappa, w, outcome.theta_rel, wj)
+                state = rank_one_modify(state, y, outcome.theta_rel, wj,
+                                        outcome.scale)
             except SingularUpdate:
                 # exact drop of a geometrically loaded point; rebuild
                 rebuild = True
             else:
                 if outcome.scale != 1.0:
                     kappa /= outcome.scale
-                rebuild = state.needs_refactor
+                updates += 1
+                rebuild = updates >= period
 
         trace.append(IterationRecord(k, outcome.step_type, j, kappa_max,
                                      kappa_min, eps_k, h_k, outcome.recorded))
@@ -469,7 +480,7 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
     final_eps = float(stop_eps)
     return SolveReport(converged=final_eps <= config.epsilon,
                        iterations=len(trace), final_eps=final_eps,
-                       final_h=float(objective_h(u, state)), trace=trace,
+                       final_h=objective_h(u, state), trace=trace,
                        wall_time=time.perf_counter() - t0, u_final=u)
 
 

@@ -386,8 +386,9 @@ def test_criterion_08_factor_oracle_and_drift():
     n, m = 6, 30
     X = PointSet(rng.standard_normal((n, m)), symmetric=True)
     w = rng.uniform(0.2, 1.0, m)
-    state = factor_from_weights(X, DualWeights(w), refactor_period=50 * n)
+    state = factor_from_weights(X, DualWeights(w))
     kappa = gradient_refresh(state, X)
+    updates = 0
     for step in range(1000):
         j = int(rng.integers(m))
         theta = float(rng.uniform(-0.15, 0.3))
@@ -402,9 +403,9 @@ def test_criterion_08_factor_oracle_and_drift():
         kappa = gradient_rank_one(kappa, wvec, theta, kj)
         state = rank_one_modify(state, y, theta, float(wvec[j]))
         w[j] += theta
-        if state.needs_refactor:
-            state = factor_from_weights(X, DualWeights(w),
-                                        refactor_period=50 * n)
+        updates += 1
+        if updates % (50 * n) == 0:
+            state = factor_from_weights(X, DualWeights(w))
             kappa = gradient_refresh(state, X)
     drift = float(np.abs(kappa - gradient_refresh(state, X)).max())
     assert drift < 1e-8, f"kappa drift {drift:.3e}"

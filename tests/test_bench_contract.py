@@ -1,0 +1,44 @@
+"""The benchmark under perfbench/ reaches into the package by name: it
+imports some names and patches or calls others as `mvee.<module>.<name>`.
+These tests fail when a change to the package removes one of those names,
+so that such a change shows here and not only in the benchmark's own smoke
+test.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SOURCES = sorted(PERFBENCH.glob("*.py"))
+
+
+def _references(path):
+    """(module, name) pairs that a perfbench file takes from the package,
+    through `from mvee.x import name` or an attribute chain mvee.x.name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.startswith("mvee.")):
+            found.update((node.module, alias.name) for alias in node.names)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Attribute)
+              and isinstance(node.value.value, ast.Name)
+              and node.value.value.id == "mvee"):
+            found.add((f"mvee.{node.value.attr}", node.attr))
+    return found
+
+
+@pytest.mark.parametrize("module", ["layers", "workloads"])
+def test_benchmark_modules_import(module, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    importlib.import_module(module)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_benchmark_names_exist(path):
+    missing = sorted(f"{module}.{name}" for module, name in _references(path)
+                     if not hasattr(importlib.import_module(module), name))
+    assert not missing, f"{path.name} uses missing names {missing}"

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from mvee.cli import ALGORITHM_NAMES, main
-from mvee.solvers import Algorithm
+from mvee.cli import ALGORITHM_NAMES, _load_plan, main
+from mvee.solvers import Algorithm, SolverConfig
 
 SQUARE_ROWS = "1 1\n1 -1\n-1 1\n-1 -1\n"
 
@@ -195,6 +195,17 @@ def test_bench_parallelism_keeps_iteration_columns(tmp_path, capsys):
                     for r in csv.DictReader(fh)]
 
     assert iterations(tmp_path / "seq", "1") == iterations(tmp_path / "par", "4")
+
+
+def test_plan_fallbacks_are_the_solver_defaults(tmp_path):
+    plan = tmp_path / "plan.ini"
+    plan.write_text("[plan]\nseed = 3\n\n[regime.r]\nn = 4\nm = 30\n")
+    _regimes, configs, seed = _load_plan(plan)
+    assert seed == 3 and configs
+    default = SolverConfig()
+    for cfg in configs:
+        assert (cfg.epsilon, cfg.max_iter, cfg.init) == \
+            (default.epsilon, default.max_iter, default.init)
 
 
 def test_bench_unknown_algorithm(tmp_path, capsys):

@@ -120,15 +120,17 @@ def test_emit_decrement_curves_file(tmp_path):
 
 # --- benchmark orchestration ---------------------------------------------------------
 
-def test_plan_validation():
+def test_plan_validation(tmp_path):
     with pytest.raises(ValueError):
         Regime("bad", 4, 4, 1)
     with pytest.raises(ValueError):
         Regime("bad", 4, 30, 0)
     with pytest.raises(ValueError):
-        BenchmarkPlan(regimes=[], algorithms=[SolverConfig()])
+        BenchmarkPlan(regimes=[], algorithms=[SolverConfig()],
+                      output_dir=tmp_path)
     with pytest.raises(ValueError):
-        BenchmarkPlan(regimes=[Regime("r", 4, 30, 1)], algorithms=[])
+        BenchmarkPlan(regimes=[Regime("r", 4, 30, 1)], algorithms=[],
+                      output_dir=tmp_path)
 
 
 def test_run_benchmark_rows_and_files(tmp_path):
@@ -157,7 +159,7 @@ def test_run_benchmark_rows_and_files(tmp_path):
 
 
 def test_run_benchmark_shares_instances_within_rep(tmp_path):
-    rows = run_benchmark(tiny_plan(tmp_path), write_traces=False)
+    rows = run_benchmark(tiny_plan(tmp_path))
     # same instance => identical optimal objective across algorithms
     by_rep = {}
     for r in rows:

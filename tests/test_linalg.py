@@ -18,8 +18,7 @@ from mvee.problem import DualWeights, PointSet
 
 def state_from_matrix(M):
     """Build a FactorState for an explicit SPD matrix from its dense inverse."""
-    return FactorState(Minv=np.linalg.inv(M), log_det=np.linalg.slogdet(M)[1],
-                       n=M.shape[0])
+    return FactorState(Minv=np.linalg.inv(M), log_det=np.linalg.slogdet(M)[1])
 
 
 def modify(state, x, theta, scale=1.0):
@@ -111,14 +110,6 @@ def test_rank_one_does_not_mutate_input():
     modify(st_, np.array([0.3, 0.4]), 1.0, scale=2.0)
     assert np.array_equal(st_.Minv, before)
     assert st_.log_det == 0.0
-
-
-def test_update_counter_and_refactor_flag():
-    st_ = FactorState(Minv=np.eye(3), log_det=0.0, n=3, refactor_period=2)
-    st_ = modify(st_, np.array([1.0, 0.0, 0.0]), 0.5)
-    assert not st_.needs_refactor
-    st_ = modify(st_, np.array([0.0, 1.0, 0.0]), 0.5)
-    assert st_.needs_refactor
 
 
 @given(st.integers(0, 10_000), st.integers(1, 6),
