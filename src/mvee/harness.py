@@ -4,9 +4,9 @@ Instances fill a ball uniformly, then are pushed through a random
 ill-conditioned linear map and shifted.  A uniform ball fill puts more of
 its points near the surface than a standard-normal sample does, and more
 so as n grows.  Benchmarks run a grid of (regime x repetition x
-algorithm), with every algorithm inside one repetition seeing a
-bitwise-identical instance, and emit per-run trace CSVs plus an aggregate
-table with per-(regime, algorithm) arithmetic means.
+algorithm), building each repetition's instance once and solving it with
+every algorithm, and emit per-run trace CSVs plus an aggregate table with
+per-(regime, algorithm) arithmetic means.
 """
 
 import csv
@@ -134,32 +134,41 @@ def run_benchmark(plan: BenchmarkPlan,
     `parallelism` worker threads, writing the per-run traces and the two
     result tables into plan.output_dir.
 
-    The instance seed is plan.seed + repetition, so all algorithms within a
-    repetition solve the same instance.  Solver errors mark the row failed
-    without aborting the rest of the plan.  Rows come back in plan order
-    regardless of parallelism; only the seconds column depends on timing.
+    One task per (regime, repetition) builds the instance, seeded
+    plan.seed + repetition, once and solves it with every algorithm.
+    Solver errors mark the row failed without aborting the rest of the
+    plan; an instance that cannot be built marks every algorithm's row of
+    its repetition.  Rows come back in plan order regardless of
+    parallelism; only the seconds column depends on timing.
     """
-    tasks = []
-    for regime in plan.regimes:
-        for rep in range(regime.repetitions):
-            for cfg in plan.algorithms:
-                tasks.append((regime, rep, cfg))
+    tasks = [(regime, rep) for regime in plan.regimes
+             for rep in range(regime.repetitions)]
+
+    def _failed(regime, rep, cfg, exc):
+        return BenchmarkRow(regime.label, regime.n, regime.m,
+                            cfg.algorithm.value, rep, 0, 0.0, float("nan"),
+                            float("nan"), False, error=str(exc))
 
     def _run(task):
-        regime, rep, cfg = task
-        alg = cfg.algorithm.value
+        regime, rep = task
         try:
-            instance = gen_sample(regime.n, regime.m, plan.seed + rep)
-            report = solve(lift(instance), cfg)
+            X = lift(gen_sample(regime.n, regime.m, plan.seed + rep))
         except MveeError as exc:
-            row = BenchmarkRow(regime.label, regime.n, regime.m, alg, rep,
-                               0, 0.0, float("nan"), float("nan"), False,
-                               error=str(exc))
-            return row, None
-        row = BenchmarkRow(regime.label, regime.n, regime.m, alg, rep,
-                           report.iterations, report.wall_time,
-                           report.final_eps, report.final_h, report.converged)
-        return row, report.trace
+            return [(_failed(regime, rep, cfg, exc), None)
+                    for cfg in plan.algorithms]
+        out = []
+        for cfg in plan.algorithms:
+            try:
+                report = solve(X, cfg)
+            except MveeError as exc:
+                out.append((_failed(regime, rep, cfg, exc), None))
+                continue
+            out.append((BenchmarkRow(regime.label, regime.n, regime.m,
+                                     cfg.algorithm.value, rep,
+                                     report.iterations, report.wall_time,
+                                     report.final_eps, report.final_h,
+                                     report.converged), report.trace))
+        return out
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         results = list(pool.map(_run, tasks))
@@ -167,11 +176,12 @@ def run_benchmark(plan: BenchmarkPlan,
     rows = []
     outdir = Path(plan.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for (regime, rep, cfg), (row, trace) in zip(tasks, results):
-        rows.append(row)
-        if trace is not None:
-            name = f"{regime.label}_{cfg.algorithm.value}_{rep}.csv"
-            write_trace(trace, outdir / name)
+    for (regime, rep), solved in zip(tasks, results):
+        for row, trace in solved:
+            rows.append(row)
+            if trace is not None:
+                name = f"{regime.label}_{row.algorithm}_{rep}.csv"
+                write_trace(trace, outdir / name)
     write_rows_csv(rows, outdir / "results.csv")
     write_means_csv(rows, outdir / "results_means.csv")
     return rows

@@ -5,7 +5,7 @@ M^{-1} x_j, the quadratic forms kappa_i = x_i^T M^{-1} x_i and ln det M, so
 the state holds M^{-1} and ln det M rather than a factor of M.  A rank-one
 change M -> s (M + theta x x^T) is one Sherman-Morrison step on M^{-1} and
 one determinant-lemma step on ln det M, O(n^2) either way; kappa follows in
-O(m) from the O(m n) pass w = X^T M^{-1} x.  A full rebuild from the
+place in O(m) from the O(m n) pass w = X^T M^{-1} x.  A full rebuild from the
 current weights is an orthogonal factorization, O(m n^2).  When to rebuild
 (at initialization, on a schedule that bounds floating-point drift, and
 after a numerically singular update) is decided by solvers.solve, not here.
@@ -96,7 +96,7 @@ def rank_one_modify(state, y, theta, kappa_j, scale=1.0):
     denom = 1.0 + theta * kappa_j
     if denom <= PD_TOL:
         raise SingularUpdate(f"update denominator {denom:.3e}")
-    Minv = state.Minv - (theta / denom) * np.outer(y, y)
+    Minv = state.Minv - (theta / denom) * (y[:, None] * y)
     log_det = state.log_det + float(np.log(denom))
     if scale != 1.0:
         Minv /= scale
@@ -125,14 +125,16 @@ def gradient_refresh(state, X):
 
 
 def gradient_rank_one(kappa, w, theta, kappa_j):
-    """Sherman-Morrison update of kappa under M -> M + theta * x_j x_j^T.
+    """Sherman-Morrison update of kappa, in place, under
+    M -> M + theta * x_j x_j^T.
 
     Parameters
     ----------
     kappa : ndarray, shape (m,)
-        Current quadratic forms.
+        Current quadratic forms; overwritten with the updated ones.
     w : ndarray, shape (m,)
-        Precomputed inner products w_i = x_i^T M^{-1} x_j (O(m n) pass).
+        Precomputed inner products w_i = x_i^T M^{-1} x_j (O(m n) pass);
+        left unchanged.
     theta : float
     kappa_j : float
         Current quadratic form of the modified column.
@@ -140,15 +142,19 @@ def gradient_rank_one(kappa, w, theta, kappa_j):
     Returns
     -------
     ndarray
-        kappa'_i = kappa_i - theta * w_i^2 / (1 + theta * kappa_j).  O(m).
+        kappa itself, holding kappa_i - theta * w_i^2 / (1 + theta * kappa_j).
+        O(m) with one temporary of length m.
 
     Raises
     ------
     SingularUpdate
         If 1 + theta * kappa_j <= PD_TOL, i.e. the update is (numerically)
-        singular and the state must be rebuilt instead.
+        singular and the state must be rebuilt instead; kappa is untouched.
     """
     denom = 1.0 + theta * kappa_j
     if denom <= PD_TOL:
         raise SingularUpdate(f"update denominator {denom:.3e}")
-    return kappa - (theta / denom) * (w * w)
+    change = w * w
+    change *= theta / denom
+    kappa -= change
+    return kappa

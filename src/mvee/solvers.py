@@ -29,7 +29,10 @@ Each iteration is O(m n) after an O(m n^2) initialization: M^{-1}, ln det M
 and the kappa vector are maintained incrementally, one Sherman-Morrison
 step per iteration on the vector y = M^{-1} x_j that the O(m n) gradient
 pass needs anyway (see linalg); solve() also decides when to rebuild them
-from the weights.
+from the weights.  Besides that pass, which writes into one buffer per
+solve, an iteration makes three O(m) sweeps (argmax kappa, the kappa update
+and e^T u in the objective) and one O(s) scan of the s support indices for
+the decrease axis.
 """
 
 import math
@@ -209,19 +212,21 @@ def init_kumar_yildirim(X: PointSet, seed: int) -> DualWeights:
     return DualWeights(u)
 
 
-def select_axis_gauss_southwell(kappa: np.ndarray, u: DualWeights,
+def select_axis_gauss_southwell(kappa: np.ndarray, support: np.ndarray,
                                 n: int) -> AxisChoice:
     """Largest-|gradient| axes: argmax kappa overall, argmin over the support.
 
-    Ties break to the lowest index.  eps_plus = kappa_max/n - 1 and
+    `support` holds the indices of the positive weights in increasing order,
+    so the decrease axis costs O(s) for s support points on top of the O(m)
+    argmax.  Ties break to the lowest index.  eps_plus = kappa_max/n - 1 and
     eps_minus = 1 - kappa_min_support/n are the two certificate quantities.
     """
-    j_plus = int(np.argmax(kappa))
-    masked = np.where(u.support, kappa, np.inf)
-    j_minus = int(np.argmin(masked))
-    return AxisChoice(j_plus, j_minus,
-                      float(kappa[j_plus]) / n - 1.0,
-                      1.0 - float(kappa[j_minus]) / n)
+    j_plus = int(kappa.argmax())
+    on_support = kappa[support]
+    i = int(on_support.argmin())
+    return AxisChoice(j_plus, support.item(i),
+                      kappa.item(j_plus) / n - 1.0,
+                      1.0 - on_support.item(i) / n)
 
 
 def wa_step(u: DualWeights, kappa: np.ndarray, j: int, increase: bool,
@@ -237,7 +242,8 @@ def wa_step(u: DualWeights, kappa: np.ndarray, j: int, increase: bool,
     candidate is +inf: the objective decreases along the whole ray, so only
     the drop bound is active.  Keeps e^T u = 1.
     """
-    kj = float(kappa[j])
+    kj = kappa.item(j)
+    uj = u.u.item(j)
     if increase:
         # on a full-rank symmetric instance kappa at the argmax exceeds 1
         # whenever the iterate is not yet optimal
@@ -245,10 +251,9 @@ def wa_step(u: DualWeights, kappa: np.ndarray, j: int, increase: bool,
             raise StepRuleViolation(
                 f"increase step needs kappa_j > 1, got {kj}")
         lam = (kj - n) / (n * (kj - 1.0))
-        step_type = StepType.ADD if u.u[j] == 0.0 else StepType.INCREASE
+        step_type = StepType.ADD if uj == 0.0 else StepType.INCREASE
         t = lam
     else:
-        uj = float(u.u[j])
         if not uj < 1.0:
             raise StepRuleViolation(
                 f"away step needs mass outside the pivot, u_j = {uj}")
@@ -268,24 +273,30 @@ def wa_step(u: DualWeights, kappa: np.ndarray, j: int, increase: bool,
     return StepOutcome(step_type, j, lam, scale, theta_rel)
 
 
-def cd_step(u: DualWeights, j: int, theta: float) -> StepOutcome:
+def cd_step(u: DualWeights, j: int, theta: float,
+            increase: bool) -> StepOutcome:
     """Projected coordinate step u_j <- u_j + theta onto u_j >= 0.
 
     A decrease that does not leave u_j > 0 is clamped to zero and is a
-    drop.  A zero step (a stationary axis) moves nothing and is labelled an
-    increase on the support, a drop off it.
+    drop.  A zero step (a stationary axis, or a decrease the stepsize rule
+    declined) moves nothing; on the support it is labelled with the
+    direction the axis rule chose, off it a drop.
     """
+    uj = u.u.item(j)
     if theta > 0.0:
-        step_type = StepType.ADD if u.u[j] == 0.0 else StepType.INCREASE
-        u.u[j] += theta
+        step_type = StepType.ADD if uj == 0.0 else StepType.INCREASE
+        u.u[j] = uj + theta
     elif theta == 0.0:
-        step_type = StepType.INCREASE if u.u[j] > 0 else StepType.DROP
-    elif u.u[j] + theta > 0.0:
+        if uj > 0.0:
+            step_type = StepType.INCREASE if increase else StepType.DECREASE
+        else:
+            step_type = StepType.DROP
+    elif uj + theta > 0.0:
         step_type = StepType.DECREASE
-        u.u[j] += theta
+        u.u[j] = uj + theta
     else:
         step_type = StepType.DROP
-        theta = -float(u.u[j])
+        theta = -uj
         u.u[j] = 0.0
     return StepOutcome(step_type, j, theta, 1.0, theta)
 
@@ -382,9 +393,11 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
     max(eps_plus, eps_minus) <= epsilon.  Hitting max_iter returns a report
     with converged=False rather than raising.
 
-    M^{-1}, ln det M and kappa are rebuilt from the weights at the start,
-    after a degenerate convex combination (scale below 1e-14), after a
-    SingularUpdate, and after every 50 n incremental updates.
+    M^{-1}, ln det M, kappa and the sorted support indices are rebuilt from
+    the weights at the start, after a degenerate convex combination (scale
+    below 1e-14), after a SingularUpdate, and after every 50 n incremental
+    updates.  Between rebuilds kappa is updated in place and the support
+    array changes only when u_j crosses zero.
 
     Parameters
     ----------
@@ -419,6 +432,9 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
 
     t0 = time.perf_counter()
     pts = X.points
+    pts_t = pts.T
+    w = np.empty(m)  # the gradient pass w = X^T M^{-1} x_j, reused each step
+    fwk, rcd = alg is Algorithm.FWK, alg is Algorithm.RCD
     rng = np.random.default_rng(config.seed)
     trace: list[IterationRecord] = []
     rebuild = True
@@ -428,28 +444,36 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
         if rebuild:
             state = factor_from_weights(X, u)
             kappa = gradient_refresh(state, X)
+            support = np.flatnonzero(u.u)
             updates = 0
-        choice = select_axis_gauss_southwell(kappa, u, n)
+        choice = select_axis_gauss_southwell(kappa, support, n)
         eps_k = max(choice.eps_plus, choice.eps_minus)
-        stop_eps = choice.eps_plus if alg is Algorithm.FWK else eps_k
+        stop_eps = choice.eps_plus if fwk else eps_k
         if stop_eps <= config.epsilon or k == config.max_iter:
             break
         h_k = objective_h(u, state)
-        kappa_max = float(kappa[choice.j_plus])
-        kappa_min = float(kappa[choice.j_minus])
+        kappa_max = kappa.item(choice.j_plus)
+        kappa_min = kappa.item(choice.j_minus)
 
-        if alg is Algorithm.RCD:
+        if rcd:
             j = rcd_pick(n - kappa, rng)
-            increase = kappa[j] > n  # descent sign
+            increase = kappa.item(j) > n  # descent sign
         else:
-            increase = alg is Algorithm.FWK or choice.increase
+            increase = fwk or choice.increase
             j = choice.j_plus if increase else choice.j_minus
-        kj = float(kappa[j])
+        uj = u.u.item(j)
         if stepsize is None:
             outcome = wa_step(u, kappa, j, increase, n)
         else:
-            theta = stepsize(float(u.u[j]), kj, increase, n, k)
-            outcome = cd_step(u, j, theta)
+            theta = stepsize(uj, kappa.item(j), increase, n, k)
+            outcome = cd_step(u, j, theta, increase)
+        # only u_j can cross zero: wa_step scales the other weights by a
+        # positive factor, and a zero factor forces a rebuild
+        on_support = u.u.item(j) > 0.0
+        if on_support != (uj > 0.0):
+            i = support.searchsorted(j)
+            support = (np.insert(support, i, j) if on_support
+                       else np.delete(support, i))
 
         # inverse and gradient maintenance; a degenerate convex combination
         # (lambda = 1, where wa_step reports theta_rel = inf) rebuilds
@@ -457,10 +481,10 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
         rebuild = not math.isfinite(outcome.theta_rel)
         if not rebuild and outcome.theta_rel != 0.0:
             y = apply_inverse(state, pts[:, j])
-            w = pts.T @ y
+            np.dot(pts_t, y, out=w)
             # both updates take w_j = x_j^T y from the stored inverse, not the
             # maintained kappa_j, whose error 1/(1 + theta kappa_j) would scale
-            wj = float(w[j])
+            wj = w.item(j)
             try:
                 kappa = gradient_rank_one(kappa, w, outcome.theta_rel, wj)
                 state = rank_one_modify(state, y, outcome.theta_rel, wj,

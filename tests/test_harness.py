@@ -3,6 +3,8 @@ import csv
 import numpy as np
 import pytest
 
+import mvee.harness
+from mvee.errors import NotFullRank
 from mvee.harness import (
     BenchmarkPlan,
     Regime,
@@ -166,6 +168,43 @@ def test_run_benchmark_shares_instances_within_rep(tmp_path):
         by_rep.setdefault(r.rep, []).append(r.final_h)
     for rep, hs in by_rep.items():
         assert hs[0] == pytest.approx(hs[1], rel=1e-6)
+
+
+def test_run_benchmark_builds_each_instance_once(tmp_path, monkeypatch):
+    seeds = []
+    real = mvee.harness.gen_sample
+
+    def counting(n, m, seed):
+        seeds.append(seed)
+        return real(n, m, seed)
+
+    monkeypatch.setattr(mvee.harness, "gen_sample", counting)
+    rows = run_benchmark(tiny_plan(tmp_path), parallelism=2)
+    assert sorted(seeds) == [7, 8]  # one build per repetition, not per solve
+    assert [(r.rep, r.algorithm) for r in rows] == [
+        (0, "cd_const"), (0, "wa"), (1, "cd_const"), (1, "wa")]
+
+
+def test_run_benchmark_unbuildable_instance_fails_every_algorithm(
+        tmp_path, monkeypatch):
+    real = mvee.harness.gen_sample
+
+    def failing(n, m, seed):
+        if seed == 8:
+            raise NotFullRank("instance 8 is degenerate")
+        return real(n, m, seed)
+
+    monkeypatch.setattr(mvee.harness, "gen_sample", failing)
+    plan = tiny_plan(tmp_path)
+    rows = run_benchmark(plan)
+    assert [(r.rep, r.algorithm) for r in rows] == [
+        (0, "cd_const"), (0, "wa"), (1, "cd_const"), (1, "wa")]
+    assert [r.error for r in rows] == [None, None,
+                                       "instance 8 is degenerate",
+                                       "instance 8 is degenerate"]
+    assert not rows[2].converged and rows[2].iterations == 0
+    assert (plan.output_dir / "tiny_wa_0.csv").exists()
+    assert not (plan.output_dir / "tiny_wa_1.csv").exists()
 
 
 def test_run_benchmark_parallel_determinism(tmp_path):

@@ -237,14 +237,31 @@ def test_gradient_refresh_matches_dense():
 
 
 def test_gradient_rank_one_zero_theta_is_identity():
+    # kappa is updated in place, so compare with a copy taken before the call
     kappa = np.array([1.0, 2.0, 3.0])
+    before = kappa.copy()
     out = gradient_rank_one(kappa, np.array([0.5, 0.5, 0.5]), 0.0, 2.0)
-    assert np.array_equal(out, kappa)
+    assert np.array_equal(out, before)
+
+
+def test_gradient_rank_one_updates_kappa_in_place_and_keeps_w():
+    # solve() and the drift loop of criterion 8 read w_j after the call
+    kappa = np.array([1.0, 2.0, 3.0])
+    w = np.array([0.5, -1.0, 2.0])
+    w_before = w.copy()
+    want = kappa - (0.5 / (1.0 + 0.5 * 2.0)) * (w * w)
+    out = gradient_rank_one(kappa, w, 0.5, 2.0)
+    assert out is kappa
+    assert np.array_equal(kappa, want)
+    assert np.array_equal(w, w_before)
 
 
 def test_gradient_rank_one_singular_pivot_raises():
+    # the state is rebuilt after this, so kappa must be left as it was
+    kappa = np.array([2.0])
     with pytest.raises(SingularUpdate):
-        gradient_rank_one(np.array([2.0]), np.array([1.0]), -0.5, 2.0)
+        gradient_rank_one(kappa, np.array([1.0]), -0.5, 2.0)
+    assert np.array_equal(kappa, [2.0])
 
 
 def test_gradient_rank_one_sequence_matches_refresh():

@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -23,6 +26,7 @@ from mvee.solvers import (
     AxisChoice,
     InitScheme,
     SolverConfig,
+    StepOutcome,
     StepType,
     TRACE_HEADER,
     armijo_stepsize,
@@ -42,7 +46,8 @@ CROSS = PointSet(np.eye(2), symmetric=True)  # {+-e1, +-e2} via implicit mirror
 
 
 def axis_choice(kappa, u, n):
-    return select_axis_gauss_southwell(np.asarray(kappa, float), u, n)
+    return select_axis_gauss_southwell(np.asarray(kappa, float),
+                                       np.flatnonzero(u.u), n)
 
 
 def gs_axis(choice):
@@ -55,13 +60,14 @@ def gs_cd_step(u, kappa, choice, n, stepsize=exact_stepsize, k=0):
     """One coordinate step on the Gauss-Southwell axis, as solve() makes it."""
     j, increase = gs_axis(choice)
     return cd_step(u, j, stepsize(float(u.u[j]), float(kappa[j]), increase,
-                                  n, k))
+                                  n, k), increase)
 
 
 def rcd_cd_step(u, kappa, j, n):
     """One rcd step on a sampled axis j: descent sign, exact stepsize."""
     kj = float(kappa[j])
-    return cd_step(u, j, exact_stepsize(float(u.u[j]), kj, kj > n, n, 0))
+    return cd_step(u, j, exact_stepsize(float(u.u[j]), kj, kj > n, n, 0),
+                   kj > n)
 
 
 # --- initialization -------------------------------------------------------------
@@ -339,12 +345,15 @@ def test_rcd_step_branches():
     out = rcd_cd_step(u, np.array([2.0, 1.5, 1.0]), 2, 2)  # zero-weight interior
     assert out.step_type is StepType.DROP and out.recorded == 0.0
 
-    # stationary axis: a zero step moves nothing; it is labelled an increase
-    # on the support and a drop off it
+    # stationary axis: a zero step moves nothing; it is labelled with the
+    # chosen direction on the support (rcd decreases at kappa_j = n) and a
+    # drop off it
     u = DualWeights(np.array([0.5, 0.5]))
     out = rcd_cd_step(u, np.array([2.0, 2.0]), 0, 2)
     assert out.recorded == 0.0 and u.u[0] == 0.5
-    assert out.step_type is StepType.INCREASE and u.support[0]
+    assert out.step_type is StepType.DECREASE and u.support[0]
+    out = cd_step(u, 0, 0.0, True)
+    assert out.step_type is StepType.INCREASE and u.u[0] == 0.5
 
     u = DualWeights(np.array([0.5, 0.5, 0.0]))
     out = rcd_cd_step(u, np.array([2.0, 2.0, 2.0]), 2, 2)
@@ -444,7 +453,8 @@ def test_fwk_stops_on_primal_feasibility_only():
     assert rep.converged
     state = factor_from_weights(X, rep.u_final)
     kappa = gradient_refresh(state, X)
-    c = select_axis_gauss_southwell(kappa, rep.u_final, X.dim)
+    c = select_axis_gauss_southwell(kappa, np.flatnonzero(rep.u_final.u),
+                                    X.dim)
     assert c.eps_plus <= 1e-4
     assert c.eps_minus > 1e-4
 
@@ -569,6 +579,36 @@ def _close(got, want, tol):
     return np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
 
 
+def test_zero_step_on_the_support_is_labelled_a_decrease():
+    # cd_diminish declines a decrease that would leave M singular; the trace
+    # records that zero step in the direction the axis rule chose
+    rng = np.random.default_rng(3550)
+    X = PointSet(rng.standard_normal((4, 12)), symmetric=True)
+    rep = solve(X, SolverConfig(algorithm=Algorithm.CD_DIMINISH,
+                                init=InitScheme.KUMAR_YILDIRIM,
+                                epsilon=1e-12, max_iter=50, seed=3550))
+    for k in (3, 4):
+        row = rep.trace[k]
+        assert row.theta_or_lambda == 0.0
+        assert row.step_type is StepType.DECREASE, (k, row)
+
+
+@pytest.mark.parametrize("alg", [Algorithm.CD_CONST, Algorithm.WA])
+def test_huge_m_converges_with_a_fresh_certificate(alg):
+    # 200,000 standard-normal points in R^3, lifted: the O(m) work of each
+    # iteration dominates, and the reported eps still agrees with one fresh
+    # rebuild and refresh from the final weights
+    rng = np.random.default_rng(0)
+    X = lift(PointSet(rng.standard_normal((3, 200_000))))
+    rep = solve(X, SolverConfig(algorithm=alg, epsilon=1e-3))
+    assert rep.converged
+    kappa = gradient_refresh(factor_from_weights(X, rep.u_final), X)
+    cert = certificate(rep.u_final, kappa, X.dim, 1e-3)
+    fresh = max(cert.eps_plus, cert.eps_minus)
+    assert fresh <= 1e-3
+    assert abs(fresh - rep.final_eps) <= 1e-10, (fresh, rep.final_eps)
+
+
 # cd_diminish failed on each of these while its schedule could drop a point
 # M cannot lose and while the kappa update took the maintained kappa_j: on
 # the first two that drop raised NotFullRank, on the third (cond(M) = 3e6)
@@ -584,23 +624,34 @@ def _close(got, want, tol):
 def test_maintained_state_matches_dense_every_step(alg, seed, n, extra, init,
                                                    per_dim):
     # after every step of every algorithm, M^{-1}, ln det M and kappa agree
-    # with a dense recomputation from the weights; a cadence of 2 n updates
-    # (per_dim 2) forces scheduled rebuilds within the 50 steps
+    # with a dense recomputation from the weights and the support indices
+    # are those of the nonzero weights; a cadence of 2 n updates (per_dim 2)
+    # forces scheduled rebuilds within the 50 steps
     rng = np.random.default_rng(seed)
     X = PointSet(rng.standard_normal((n, n + extra)), symmetric=True)
-    checked, rebuilds, updates = [], [], []
+    checked, rebuilds, updates, weights = [], [], [], []
 
     def dense(u):
         M = (X.points * u.u) @ X.points.T
         Minv = np.linalg.inv(M)
         return M, Minv, np.einsum("ij,ij->j", X.points, Minv @ X.points)
 
-    def select(kappa, u, dim):
+    def holding(init):
+        # solve() moves the initial weights in place; keep them to check
+        def wrapper(*args):
+            weights.append(init(*args))
+            return weights[-1]
+        return wrapper
+
+    def select(kappa, support, dim):
+        u = weights[-1]
+        assert np.array_equal(support, np.flatnonzero(u.u)), (
+            len(checked), support, u.u)
         M, _, kappa_dense = dense(u)
         tol = 1e-13 * np.linalg.cond(M)
         assert _close(kappa, kappa_dense, tol), (len(checked), kappa,
                                                  kappa_dense)
-        return real_select(kappa, u, dim)
+        return real_select(kappa, support, dim)
 
     def objective(u, state):
         M, Minv, _ = dense(u)
@@ -624,7 +675,9 @@ def test_maintained_state_matches_dense_every_step(alg, seed, n, extra, init,
     real_factor = mvee.solvers.factor_from_weights
     real_modify = mvee.solvers.rank_one_modify
     patches = {"select_axis_gauss_southwell": select, "objective_h": objective,
-               "factor_from_weights": factor, "rank_one_modify": modify}
+               "factor_from_weights": factor, "rank_one_modify": modify,
+               "init_khachiyan": holding(mvee.solvers.init_khachiyan),
+               "init_kumar_yildirim": holding(mvee.solvers.init_kumar_yildirim)}
     if per_dim is not None:
         patches["_REBUILD_PER_DIM"] = per_dim
     saved = {name: getattr(mvee.solvers, name) for name in patches}
@@ -701,24 +754,43 @@ def test_trajectory_pinned(small_lifted, alg, init):
 @pytest.mark.parametrize("alg", list(Algorithm))
 def test_kernels_called_once_per_iteration_through_module(small_lifted, alg,
                                                           monkeypatch):
-    # the benchmark traces the step layer by patching these module
-    # attributes, so solve() must look the kernels up at call time
-    calls = []
+    # the benchmark traces each layer by patching these module attributes,
+    # and clocks its reference beside the solve from objective_h, so solve()
+    # must look them up at call time and call each once per iteration or
+    # once per incremental update
+    calls = Counter()
+    outcomes = []
 
     def counting(fn):
         def wrapper(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
+            calls[fn.__name__] += 1
+            out = fn(*args)
+            if isinstance(out, StepOutcome):
+                outcomes.append(out)
+            return out
         return wrapper
 
-    monkeypatch.setattr(mvee.solvers, "cd_step", counting(cd_step))
-    monkeypatch.setattr(mvee.solvers, "wa_step", counting(wa_step))
+    for name in ("cd_step", "wa_step", "select_axis_gauss_southwell",
+                 "objective_h", "apply_inverse", "gradient_rank_one",
+                 "rank_one_modify"):
+        monkeypatch.setattr(mvee.solvers, name,
+                            counting(getattr(mvee.solvers, name)))
     rep = solve(small_lifted, SolverConfig(algorithm=alg, epsilon=1e-5,
                                            max_iter=300))
     assert rep.iterations > 0
-    assert len(calls) == rep.iterations
-    kernel = "wa_step" if alg in (Algorithm.FWK, Algorithm.WA) else "cd_step"
-    assert set(calls) == {kernel}
+    kernel, other = (("wa_step", "cd_step")
+                     if alg in (Algorithm.FWK, Algorithm.WA)
+                     else ("cd_step", "wa_step"))
+    assert calls[kernel] == rep.iterations and calls[other] == 0
+    # the last stopping test and the final objective make one call more each
+    assert calls["select_axis_gauss_southwell"] == rep.iterations + 1
+    assert calls["objective_h"] == rep.iterations + 1
+    # a step with a finite nonzero factor change is one incremental update
+    updates = sum(math.isfinite(o.theta_rel) and o.theta_rel != 0.0
+                  for o in outcomes)
+    assert updates > 0
+    for name in ("apply_inverse", "gradient_rank_one", "rank_one_modify"):
+        assert calls[name] == updates, (name, calls[name], updates)
 
 
 def test_khachiyan_init_supported():
