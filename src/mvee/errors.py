@@ -5,6 +5,10 @@ class MveeError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInput(MveeError, ValueError):
+    """An argument is out of range or malformed; still a ValueError."""
+
+
 class NotFullRank(MveeError):
     """Weighted points do not span the ambient space; the factor is singular."""
 

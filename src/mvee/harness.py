@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import MveeError
+from .errors import InvalidInput, MveeError
 from .problem import PointSet, lift
 from .solvers import SolverConfig, solve, write_trace
 
@@ -31,9 +31,9 @@ class Regime:
 
     def __post_init__(self):
         if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
+            raise InvalidInput("repetitions must be at least 1")
         if self.m < self.n + 1:
-            raise ValueError("m must exceed n for a full-dimensional instance")
+            raise InvalidInput("m must exceed n for a full-dimensional instance")
 
 
 @dataclass
@@ -45,9 +45,9 @@ class BenchmarkPlan:
 
     def __post_init__(self):
         if not self.regimes:
-            raise ValueError("plan needs at least one regime")
+            raise InvalidInput("plan needs at least one regime")
         if not self.algorithms:
-            raise ValueError("plan needs at least one algorithm")
+            raise InvalidInput("plan needs at least one algorithm")
 
 
 @dataclass
@@ -77,7 +77,7 @@ def gen_sample(n: int, m: int, seed: int) -> PointSet:
     affine-invariant.  Returns a non-symmetric PointSet.
     """
     if m < n + 1:
-        raise ValueError("m must be at least n + 1")
+        raise InvalidInput("m must be at least n + 1")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, m))
     g /= np.linalg.norm(g, axis=0)
@@ -115,7 +115,7 @@ def emit_decrement_curves(n_values: Sequence[int], output) -> None:
     """Sample both decrement curves at 500 points per curve per dimension
     and write them as CSV rows (n, curve, kappa, delta)."""
     if not n_values:
-        raise ValueError("need at least one dimension")
+        raise InvalidInput("need at least one dimension")
     with open(output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "curve", "kappa", "delta"])

@@ -9,12 +9,12 @@ place in O(m) from the O(m n) pass w = X^T M^{-1} x.  A full rebuild from the
 current weights is an orthogonal factorization, O(m n^2).  When to rebuild
 (at initialization, on a schedule that bounds floating-point drift, and
 after a numerically singular update) is decided by solvers.solve, not here.
+numpy is the only dependency, so importing the package stays cheap.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NotFullRank, SingularUpdate
 
@@ -46,7 +46,9 @@ def factor_from_weights(X, u):
     Forms B = X_support * sqrt(u_support) and takes the triangular factor R
     of an orthogonal factorization of B^T, so M = R^T R without forming M,
     which is numerically safer; then M^{-1} = R^{-1} R^{-T} and
-    ln det M = 2 sum_i ln |R_ii|.  O(m n^2).
+    ln det M = 2 sum_i ln |R_ii|.  O(m n^2).  numpy only: the LU solve for
+    R^{-1} is a triangular solve, as R is upper triangular (partial pivoting
+    swaps no rows) and the rank check rules out a zero pivot.
 
     Parameters
     ----------
@@ -69,12 +71,11 @@ def factor_from_weights(X, u):
         raise NotFullRank(
             f"support has {support.size} points, need at least {n}")
     B = pts[:, support] * np.sqrt(u.u[support])
-    (R,) = sla.qr(B.T, mode="r", check_finite=False)
-    R = R[:n, :n]
+    R = np.linalg.qr(B.T, mode="r")[:n, :n]
     d = np.abs(np.diag(R))
     if d.max() <= 0.0 or d.min() <= PD_TOL * d.max():
         raise NotFullRank("weighted points are rank deficient")
-    Rinv = sla.solve_triangular(R, np.eye(n), check_finite=False)
+    Rinv = np.linalg.solve(R, np.eye(n))
     Minv = Rinv @ Rinv.T
     return FactorState(Minv, 2.0 * float(np.log(d).sum()))
 

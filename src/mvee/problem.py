@@ -9,13 +9,13 @@ level equal to the ambient dimension n.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.special import gammaln
 
-from .errors import DegenerateCovariance, PointParseError, TooFewPoints
+from .errors import (DegenerateCovariance, InvalidInput, PointParseError,
+                     TooFewPoints)
 from .linalg import logdet
 
 
@@ -29,9 +29,9 @@ class PointSet:
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
         if pts.ndim != 2:
-            raise ValueError("points must be a 2-D array (columns are points)")
+            raise InvalidInput("points must be a 2-D array (columns are points)")
         if not np.isfinite(pts).all():
-            raise ValueError("points contain non-finite entries")
+            raise InvalidInput("points contain non-finite entries")
         n, m = pts.shape
         # full-dimensional MVEE needs n points on a symmetric instance,
         # n + 1 otherwise (affine hull requirement)
@@ -58,9 +58,9 @@ class DualWeights:
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=float).copy()
         if self.u.ndim != 1:
-            raise ValueError("u must be a vector")
+            raise InvalidInput("u must be a vector")
         if (self.u < 0).any():
-            raise ValueError("weights must be nonnegative")
+            raise InvalidInput("weights must be nonnegative")
 
     @property
     def support(self) -> np.ndarray:
@@ -89,7 +89,7 @@ def lift(X: PointSet) -> PointSet:
     """Embed x_i -> (x_i, 1) so an arbitrary set becomes centrally symmetric
     one dimension higher.  The mirror -(x_i, 1) is implicit."""
     if X.symmetric:
-        raise ValueError("instance is already symmetric")
+        raise InvalidInput("instance is already symmetric")
     if X.count < X.dim + 1:
         raise TooFewPoints(f"need at least {X.dim + 1} points to lift")
     Y = np.vstack([X.points, np.ones((1, X.count))])
@@ -128,19 +128,17 @@ def recover_ellipsoid(u: DualWeights, X_original: PointSet,
     except np.linalg.LinAlgError:
         raise DegenerateCovariance(
             "support points span a lower-dimensional affine set") from None
-    H = sla.cho_solve((Lc, True), np.eye(n), check_finite=False)
-    H = (H + H.T) / 2.0
+    # sigma = R^T R for upper triangular R = Lc^T; invert as in linalg
+    Rinv = np.linalg.solve(Lc.T, np.eye(n))
+    H = Rinv @ Rinv.T
     return Ellipsoid(center=c, shape=H, level=float(n))
 
 
 def volume(E: Ellipsoid) -> float:
     """Volume of {x : (x-c)^T H (x-c) <= n}, i.e. n^{n/2} Vol(B_n) / sqrt(det H)."""
     n = E.center.size
-    sign, ld = np.linalg.slogdet(E.shape)
-    if sign <= 0:
-        raise DegenerateCovariance("shape matrix is not positive definite")
     return float(np.exp(0.5 * n * np.log(n) + 0.5 * n * np.log(np.pi)
-                        - gammaln(0.5 * n + 1.0) - 0.5 * ld))
+                        - math.lgamma(0.5 * n + 1.0) - 0.5 * shape_logdet(E)))
 
 
 def shape_logdet(E: Ellipsoid) -> float:
@@ -167,7 +165,7 @@ def certificate(u: DualWeights, kappa: np.ndarray, n: int,
     eps_plus = float(kappa.max() / n - 1.0)
     sup = u.support
     if not sup.any():
-        raise ValueError("empty support")
+        raise InvalidInput("empty support")
     eps_minus = float(1.0 - kappa[sup].min() / n)
     feasible = eps_plus <= eps
     optimal = feasible and eps_minus <= eps

@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import (
     ExactOptimum,
+    InvalidInput,
     LineSearchStalled,
     NotFullRank,
     SingularUpdate,
@@ -107,9 +108,9 @@ class SolverConfig:
         self.algorithm = Algorithm(self.algorithm)
         self.init = InitScheme(self.init)
         if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+            raise InvalidInput("epsilon must be positive")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+            raise InvalidInput("max_iter must be at least 1")
 
 
 @dataclass
@@ -163,7 +164,7 @@ class StepOutcome:
 def init_khachiyan(m: int) -> DualWeights:
     """Uniform weights 1/m on every point."""
     if m < 1:
-        raise ValueError("need at least one point")
+        raise InvalidInput("need at least one point")
     return DualWeights(np.full(m, 1.0 / m))
 
 
@@ -415,7 +416,7 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
         If the points do not span R^n, as for a lifted lower-dimensional set.
     """
     if not X.symmetric:
-        raise ValueError("solve expects a symmetric instance; lift(...) first")
+        raise InvalidInput("solve expects a symmetric instance; lift(...) first")
     n, m = X.dim, X.count
     period = _REBUILD_PER_DIM * n
     alg = config.algorithm

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mvee.harness
-from mvee.errors import NotFullRank
+from mvee.errors import MveeError, NotFullRank
 from mvee.harness import (
     BenchmarkPlan,
     Regime,
@@ -48,7 +48,7 @@ def test_gen_sample_shape_and_flags():
 
 
 def test_gen_sample_precondition():
-    with pytest.raises(ValueError):
+    with pytest.raises(MveeError):
         gen_sample(2, 2, 0)
 
 
@@ -123,14 +123,14 @@ def test_emit_decrement_curves_file(tmp_path):
 # --- benchmark orchestration ---------------------------------------------------------
 
 def test_plan_validation(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(MveeError):
         Regime("bad", 4, 4, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(MveeError):
         Regime("bad", 4, 30, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(MveeError):
         BenchmarkPlan(regimes=[], algorithms=[SolverConfig()],
                       output_dir=tmp_path)
-    with pytest.raises(ValueError):
+    with pytest.raises(MveeError):
         BenchmarkPlan(regimes=[Regime("r", 4, 30, 1)], algorithms=[],
                       output_dir=tmp_path)
 

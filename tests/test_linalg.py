@@ -64,6 +64,19 @@ def test_factor_matches_dense_accumulation():
                                         abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 3, 11, 31])
+def test_factor_inverts_random_weighted_sets(n):
+    # weights off the support (u_i = 0) must not enter the factor
+    rng = np.random.default_rng(n)
+    m = 4 * n + 3
+    X = PointSet(rng.standard_normal((n, m)), symmetric=True)
+    u = DualWeights(rng.uniform(0.1, 1.0, m) * (rng.uniform(size=m) < 0.75))
+    st_ = factor_from_weights(X, u)
+    M = (X.points * u.u) @ X.points.T
+    assert np.allclose(st_.Minv @ M, np.eye(n), rtol=0.0, atol=1e-12)
+    assert logdet(st_) == pytest.approx(np.linalg.slogdet(M)[1], rel=1e-12)
+
+
 def test_factor_rejects_rank_deficiency():
     X = PointSet(np.array([[1.0, 2.0, -1.0], [0.0, 0.0, 0.0]]), symmetric=True)
     u = DualWeights(np.full(3, 1.0 / 3.0))

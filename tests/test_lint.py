@@ -3,9 +3,15 @@
 - No `assert` statements: `python -O` strips them, so internal checks
   raise named errors instead.
 - No unused imports.
+- No scipy imports: the package runs on numpy alone, and scipy would
+  multiply the start-up time of every `mvee` command.  A fresh-interpreter
+  check also catches scipy pulled in through another module.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +44,29 @@ def test_no_unused_imports(path):
     unused = sorted((line, name) for name, line in imported.items()
                     if name not in used)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in modules
+                  if name.split(".")[0] == "scipy"]
+    assert not found, f"{path.name}: scipy imports {found}"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    probe = ("import sys, mvee.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = Path(mvee.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, timeout=120, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "[]", out.stdout

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mvee.errors import DegenerateCovariance, PointParseError, TooFewPoints
+from mvee.errors import (DegenerateCovariance, InvalidInput, MveeError,
+                         PointParseError, TooFewPoints)
+from mvee.harness import BenchmarkPlan, Regime, emit_decrement_curves, gen_sample
 from mvee.linalg import factor_from_weights
 from mvee.problem import (
     DualWeights,
@@ -22,7 +24,7 @@ from mvee.problem import (
     write_ellipsoid_json,
     write_points,
 )
-from mvee.solvers import SolverConfig, solve
+from mvee.solvers import SolverConfig, init_khachiyan, solve
 
 SQUARE = PointSet(np.array([[1.0, 1.0], [1.0, -1.0]]), symmetric=True)
 INTERVAL = PointSet(np.array([[0.0, 1.0]]))
@@ -37,7 +39,7 @@ def test_pointset_coerces_and_validates():
 
 
 def test_pointset_rejects_nonfinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(MveeError):
         PointSet(np.array([[1.0, np.nan]]))
 
 
@@ -77,7 +79,7 @@ def test_lift_requires_interior():
 
 
 def test_lift_rejects_symmetric_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(MveeError):
         lift(SQUARE)
 
 
@@ -113,6 +115,23 @@ def test_recover_degenerate_support():
         recover_ellipsoid(u, pts, lift(pts))
 
 
+@pytest.mark.parametrize("lifted", [True, False], ids=["lifted", "unlifted"])
+@pytest.mark.parametrize("n", [1, 3, 11])
+def test_recover_shape_is_the_inverse_covariance(n, lifted):
+    rng = np.random.default_rng(n)
+    m = 3 * n + 4
+    P = rng.standard_normal((n, m))
+    X = PointSet(P, symmetric=not lifted)
+    u = DualWeights(rng.uniform(0.1, 1.0, m))
+    E = recover_ellipsoid(u, X, lift(X) if lifted else X)
+    w = u.u / u.u.sum()
+    c = P @ w if lifted else np.zeros(n)
+    want = np.linalg.inv((P * w) @ P.T - np.outer(c, c))
+    assert np.abs(E.shape - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(E.shape, E.shape.T)
+    assert E.center == pytest.approx(c, rel=1e-12, abs=1e-15)
+
+
 # --- volume -----------------------------------------------------------------------
 
 def test_volume_disk():
@@ -123,6 +142,19 @@ def test_volume_disk():
 def test_volume_unit_ball():
     E = Ellipsoid(np.zeros(3), 3.0 * np.eye(3), 3.0)
     assert volume(E) == pytest.approx(4 * np.pi / 3, rel=1e-12)
+
+
+# {x : |x|^2 <= n}, the level-n ball of H = I; n = 2 is test_volume_disk
+@pytest.mark.parametrize("n,want", [
+    (1, 2.0),
+    (3, 4.0 / 3.0 * np.pi * 3.0 ** 1.5),
+    (4, 8.0 * np.pi ** 2),
+    (5, 8.0 / 15.0 * np.pi ** 2 * 5.0 ** 2.5),
+    (6, 36.0 * np.pi ** 3),
+])
+def test_volume_level_n_ball(n, want):
+    E = Ellipsoid(np.zeros(n), np.eye(n), float(n))
+    assert volume(E) == pytest.approx(want, rel=1e-12)
 
 
 def test_volume_rejects_indefinite_shape():
@@ -184,8 +216,40 @@ def test_certificate_within_tolerance():
 
 
 def test_certificate_requires_support():
-    with pytest.raises(ValueError):
+    with pytest.raises(MveeError):
         certificate(DualWeights(np.zeros(2)), np.array([2.0, 2.0]), 2, 1e-7)
+
+
+BAD_INPUTS = {
+    "pointset_not_2d": lambda tmp: PointSet(np.zeros(3)),
+    "pointset_nonfinite": lambda tmp: PointSet(np.array([[1.0, np.inf]])),
+    "weights_not_1d": lambda tmp: DualWeights(np.ones((2, 2))),
+    "weights_negative": lambda tmp: DualWeights(np.array([1.0, -1.0])),
+    "lift_symmetric": lambda tmp: lift(SQUARE),
+    "certificate_no_support": lambda tmp: certificate(
+        DualWeights(np.zeros(2)), np.array([2.0, 2.0]), 2, 1e-7),
+    "config_epsilon": lambda tmp: SolverConfig(epsilon=-1.0),
+    "config_max_iter": lambda tmp: SolverConfig(max_iter=0),
+    "init_khachiyan_empty": lambda tmp: init_khachiyan(0),
+    "solve_not_symmetric": lambda tmp: solve(INTERVAL, SolverConfig()),
+    "regime_m": lambda tmp: Regime("r", 4, 4, 1),
+    "regime_repetitions": lambda tmp: Regime("r", 4, 30, 0),
+    "plan_no_regimes": lambda tmp: BenchmarkPlan([], [SolverConfig()], tmp),
+    "plan_no_algorithms": lambda tmp: BenchmarkPlan(
+        [Regime("r", 4, 30, 1)], [], tmp),
+    "gen_sample_m": lambda tmp: gen_sample(3, 3, 0),
+    "curves_no_dimensions": lambda tmp: emit_decrement_curves(
+        [], tmp / "curves.csv"),
+}
+
+
+@pytest.mark.parametrize("make", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_raises_invalid_input(make, tmp_path):
+    # a named MveeError that `except ValueError` callers still catch
+    with pytest.raises(InvalidInput) as info:
+        make(tmp_path)
+    assert isinstance(info.value, MveeError)
+    assert isinstance(info.value, ValueError)
 
 
 # --- solver-facing invariants ---------------------------------------------------------

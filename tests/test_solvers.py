@@ -9,6 +9,7 @@ import mvee.solvers
 from mvee.errors import (
     ExactOptimum,
     LineSearchStalled,
+    MveeError,
     NotFullRank,
     StepRuleViolation,
 )
@@ -403,7 +404,7 @@ def test_solve_cross_already_optimal(alg):
 
 
 def test_solve_requires_symmetric():
-    with pytest.raises(ValueError):
+    with pytest.raises(MveeError):
         solve(PointSet(np.array([[0.0, 1.0, 2.0]])), SolverConfig())
 
 
@@ -814,9 +815,9 @@ def test_solver_config_coerces_and_validates():
     cfg = SolverConfig(algorithm="wa", init="khachiyan")
     assert cfg.algorithm is Algorithm.WA
     assert cfg.init is InitScheme.KHACHIYAN
-    with pytest.raises(ValueError):
+    with pytest.raises(MveeError):
         SolverConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(MveeError):
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(algorithm="newton")
