@@ -3,12 +3,14 @@
 Every solver iteration goes through this module.  The step rules need only
 M^{-1} x_j, the quadratic forms kappa_i = x_i^T M^{-1} x_i and ln det M, so
 the state holds M^{-1} and ln det M rather than a factor of M.  A rank-one
-change M -> s (M + theta x x^T) is one Sherman-Morrison step on M^{-1} and
+change M -> M + theta x x^T is one Sherman-Morrison step on M^{-1} and
 one determinant-lemma step on ln det M, O(n^2) either way; kappa follows in
 place in O(m) from the O(m n) pass w = X^T M^{-1} x.  A full rebuild from the
-current weights is an orthogonal factorization, O(m n^2).  When to rebuild
-(at initialization, on a schedule that bounds floating-point drift, and
-after a numerically singular update) is decided by solvers.solve, not here.
+current weights is an orthogonal factorization, O(m n^2).  solvers.solve
+holds the simplex iterate up to one scalar normaliser, so its steps change
+M by a plain rank-one term too.  When to rebuild (at initialization, on a
+schedule that bounds floating-point drift, and after a numerically singular
+update) is decided by solvers.solve, not here.
 numpy is the only dependency, so importing the package stays cheap.
 """
 
@@ -80,13 +82,13 @@ def factor_from_weights(X, u):
     return FactorState(Minv, 2.0 * float(np.log(d).sum()))
 
 
-def rank_one_modify(state, y, theta, kappa_j, scale=1.0):
-    """Return the state of M' = scale * (M + theta * x x^T).
+def rank_one_modify(state, y, theta, kappa_j):
+    """Return the state of M' = M + theta * x x^T.
 
     Takes y = M^{-1} x and kappa_j = x^T M^{-1} x rather than x, since the
     caller has already formed y for its gradient pass:
-    M'^{-1} = (M^{-1} - theta y y^T / (1 + theta kappa_j)) / scale and
-    ln det M' = ln det M + ln(1 + theta kappa_j) + n ln scale.  O(n^2).
+    M'^{-1} = M^{-1} - theta y y^T / (1 + theta kappa_j) and
+    ln det M' = ln det M + ln(1 + theta kappa_j).  O(n^2).
 
     Raises
     ------
@@ -98,11 +100,7 @@ def rank_one_modify(state, y, theta, kappa_j, scale=1.0):
     if denom <= PD_TOL:
         raise SingularUpdate(f"update denominator {denom:.3e}")
     Minv = state.Minv - (theta / denom) * (y[:, None] * y)
-    log_det = state.log_det + float(np.log(denom))
-    if scale != 1.0:
-        Minv /= scale
-        log_det += len(Minv) * float(np.log(scale))
-    return FactorState(Minv, log_det)
+    return FactorState(Minv, state.log_det + float(np.log(denom)))
 
 
 def quad_form(state, x):

@@ -148,9 +148,13 @@ def shape_logdet(E: Ellipsoid) -> float:
     return float(ld)
 
 
-def objective_h(u: DualWeights, state) -> float:
-    """h(u) = -ln det(X U X^T) + n (e^T u - 1), evaluated from the factor."""
-    return float(-logdet(state) + len(state.Minv) * (u.u.sum() - 1.0))
+def objective_h(u: DualWeights, state, c: float = 1.0) -> float:
+    """h(c u) = -ln det(c X U X^T) + n (c e^T u - 1), evaluated from the
+    factor of X U X^T; ln det(c M) = ln det M + n ln c.  c is the normaliser
+    of weights held up to scale, and 1 for weights held as they are."""
+    n = len(state.Minv)
+    return float(-(logdet(state) + n * math.log(c))
+                 + n * (c * u.u.sum() - 1.0))
 
 
 def certificate(u: DualWeights, kappa: np.ndarray, n: int,

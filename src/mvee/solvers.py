@@ -8,9 +8,14 @@ rule picks a point j and a direction (increase or decrease u_j), and one of
 two kernels moves u along e_j.
 
 - wa_step, the simplex step: u <- (1 - t) u + t e_j with the exact
-  line-search stepsize; keeps e^T u = 1.
+  line-search stepsize; keeps e^T u = 1.  solve() holds this iterate as
+  u = c v with one scalar c > 0, so the step changes v_j alone
+  (v_j += t / (s c), or v_j = 0 on a drop) and the normaliser c <- s c,
+  s = 1 - t.  As M(u) = c M(v), kappa(u) = kappa(v) / c and
+  ln det M(u) = ln det M(v) + n ln c, M(v) takes a plain rank-one update
+  and no weight, kappa or M^{-1} entry is rescaled.
 - cd_step, the projected coordinate step: u_j <- max(u_j + theta, 0) with
-  theta from a stepsize rule; e^T u moves freely.
+  theta from a stepsize rule; e^T u moves freely and c stays 1.
 
     algorithm     axis rule                   kernel   stepsize
     fwk           argmax kappa, increase      simplex  exact
@@ -31,8 +36,9 @@ step per iteration on the vector y = M^{-1} x_j that the O(m n) gradient
 pass needs anyway (see linalg); solve() also decides when to rebuild them
 from the weights.  Besides that pass, which writes into one buffer per
 solve, an iteration makes three O(m) sweeps (argmax kappa, the kappa update
-and e^T u in the objective) and one O(s) scan of the s support indices for
-the decrease axis.
+and e^T v in the objective) and one O(s) scan of the s support indices for
+the decrease axis; a simplex step writes one weight, as a coordinate step
+does.
 """
 
 import math
@@ -59,8 +65,8 @@ from .linalg import (
 )
 from .problem import DualWeights, PointSet, objective_h
 
-# scales below which a convex-combination factor update degenerates and the
-# factor is rebuilt from the weights instead
+# scales below which a convex combination degenerates to the full jump
+# u' = e_j (t = 1, only at n = 1) and the factor is rebuilt from the weights
 _SCALE_FLOOR = 1e-14
 # weights below this are dropped outright by the backtracking variant rather
 # than decayed geometrically forever (the line search itself never hits zero)
@@ -105,8 +111,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.algorithm = Algorithm(self.algorithm)
-        self.init = InitScheme(self.init)
+        try:
+            self.algorithm = Algorithm(self.algorithm)
+            self.init = InitScheme(self.init)
+        except ValueError as exc:
+            raise InvalidInput(str(exc)) from None
         if self.epsilon <= 0:
             raise InvalidInput("epsilon must be positive")
         if self.max_iter < 1:
@@ -151,13 +160,15 @@ class AxisChoice:
 
 @dataclass
 class StepOutcome:
-    """What a single step did, with the factor-update parametrization
-    M' = scale * (M + theta_rel * x_j x_j^T)."""
+    """What a single step did to the held weights v of the iterate u = c v:
+    v_j moved by theta_rel, so M(v) -> M(v) + theta_rel x_j x_j^T, and the
+    normaliser c -> scale * c.  theta_rel is inf after a full jump, which
+    leaves u itself in v (so c = 1) and needs a rebuild."""
 
     step_type: StepType
     axis: int
     recorded: float  # lambda for simplex steps, theta for additive steps
-    scale: float
+    scale: float  # 1 - t for simplex steps, 1 for additive steps
     theta_rel: float
 
 
@@ -214,13 +225,14 @@ def init_kumar_yildirim(X: PointSet, seed: int) -> DualWeights:
 
 
 def select_axis_gauss_southwell(kappa: np.ndarray, support: np.ndarray,
-                                n: int) -> AxisChoice:
+                                n: float) -> AxisChoice:
     """Largest-|gradient| axes: argmax kappa overall, argmin over the support.
 
     `support` holds the indices of the positive weights in increasing order,
     so the decrease axis costs O(s) for s support points on top of the O(m)
     argmax.  Ties break to the lowest index.  eps_plus = kappa_max/n - 1 and
-    eps_minus = 1 - kappa_min_support/n are the two certificate quantities.
+    eps_minus = 1 - kappa_min_support/n are the two certificate quantities;
+    for weights v held up to a normaliser c, kappa(v) is passed with n c.
     """
     j_plus = int(kappa.argmax())
     on_support = kappa[support]
@@ -230,9 +242,11 @@ def select_axis_gauss_southwell(kappa: np.ndarray, support: np.ndarray,
                       1.0 - on_support.item(i) / n)
 
 
-def wa_step(u: DualWeights, kappa: np.ndarray, j: int, increase: bool,
-            n: int) -> StepOutcome:
-    """Simplex step u' = (1 - t) u + t e_j on the exact line-search stepsize.
+def wa_step(v: DualWeights, kappa: np.ndarray, j: int, increase: bool,
+            n: int, c: float) -> StepOutcome:
+    """Simplex step u' = (1 - t) u + t e_j on the exact line-search stepsize,
+    for the iterate u = c v given as its weights v, kappa = kappa(v) and the
+    normaliser c.
 
     Increase (t = lambda, the Frank-Wolfe step):
     lambda = (kappa_j - n) / (n (kappa_j - 1)); afterwards the point lies
@@ -242,9 +256,14 @@ def wa_step(u: DualWeights, kappa: np.ndarray, j: int, increase: bool,
     exactly on zero and the step is a drop.  For kappa_j <= 1 the first
     candidate is +inf: the objective decreases along the whole ray, so only
     the drop bound is active.  Keeps e^T u = 1.
+
+    With s = 1 - t, u' = s c (v + t / (s c) e_j): only v_j changes, and the
+    caller takes c' = s c from the returned scale.  Below the scale floor
+    (the full jump t = 1 at n = 1) v is overwritten with u' itself.
     """
-    kj = kappa.item(j)
-    uj = u.u.item(j)
+    kj = kappa.item(j) / c
+    vj = v.u.item(j)
+    uj = c * vj
     if increase:
         # on a full-rank symmetric instance kappa at the argmax exceeds 1
         # whenever the iterate is not yet optimal
@@ -265,13 +284,17 @@ def wa_step(u: DualWeights, kappa: np.ndarray, j: int, increase: bool,
             lam, step_type = lam_drop, StepType.DROP
         t = -lam
     scale = 1.0 - t
-    u.u *= scale
     if step_type is StepType.DROP:
-        u.u[j] = 0.0
+        theta = -vj
+        v.u[j] = 0.0
+    elif scale > _SCALE_FLOOR:
+        theta = t / (scale * c)
+        v.u[j] = vj + theta
     else:
-        u.u[j] += t
-    theta_rel = t / scale if scale > _SCALE_FLOOR else np.inf
-    return StepOutcome(step_type, j, lam, scale, theta_rel)
+        v.u *= scale * c
+        v.u[j] += t
+        theta = np.inf
+    return StepOutcome(step_type, j, lam, scale, theta)
 
 
 def cd_step(u: DualWeights, j: int, theta: float,
@@ -400,6 +423,13 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
     updates.  Between rebuilds kappa is updated in place and the support
     array changes only when u_j crosses zero.
 
+    fwk and wa hold their iterate as u = c v: the weights v, with kappa,
+    M^{-1} and ln det M those of M(v), and one normaliser c that each step
+    multiplies by 1 - t.  Every rebuild first folds c back into the weights
+    (v <- c v, c <- 1), and u_final is returned normalised.  Increase steps
+    have t < 1/n, so between rebuilds c >= (1 - 1/n)^(50 n), about e^-50.
+    The coordinate steps keep c = 1.
+
     Parameters
     ----------
     X : PointSet
@@ -439,20 +469,24 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
     rng = np.random.default_rng(config.seed)
     trace: list[IterationRecord] = []
     rebuild = True
+    c = 1.0  # u = c v; kappa(v) = c kappa(u) is read against n c
 
     # the last pass only evaluates the stopping rule at max_iter
     for k in range(config.max_iter + 1):
         if rebuild:
+            if c != 1.0:
+                u.u *= c
+                c = 1.0
             state = factor_from_weights(X, u)
             kappa = gradient_refresh(state, X)
             support = np.flatnonzero(u.u)
             updates = 0
-        choice = select_axis_gauss_southwell(kappa, support, n)
+        choice = select_axis_gauss_southwell(kappa, support, n * c)
         eps_k = max(choice.eps_plus, choice.eps_minus)
         stop_eps = choice.eps_plus if fwk else eps_k
         if stop_eps <= config.epsilon or k == config.max_iter:
             break
-        h_k = objective_h(u, state)
+        h_k = objective_h(u, state, c)
         kappa_max = kappa.item(choice.j_plus)
         kappa_min = kappa.item(choice.j_minus)
 
@@ -464,17 +498,22 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
             j = choice.j_plus if increase else choice.j_minus
         uj = u.u.item(j)
         if stepsize is None:
-            outcome = wa_step(u, kappa, j, increase, n)
+            kappa_max /= c  # the trace records kappa(u)
+            kappa_min /= c
+            outcome = wa_step(u, kappa, j, increase, n, c)
+            # a full jump leaves u itself in the weights
+            c = c * outcome.scale if math.isfinite(outcome.theta_rel) else 1.0
         else:
             theta = stepsize(uj, kappa.item(j), increase, n, k)
             outcome = cd_step(u, j, theta, increase)
-        # only u_j can cross zero: wa_step scales the other weights by a
-        # positive factor, and a zero factor forces a rebuild
+        # only u_j can cross zero, except in a full jump, which rebuilds
         on_support = u.u.item(j) > 0.0
         if on_support != (uj > 0.0):
             i = support.searchsorted(j)
-            support = (np.insert(support, i, j) if on_support
-                       else np.delete(support, i))
+            if on_support:
+                support = np.concatenate((support[:i], (j,), support[i:]))
+            else:
+                support = np.concatenate((support[:i], support[i + 1:]))
 
         # inverse and gradient maintenance; a degenerate convex combination
         # (lambda = 1, where wa_step reports theta_rel = inf) rebuilds
@@ -488,14 +527,11 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
             wj = w.item(j)
             try:
                 kappa = gradient_rank_one(kappa, w, outcome.theta_rel, wj)
-                state = rank_one_modify(state, y, outcome.theta_rel, wj,
-                                        outcome.scale)
+                state = rank_one_modify(state, y, outcome.theta_rel, wj)
             except SingularUpdate:
                 # exact drop of a geometrically loaded point; rebuild
                 rebuild = True
             else:
-                if outcome.scale != 1.0:
-                    kappa /= outcome.scale
                 updates += 1
                 rebuild = updates >= period
 
@@ -503,9 +539,12 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
                                      kappa_min, eps_k, h_k, outcome.recorded))
 
     final_eps = float(stop_eps)
+    final_h = objective_h(u, state, c)
+    if c != 1.0:
+        u.u *= c
     return SolveReport(converged=final_eps <= config.epsilon,
                        iterations=len(trace), final_eps=final_eps,
-                       final_h=objective_h(u, state), trace=trace,
+                       final_h=final_h, trace=trace,
                        wall_time=time.perf_counter() - t0, u_final=u)
 
 

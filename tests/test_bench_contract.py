@@ -11,6 +11,11 @@ from pathlib import Path
 
 import pytest
 
+import mvee.solvers
+from mvee.harness import gen_sample
+from mvee.problem import lift
+from mvee.solvers import SolverConfig
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
 
@@ -42,3 +47,24 @@ def test_benchmark_names_exist(path):
     missing = sorted(f"{module}.{name}" for module, name in _references(path)
                      if not hasattr(importlib.import_module(module), name))
     assert not missing, f"{path.name} uses missing names {missing}"
+
+
+@pytest.mark.parametrize("algorithm", ["wa", "cd_const"])
+def test_traced_step_counts_sum_to_iterations(algorithm, monkeypatch):
+    # `run.py --trace 1` counts steps from each kernel's StepOutcome (its
+    # step_type, scale and theta_rel) and the final support from
+    # SolveReport.u_final, so a kernel change that breaks those reads shows
+    # here rather than only in a traced benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    X = lift(gen_sample(3, 40, 0))
+    with layers.Tracer() as tracer:
+        rep = mvee.solvers.solve(X, SolverConfig(algorithm=algorithm,
+                                                 epsilon=1e-5))
+    metrics = tracer.layer_metrics()
+    assert rep.iterations > 0
+    assert metrics["solvers.iterations"] == rep.iterations
+    assert sum(metrics[f"solvers.steps.{t}"] for t in
+               ("add", "increase", "decrease", "drop")) == rep.iterations
+    assert metrics["linalg.rebuilds.forced"] == 0
+    assert metrics["solvers.support_final"] == rep.u_final.support.sum()

@@ -13,7 +13,7 @@ from mvee.linalg import (
     quad_form,
     rank_one_modify,
 )
-from mvee.problem import DualWeights, PointSet
+from mvee.problem import DualWeights, PointSet, objective_h
 
 
 def state_from_matrix(M):
@@ -21,10 +21,10 @@ def state_from_matrix(M):
     return FactorState(Minv=np.linalg.inv(M), log_det=np.linalg.slogdet(M)[1])
 
 
-def modify(state, x, theta, scale=1.0):
-    """The state of scale * (M + theta x x^T), fed as solve() feeds it."""
+def modify(state, x, theta):
+    """The state of M + theta x x^T, fed as solve() feeds it."""
     return rank_one_modify(state, apply_inverse(state, x), theta,
-                           quad_form(state, x), scale)
+                           quad_form(state, x))
 
 
 def random_state(rng, n):
@@ -120,7 +120,7 @@ def test_rank_one_downdate_to_singular_raises():
 def test_rank_one_does_not_mutate_input():
     st_ = state_from_matrix(np.eye(2))
     before = st_.Minv.copy()
-    modify(st_, np.array([0.3, 0.4]), 1.0, scale=2.0)
+    modify(st_, np.array([0.3, 0.4]), 1.0)
     assert np.array_equal(st_.Minv, before)
     assert st_.log_det == 0.0
 
@@ -218,16 +218,20 @@ def test_logdet_matches_dense():
 
 @given(st.integers(0, 10_000), st.integers(1, 5), st.floats(0.1, 10.0))
 def test_scale_factor_shifts_logdet(seed, n, c):
-    # the convex-combination scale c folds into the rank-one update:
-    # c (M + theta x x^T) has ln det shifted by n ln c and inverse over c
+    # the simplex steps hold u = c v and keep the state of M(v):
+    # M(c v) = c M(v) has ln det shifted by n ln c and inverse over c, and
+    # h(u) is evaluated from the state of M(v) and the normaliser c
     rng = np.random.default_rng(seed)
-    s0 = random_state(rng, n)
-    x = rng.standard_normal(n)
-    plain = modify(s0, x, 0.5)
-    scaled = modify(s0, x, 0.5, scale=c)
-    assert logdet(scaled) == pytest.approx(logdet(plain) + n * np.log(c),
+    X = PointSet(rng.standard_normal((n, n + 4)), symmetric=True)
+    v = DualWeights(rng.uniform(0.1, 1.0, n + 4))
+    held = factor_from_weights(X, v)
+    scaled = factor_from_weights(X, DualWeights(c * v.u))
+    assert logdet(scaled) == pytest.approx(logdet(held) + n * np.log(c),
                                            abs=1e-10)
-    assert np.allclose(scaled.Minv * c, plain.Minv, rtol=1e-12, atol=1e-14)
+    assert (np.abs(scaled.Minv * c - held.Minv).max()
+            <= 1e-10 * np.abs(held.Minv).max())
+    assert objective_h(v, held, c) == pytest.approx(
+        objective_h(DualWeights(c * v.u), scaled), abs=1e-10)
 
 
 # --- gradient maintenance --------------------------------------------------------

@@ -230,6 +230,8 @@ BAD_INPUTS = {
         DualWeights(np.zeros(2)), np.array([2.0, 2.0]), 2, 1e-7),
     "config_epsilon": lambda tmp: SolverConfig(epsilon=-1.0),
     "config_max_iter": lambda tmp: SolverConfig(max_iter=0),
+    "config_algorithm": lambda tmp: SolverConfig(algorithm="newton"),
+    "config_init": lambda tmp: SolverConfig(init="uniform"),
     "init_khachiyan_empty": lambda tmp: init_khachiyan(0),
     "solve_not_symmetric": lambda tmp: solve(INTERVAL, SolverConfig()),
     "regime_m": lambda tmp: Regime("r", 4, 4, 1),

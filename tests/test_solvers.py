@@ -11,10 +11,17 @@ from mvee.errors import (
     LineSearchStalled,
     MveeError,
     NotFullRank,
+    SingularUpdate,
     StepRuleViolation,
 )
 from mvee.harness import gen_sample
-from mvee.linalg import factor_from_weights, gradient_refresh
+from mvee.linalg import (
+    FactorState,
+    factor_from_weights,
+    gradient_rank_one,
+    gradient_refresh,
+    rank_one_modify,
+)
 from mvee.problem import (
     DualWeights,
     PointSet,
@@ -139,11 +146,26 @@ def test_axis_selection_lowest_index_ties():
 
 # --- Frank-Wolfe step -------------------------------------------------------------
 
+def simplex_step(u, kappa, j, increase, n):
+    """wa_step from normalised weights (c = 1); returns the outcome and the
+    normalised weights c' v = scale * v after the step.  The same u held as
+    v = 4 u with c = 1/4 (so kappa(v) = kappa / 4) takes the same step."""
+    kappa = np.asarray(kappa, float)
+    held = DualWeights(4.0 * u.u)
+    out = wa_step(u, kappa, j, increase, n, 1.0)
+    out_held = wa_step(held, kappa / 4.0, j, increase, n, 0.25)
+    assert out_held.step_type is out.step_type
+    assert out_held.recorded == out.recorded
+    assert np.allclose(0.25 * out_held.scale * held.u, out.scale * u.u,
+                       rtol=1e-15, atol=0.0)
+    return out, out.scale * u.u
+
+
 def test_fwk_fixed_point():
     u = DualWeights(np.array([0.5, 0.5]))
-    out = wa_step(u, np.array([2.0, 2.0]), 0, True, 2)
+    out, after = simplex_step(u, [2.0, 2.0], 0, True, 2)
     assert out.recorded == 0.0
-    assert np.array_equal(u.u, [0.5, 0.5])
+    assert np.array_equal(after, [0.5, 0.5])
 
 
 def test_fwk_keeps_simplex_and_lands_on_boundary():
@@ -153,17 +175,17 @@ def test_fwk_keeps_simplex_and_lands_on_boundary():
     state = factor_from_weights(X, u)
     kappa = gradient_refresh(state, X)
     j = int(np.argmax(kappa))
-    wa_step(u, kappa, j, True, 3)
-    assert u.u.sum() == pytest.approx(1.0, abs=1e-12)
-    fresh = gradient_refresh(factor_from_weights(X, u), X)
+    _, after = simplex_step(u, kappa, j, True, 3)
+    assert after.sum() == pytest.approx(1.0, abs=1e-12)
+    fresh = gradient_refresh(factor_from_weights(X, DualWeights(after)), X)
     assert fresh[j] == pytest.approx(3.0, abs=1e-8)
 
 
 def test_fwk_add_vs_increase():
     u = DualWeights(np.array([0.5, 0.5, 0.0]))
-    out = wa_step(u, np.array([1.5, 1.5, 3.0]), 2, True, 2)
+    out, after = simplex_step(u, [1.5, 1.5, 3.0], 2, True, 2)
     assert out.step_type is StepType.ADD
-    assert u.support[2]
+    assert after[2] > 0.0 and u.support[2]
 
 
 # --- Wolfe-Atwood step ------------------------------------------------------------
@@ -172,7 +194,7 @@ def test_wa_tie_takes_increase_branch():
     u = DualWeights(np.full(3, 1 / 3))
     choice = axis_choice([2.4, 2.0, 1.6], u, 2)
     assert choice.increase
-    out = wa_step(u, np.array([2.4, 2.0, 1.6]), *gs_axis(choice), 2)
+    out, _ = simplex_step(u, [2.4, 2.0, 1.6], *gs_axis(choice), 2)
     assert out.step_type in (StepType.ADD, StepType.INCREASE)
     assert out.axis == 0
 
@@ -182,22 +204,22 @@ def test_wa_decrease_formula():
     u = DualWeights(np.array([0.3, 0.3, 0.4]))
     kappa = np.array([2.1, 2.05, 1.5])
     choice = AxisChoice(0, 2, 0.05, 0.25)
-    out = wa_step(u, kappa, *gs_axis(choice), 2)
+    out, after = simplex_step(u, kappa, *gs_axis(choice), 2)
     assert out.step_type is StepType.DECREASE
     assert out.recorded == pytest.approx(0.5)
-    assert u.u[2] == pytest.approx(0.4 * 1.5 - 0.5)
-    assert u.u.sum() == pytest.approx(1.0, abs=1e-12)
+    assert after[2] == pytest.approx(0.4 * 1.5 - 0.5)
+    assert after.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wa_drop_lands_on_zero():
     u = DualWeights(np.array([0.65, 0.30, 0.05]))
     kappa = np.array([2.1, 2.05, 1.2])
     choice = AxisChoice(0, 2, 0.05, 0.4)
-    out = wa_step(u, kappa, *gs_axis(choice), 2)
+    out, after = simplex_step(u, kappa, *gs_axis(choice), 2)
     assert out.step_type is StepType.DROP
     assert out.recorded == pytest.approx(0.05 / 0.95)
-    assert u.u[2] == 0.0 and not u.support[2]
-    assert u.u.sum() == pytest.approx(1.0, abs=1e-12)
+    assert after[2] == 0.0 and not u.support[2]
+    assert after.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wa_small_kappa_only_drop_bound():
@@ -205,9 +227,9 @@ def test_wa_small_kappa_only_drop_bound():
     u = DualWeights(np.array([0.4, 0.3, 0.3]))
     kappa = np.array([2.2, 2.0, 0.9])
     choice = AxisChoice(0, 2, 0.1, 0.55)
-    out = wa_step(u, kappa, *gs_axis(choice), 2)
+    out, after = simplex_step(u, kappa, *gs_axis(choice), 2)
     assert out.step_type is StepType.DROP
-    assert u.u[2] == 0.0
+    assert after[2] == 0.0
 
 
 # --- coordinate-descent constant step ------------------------------------------------
@@ -556,10 +578,10 @@ def test_lower_dimensional_sets_raise_not_full_rank(alg, init, name):
 
 @pytest.mark.parametrize("call", [
     # Frank-Wolfe stepsize denominator kappa_j - 1 must be positive
-    lambda: wa_step(DualWeights([0.5, 0.5]), np.array([1.0, 0.5]), 0, True, 2),
+    lambda: simplex_step(DualWeights([0.5, 0.5]), [1.0, 0.5], 0, True, 2),
     # an away step from a point holding all the mass has nowhere to go
-    lambda: wa_step(DualWeights([1.0, 0.0]), np.array([1.0, 1.0]),
-                    *gs_axis(AxisChoice(1, 0, -0.5, 0.5)), 2),
+    lambda: simplex_step(DualWeights([1.0, 0.0]), [1.0, 1.0],
+                         *gs_axis(AxisChoice(1, 0, -0.5, 0.5)), 2),
     # the increase branch needs kappa_j >= n
     lambda: gs_cd_step(DualWeights([0.5, 0.5]), np.array([1.0, 1.0]),
                        AxisChoice(0, 1, 0.5, 0.1), 2),
@@ -625,8 +647,8 @@ def test_huge_m_converges_with_a_fresh_certificate(alg):
 def test_maintained_state_matches_dense_every_step(alg, seed, n, extra, init,
                                                    per_dim):
     # after every step of every algorithm, M^{-1}, ln det M and kappa agree
-    # with a dense recomputation from the weights and the support indices
-    # are those of the nonzero weights; a cadence of 2 n updates (per_dim 2)
+    # with a dense recomputation from the weights solve holds and the
+    # support indices are those of the nonzero weights; a cadence of 2 n updates (per_dim 2)
     # forces scheduled rebuilds within the 50 steps
     rng = np.random.default_rng(seed)
     X = PointSet(rng.standard_normal((n, n + extra)), symmetric=True)
@@ -654,13 +676,14 @@ def test_maintained_state_matches_dense_every_step(alg, seed, n, extra, init,
                                                  kappa_dense)
         return real_select(kappa, support, dim)
 
-    def objective(u, state):
+    def objective(u, state, c):
+        # fwk and wa hold u = c v: the state is that of M(v), v the weights
         M, Minv, _ = dense(u)
         tol = 1e-13 * np.linalg.cond(M)
         assert _close(state.Minv, Minv, tol), (len(checked), state.Minv, Minv)
         assert abs(state.log_det - np.linalg.slogdet(M)[1]) <= tol
         checked.append(len(checked))
-        return real_objective(u, state)
+        return real_objective(u, state, c)
 
     def factor(X, u):
         rebuilds.append(len(checked))
@@ -698,6 +721,107 @@ def test_maintained_state_matches_dense_every_step(alg, seed, n, extra, init,
         # the solve made that many updates
         assert len(rebuilds) >= 1 + len(updates) // (per_dim * n), (
             rebuilds, updates)
+
+
+def reference_simplex_step(u, kappa, j, increase, n):
+    """The simplex step on normalised weights, in place: u <- (1 - t) u +
+    t e_j over all m weights.  Returns the step type, scale = 1 - t and
+    theta_rel = t / scale, for M(u') = scale (M(u) + theta_rel x_j x_j^T)."""
+    kj, uj = kappa[j], u[j]
+    if increase:
+        t = (kj - n) / (n * (kj - 1.0))
+        step_type = StepType.ADD if uj == 0.0 else StepType.INCREASE
+    else:
+        lam_drop = uj / (1.0 - uj)
+        lam = (n - kj) / (n * (kj - 1.0)) if kj > 1.0 else np.inf
+        step_type = StepType.DECREASE
+        if lam_drop <= lam:
+            lam, step_type = lam_drop, StepType.DROP
+        t = -lam
+    scale = 1.0 - t
+    u *= scale
+    if step_type is StepType.DROP:
+        u[j] = 0.0
+    else:
+        u[j] += t
+    return step_type, scale, (t / scale if scale > 1e-14 else np.inf)
+
+
+@pytest.mark.parametrize("alg", [Algorithm.FWK, Algorithm.WA])
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(0, 8),
+       st.sampled_from(list(InitScheme)))
+def test_simplex_weights_match_normalised_reference(alg, seed, n, extra,
+                                                    init):
+    # solve holds the fwk and wa iterate as u = c v and never rescales v,
+    # kappa or M^{-1}; replaying its axes with the normalised step and the
+    # rescaled state, c v follows the normalised weights step by step, stays
+    # on the simplex, and c is 1 after every rebuild (a cadence of 2 n
+    # updates forces several).  The solve stops at 1e-10: below about
+    # cond(M) * 1e-16 its steps follow rounding noise in kappa, and two
+    # roundings of one step then part by more than 1e-12 (m = n = 4,
+    # seed 6534, where the start is already optimal, does at 1e-12)
+    rng = np.random.default_rng(seed)
+    X = PointSet(rng.standard_normal((n, n + extra)), symmetric=True)
+    held, rebuilt = [], set()
+
+    def objective(v, state, c):
+        held.append((v.u.copy(), c))
+        return real_objective(v, state, c)
+
+    def factor(X, v):
+        rebuilt.add(len(held))
+        return real_factor(X, v)
+
+    real_objective = mvee.solvers.objective_h
+    real_factor = mvee.solvers.factor_from_weights
+    patches = {"objective_h": objective, "factor_from_weights": factor,
+               "_REBUILD_PER_DIM": 2}
+    saved = {name: getattr(mvee.solvers, name) for name in patches}
+    for name, value in patches.items():
+        setattr(mvee.solvers, name, value)
+    try:
+        rep = solve(X, SolverConfig(algorithm=alg, init=init, epsilon=1e-10,
+                                    max_iter=200, seed=seed))
+    finally:
+        for name, value in saved.items():
+            setattr(mvee.solvers, name, value)
+    assert len(held) == rep.iterations + 1
+
+    u = (init_khachiyan(X.count) if init is InitScheme.KHACHIYAN
+         else init_kumar_yildirim(X, seed)).u
+    stale = True
+    for k in range(rep.iterations + 1):
+        if stale or k in rebuilt:
+            state = factor_from_weights(X, DualWeights(u))
+            kappa = gradient_refresh(state, X)
+            stale = False
+        v, c = held[k]
+        if k in rebuilt:
+            assert c == 1.0, (k, c)
+        assert np.abs(c * v - u).max() <= 1e-12 * np.abs(u).max(), (k, c * v, u)
+        assert abs((c * v).sum() - 1.0) <= 1e-12, k
+        if k == rep.iterations:
+            break
+        row = rep.trace[k]
+        increase = row.step_type in (StepType.ADD, StepType.INCREASE)
+        step_type, scale, theta_rel = reference_simplex_step(
+            u, kappa, row.axis, increase, n)
+        assert step_type is row.step_type, (k, step_type, row)
+        if not math.isfinite(theta_rel):
+            stale = True
+            continue
+        y = state.Minv @ X.points[:, row.axis]
+        w = X.points.T @ y
+        try:
+            kappa = gradient_rank_one(kappa, w, theta_rel, w[row.axis])
+            state = rank_one_modify(state, y, theta_rel, w[row.axis])
+        except SingularUpdate:
+            stale = True
+            continue
+        kappa /= scale
+        state = FactorState(state.Minv / scale,
+                            state.log_det + n * math.log(scale))
+    assert np.array_equal(rep.u_final.u, held[-1][1] * held[-1][0])
 
 
 @pytest.mark.parametrize("runs", ["cd_small", "wa_small", "cd_moderate",
@@ -819,8 +943,10 @@ def test_solver_config_coerces_and_validates():
         SolverConfig(epsilon=0.0)
     with pytest.raises(MveeError):
         SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(algorithm="newton")
+    for bad in (dict(algorithm="newton"), dict(init="uniform")):
+        with pytest.raises(MveeError) as info:
+            SolverConfig(**bad)
+        assert isinstance(info.value, ValueError)
 
 
 def test_trace_csv_format(tmp_path):
