@@ -82,14 +82,16 @@ def gen_sample(n: int, m: int, seed: int) -> PointSet:
     g = rng.standard_normal((n, m))
     g /= np.linalg.norm(g, axis=0)
     radii = rng.uniform(0.0, 1.0, m) ** (1.0 / n)
-    pts = g * radii
+    g *= radii
     cond = 10.0 ** rng.uniform(0.0, 2.0)
     q1 = _random_orthogonal(rng, n)
     q2 = _random_orthogonal(rng, n)
     svals = np.exp(np.linspace(0.0, np.log(cond), n)) if n > 1 else np.ones(1)
     amap = (q1 * svals) @ q2.T
     shift = rng.standard_normal(n)
-    return PointSet(amap @ pts + shift[:, None], symmetric=False)
+    out = amap @ g
+    out += shift[:, None]
+    return PointSet(out, symmetric=False)
 
 
 def _random_orthogonal(rng, n):

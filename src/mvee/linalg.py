@@ -14,6 +14,7 @@ update) is decided by solvers.solve, not here.
 numpy is the only dependency, so importing the package stays cheap.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +100,12 @@ def rank_one_modify(state, y, theta, kappa_j):
     denom = 1.0 + theta * kappa_j
     if denom <= PD_TOL:
         raise SingularUpdate(f"update denominator {denom:.3e}")
-    Minv = state.Minv - (theta / denom) * (y[:, None] * y)
-    return FactorState(Minv, state.log_det + float(np.log(denom)))
+    # M^{-1} - (theta / denom) (y y^T), operation by operation in one
+    # buffer: the same bits without the two n x n temporaries
+    outer = y[:, None] * y
+    outer *= theta / denom
+    np.subtract(state.Minv, outer, out=outer)
+    return FactorState(outer, state.log_det + math.log(denom))
 
 
 def quad_form(state, x):
@@ -110,7 +115,7 @@ def quad_form(state, x):
 
 def apply_inverse(state, x):
     """M^{-1} x, one matrix-vector product.  O(n^2)."""
-    return state.Minv @ x
+    return state.Minv.dot(x)
 
 
 def logdet(state):

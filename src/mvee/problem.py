@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (DegenerateCovariance, InvalidInput, PointParseError,
                      TooFewPoints)
-from .linalg import logdet
 
 
 @dataclass
@@ -148,13 +147,14 @@ def shape_logdet(E: Ellipsoid) -> float:
     return float(ld)
 
 
-def objective_h(u: DualWeights, state, c: float = 1.0) -> float:
-    """h(c u) = -ln det(c X U X^T) + n (c e^T u - 1), evaluated from the
-    factor of X U X^T; ln det(c M) = ln det M + n ln c.  c is the normaliser
-    of weights held up to scale, and 1 for weights held as they are."""
+def objective_h(total: float, state, c: float = 1.0) -> float:
+    """h(c v) = -ln det(c X V X^T) + n (c e^T v - 1) from total = e^T v and
+    the state of M(v) = X V X^T, in O(1); ln det(c M) = ln det M + n ln c.
+    c is the normaliser of weights held up to scale, and 1 for weights held
+    as they are.  solvers.solve keeps e^T v as a running sum; pass
+    v.u.sum() for weights held elsewhere."""
     n = len(state.Minv)
-    return float(-(logdet(state) + n * math.log(c))
-                 + n * (c * u.u.sum() - 1.0))
+    return -(state.log_det + n * math.log(c)) + n * (c * total - 1.0)
 
 
 def certificate(u: DualWeights, kappa: np.ndarray, n: int,

@@ -35,10 +35,10 @@ and the kappa vector are maintained incrementally, one Sherman-Morrison
 step per iteration on the vector y = M^{-1} x_j that the O(m n) gradient
 pass needs anyway (see linalg); solve() also decides when to rebuild them
 from the weights.  Besides that pass, which writes into one buffer per
-solve, an iteration makes three O(m) sweeps (argmax kappa, the kappa update
-and e^T v in the objective) and one O(s) scan of the s support indices for
-the decrease axis; a simplex step writes one weight, as a coordinate step
-does.
+solve, an iteration makes two O(m) sweeps (argmax kappa and the kappa
+update) and one O(s) scan of the s support indices for the decrease axis;
+a simplex step writes one weight, as a coordinate step does, and the
+objective is O(1) from a running sum of the weights.
 """
 
 import math
@@ -197,6 +197,7 @@ def init_kumar_yildirim(X: PointSet, seed: int) -> DualWeights:
     n, m = pts.shape
     rng = np.random.default_rng(seed)
     Q = np.zeros((n, 0))  # orthonormal basis of span of chosen points
+    p = np.empty(m)  # |d . x_i| for each direction, reused
     chosen = []
     for _ in range(n):
         d = None
@@ -210,7 +211,9 @@ def init_kumar_yildirim(X: PointSet, seed: int) -> DualWeights:
                 break
         if d is None:
             raise NotFullRank("cannot find a direction outside the chosen span")
-        j = int(np.argmax(np.abs(d @ pts)))
+        np.dot(d, pts, out=p)
+        np.abs(p, out=p)
+        j = int(p.argmax())
         r = pts[:, j].copy()
         if Q.shape[1]:
             r = r - Q @ (Q.T @ r)
@@ -421,7 +424,9 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
     the weights at the start, after a degenerate convex combination (scale
     below 1e-14), after a SingularUpdate, and after every 50 n incremental
     updates.  Between rebuilds kappa is updated in place and the support
-    array changes only when u_j crosses zero.
+    array changes only when u_j crosses zero.  The weight sum e^T v that the
+    objective needs is re-summed at every rebuild and otherwise moved by
+    each step's change of v_j.
 
     fwk and wa hold their iterate as u = c v: the weights v, with kappa,
     M^{-1} and ln det M those of M(v), and one normaliser c that each step
@@ -480,13 +485,14 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
             state = factor_from_weights(X, u)
             kappa = gradient_refresh(state, X)
             support = np.flatnonzero(u.u)
+            total = float(u.u.sum())  # e^T v, then moved by each step
             updates = 0
         choice = select_axis_gauss_southwell(kappa, support, n * c)
         eps_k = max(choice.eps_plus, choice.eps_minus)
         stop_eps = choice.eps_plus if fwk else eps_k
         if stop_eps <= config.epsilon or k == config.max_iter:
             break
-        h_k = objective_h(u, state, c)
+        h_k = objective_h(total, state, c)
         kappa_max = kappa.item(choice.j_plus)
         kappa_min = kappa.item(choice.j_minus)
 
@@ -506,8 +512,10 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
         else:
             theta = stepsize(uj, kappa.item(j), increase, n, k)
             outcome = cd_step(u, j, theta, increase)
-        # only u_j can cross zero, except in a full jump, which rebuilds
-        on_support = u.u.item(j) > 0.0
+        # only u_j changes, except in a full jump, which rebuilds
+        vj = u.u.item(j)
+        total += vj - uj
+        on_support = vj > 0.0
         if on_support != (uj > 0.0):
             i = support.searchsorted(j)
             if on_support:
@@ -539,7 +547,7 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
                                      kappa_min, eps_k, h_k, outcome.recorded))
 
     final_eps = float(stop_eps)
-    final_h = objective_h(u, state, c)
+    final_h = objective_h(total, state, c)
     if c != 1.0:
         u.u *= c
     return SolveReport(converged=final_eps <= config.epsilon,

@@ -14,7 +14,8 @@ from mvee.harness import (
     gen_sample,
     run_benchmark,
 )
-from mvee.solvers import Algorithm, SolverConfig
+from mvee.problem import lift
+from mvee.solvers import Algorithm, SolverConfig, init_kumar_yildirim
 
 LN2 = np.log(2.0)
 
@@ -81,6 +82,61 @@ def test_gen_sample_condition_number_bounded():
     cov = centered @ centered.T / 4000
     w = np.linalg.eigvalsh(cov)
     assert w.max() / w.min() < 1e6  # map condition capped at 100 => cov at 1e4
+
+
+def _gen_sample_out_of_place(n, m, seed):
+    # gen_sample as first written, one new array per operation
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, m))
+    g /= np.linalg.norm(g, axis=0)
+    radii = rng.uniform(0.0, 1.0, m) ** (1.0 / n)
+    pts = g * radii
+    cond = 10.0 ** rng.uniform(0.0, 2.0)
+    q1 = mvee.harness._random_orthogonal(rng, n)
+    q2 = mvee.harness._random_orthogonal(rng, n)
+    svals = np.exp(np.linspace(0.0, np.log(cond), n)) if n > 1 else np.ones(1)
+    amap = (q1 * svals) @ q2.T
+    shift = rng.standard_normal(n)
+    return amap @ pts + shift[:, None]
+
+
+def _kumar_yildirim_out_of_place(pts, seed):
+    # init_kumar_yildirim as first written, |d . x| a new array per direction
+    n, m = pts.shape
+    rng = np.random.default_rng(seed)
+    Q = np.zeros((n, 0))
+    chosen = []
+    for _ in range(n):
+        for _attempt in range(n):
+            cand = rng.standard_normal(n)
+            if Q.shape[1]:
+                cand = cand - Q @ (Q.T @ cand)
+            norm = np.linalg.norm(cand)
+            if norm >= 1e-10:
+                d = cand / norm
+                break
+        j = int(np.argmax(np.abs(d @ pts)))
+        r = pts[:, j].copy()
+        if Q.shape[1]:
+            r = r - Q @ (Q.T @ r)
+        Q = np.hstack([Q, (r / np.linalg.norm(r))[:, None]])
+        chosen.append(j)
+    u = np.zeros(m)
+    u[chosen] = 1.0 / n
+    return u
+
+
+@pytest.mark.parametrize("n,m", [(20, 20_000), (100, 3000)])
+def test_instance_build_matches_out_of_place_reference(n, m):
+    # gen_sample and the Kumar-Yildirim start work in place; the instance
+    # streams and starts, which the benchmark's references depend on, stay
+    # bit-identical to the out-of-place code
+    ps = gen_sample(n, m, 1234)
+    assert np.array_equal(ps.points, _gen_sample_out_of_place(n, m, 1234))
+    X = lift(ps)
+    for seed in (0, 7):
+        assert np.array_equal(init_kumar_yildirim(X, seed).u,
+                              _kumar_yildirim_out_of_place(X.points, seed))
 
 
 # --- decrement curves -------------------------------------------------------------

@@ -230,8 +230,8 @@ def test_scale_factor_shifts_logdet(seed, n, c):
                                            abs=1e-10)
     assert (np.abs(scaled.Minv * c - held.Minv).max()
             <= 1e-10 * np.abs(held.Minv).max())
-    assert objective_h(v, held, c) == pytest.approx(
-        objective_h(DualWeights(c * v.u), scaled), abs=1e-10)
+    assert objective_h(v.u.sum(), held, c) == pytest.approx(
+        objective_h((c * v.u).sum(), scaled), abs=1e-10)
 
 
 # --- gradient maintenance --------------------------------------------------------

@@ -602,6 +602,15 @@ def _close(got, want, tol):
     return np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
 
 
+def holding(init, weights):
+    """Wrap an init so that the weights solve() then moves in place stay
+    readable: each call's result is appended to `weights`."""
+    def wrapper(*args):
+        weights.append(init(*args))
+        return weights[-1]
+    return wrapper
+
+
 def test_zero_step_on_the_support_is_labelled_a_decrease():
     # cd_diminish declines a decrease that would leave M singular; the trace
     # records that zero step in the direction the axis rule chose
@@ -647,9 +656,10 @@ def test_huge_m_converges_with_a_fresh_certificate(alg):
 def test_maintained_state_matches_dense_every_step(alg, seed, n, extra, init,
                                                    per_dim):
     # after every step of every algorithm, M^{-1}, ln det M and kappa agree
-    # with a dense recomputation from the weights solve holds and the
-    # support indices are those of the nonzero weights; a cadence of 2 n updates (per_dim 2)
-    # forces scheduled rebuilds within the 50 steps
+    # with a dense recomputation from the weights solve holds, the support
+    # indices are those of the nonzero weights, and h, read from the running
+    # weight sum, agrees with the dense objective; a cadence of 2 n updates
+    # (per_dim 2) forces scheduled rebuilds within the 50 steps
     rng = np.random.default_rng(seed)
     X = PointSet(rng.standard_normal((n, n + extra)), symmetric=True)
     checked, rebuilds, updates, weights = [], [], [], []
@@ -658,13 +668,6 @@ def test_maintained_state_matches_dense_every_step(alg, seed, n, extra, init,
         M = (X.points * u.u) @ X.points.T
         Minv = np.linalg.inv(M)
         return M, Minv, np.einsum("ij,ij->j", X.points, Minv @ X.points)
-
-    def holding(init):
-        # solve() moves the initial weights in place; keep them to check
-        def wrapper(*args):
-            weights.append(init(*args))
-            return weights[-1]
-        return wrapper
 
     def select(kappa, support, dim):
         u = weights[-1]
@@ -676,14 +679,22 @@ def test_maintained_state_matches_dense_every_step(alg, seed, n, extra, init,
                                                  kappa_dense)
         return real_select(kappa, support, dim)
 
-    def objective(u, state, c):
+    def objective(total, state, c):
         # fwk and wa hold u = c v: the state is that of M(v), v the weights
-        M, Minv, _ = dense(u)
+        v = weights[-1]
+        M, Minv, _ = dense(v)
         tol = 1e-13 * np.linalg.cond(M)
         assert _close(state.Minv, Minv, tol), (len(checked), state.Minv, Minv)
-        assert abs(state.log_det - np.linalg.slogdet(M)[1]) <= tol
+        log_det = np.linalg.slogdet(M)[1]
+        assert abs(state.log_det - log_det) <= tol
+        # on top of the ln det error, the running sum carries rounding of
+        # at most 1e-13 relative over the 50 steps
+        h = real_objective(total, state, c)
+        want = -(log_det + n * math.log(c)) + n * (c * v.u.sum() - 1.0)
+        assert abs(h - want) <= tol + 1e-13 * n * c * v.u.sum(), (
+            len(checked), h, want)
         checked.append(len(checked))
-        return real_objective(u, state, c)
+        return h
 
     def factor(X, u):
         rebuilds.append(len(checked))
@@ -700,8 +711,9 @@ def test_maintained_state_matches_dense_every_step(alg, seed, n, extra, init,
     real_modify = mvee.solvers.rank_one_modify
     patches = {"select_axis_gauss_southwell": select, "objective_h": objective,
                "factor_from_weights": factor, "rank_one_modify": modify,
-               "init_khachiyan": holding(mvee.solvers.init_khachiyan),
-               "init_kumar_yildirim": holding(mvee.solvers.init_kumar_yildirim)}
+               "init_khachiyan": holding(mvee.solvers.init_khachiyan, weights),
+               "init_kumar_yildirim": holding(mvee.solvers.init_kumar_yildirim,
+                                              weights)}
     if per_dim is not None:
         patches["_REBUILD_PER_DIM"] = per_dim
     saved = {name: getattr(mvee.solvers, name) for name in patches}
@@ -762,11 +774,11 @@ def test_simplex_weights_match_normalised_reference(alg, seed, n, extra,
     # seed 6534, where the start is already optimal, does at 1e-12)
     rng = np.random.default_rng(seed)
     X = PointSet(rng.standard_normal((n, n + extra)), symmetric=True)
-    held, rebuilt = [], set()
+    held, rebuilt, weights = [], set(), []
 
-    def objective(v, state, c):
-        held.append((v.u.copy(), c))
-        return real_objective(v, state, c)
+    def objective(total, state, c):
+        held.append((weights[-1].u.copy(), c))
+        return real_objective(total, state, c)
 
     def factor(X, v):
         rebuilt.add(len(held))
@@ -775,6 +787,9 @@ def test_simplex_weights_match_normalised_reference(alg, seed, n, extra,
     real_objective = mvee.solvers.objective_h
     real_factor = mvee.solvers.factor_from_weights
     patches = {"objective_h": objective, "factor_from_weights": factor,
+               "init_khachiyan": holding(mvee.solvers.init_khachiyan, weights),
+               "init_kumar_yildirim": holding(mvee.solvers.init_kumar_yildirim,
+                                              weights),
                "_REBUILD_PER_DIM": 2}
     saved = {name: getattr(mvee.solvers, name) for name in patches}
     for name, value in patches.items():
