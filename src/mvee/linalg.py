@@ -6,11 +6,9 @@ the state holds M^{-1} and ln det M rather than a factor of M.  A rank-one
 change M -> M + theta x x^T is one Sherman-Morrison step on M^{-1} and
 one determinant-lemma step on ln det M, O(n^2) either way; kappa follows in
 place in O(m) from the O(m n) pass w = X^T M^{-1} x.  A full rebuild from the
-current weights is an orthogonal factorization, O(m n^2).  solvers.solve
-holds the simplex iterate up to one scalar normaliser, so its steps change
-M by a plain rank-one term too.  When to rebuild (at initialization, on a
-schedule that bounds floating-point drift, and after a numerically singular
-update) is decided by solvers.solve, not here.
+current weights is an orthogonal factorization, O(m n^2).  When to rebuild
+(at initialization, on a schedule that bounds floating-point drift, and
+after a numerically singular update) is decided by solvers.solve, not here.
 numpy is the only dependency, so importing the package stays cheap.
 """
 
@@ -108,19 +106,9 @@ def rank_one_modify(state, y, theta, kappa_j):
     return FactorState(outer, state.log_det + math.log(denom))
 
 
-def quad_form(state, x):
-    """x^T M^{-1} x.  O(n^2)."""
-    return float(x @ (state.Minv @ x))
-
-
 def apply_inverse(state, x):
     """M^{-1} x, one matrix-vector product.  O(n^2)."""
     return state.Minv.dot(x)
-
-
-def logdet(state):
-    """ln det M, held on the state.  O(1)."""
-    return state.log_det
 
 
 def gradient_refresh(state, X):

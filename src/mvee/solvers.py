@@ -4,26 +4,25 @@ Six algorithms over the dual objective
 h(u) = -ln det(X U X^T) + n (e^T u - 1), all driven by the quadratic forms
 kappa_i = x_i^T (X U X^T)^{-1} x_i and the gradient identity
 grad h(u)_i = n - kappa_i.  They are one coordinate-wise method: an axis
-rule picks a point j and a direction (increase or decrease u_j), and one of
-two kernels moves u along e_j.
+rule picks a point j and a direction (increase or decrease u_j), a stepsize
+rule gives theta, and cd_step takes the projected coordinate step
+u_j <- max(u_j + theta, 0).  The algorithms differ only in those two rules.
 
-- wa_step, the simplex step: u <- (1 - t) u + t e_j with the exact
-  line-search stepsize; keeps e^T u = 1.  solve() holds this iterate as
-  u = c v with one scalar c > 0, so the step changes v_j alone
-  (v_j += t / (s c), or v_j = 0 on a drop) and the normaliser c <- s c,
-  s = 1 - t.  As M(u) = c M(v), kappa(u) = kappa(v) / c and
-  ln det M(u) = ln det M(v) + n ln c, M(v) takes a plain rank-one update
-  and no weight, kappa or M^{-1} entry is rescaled.
-- cd_step, the projected coordinate step: u_j <- max(u_j + theta, 0) with
-  theta from a stepsize rule; e^T u moves freely and c stays 1.
+fwk and wa renormalise after the step, u' = (u + theta e_j) / (1 + theta),
+which is the simplex step (1 - t) u + t e_j with t = theta / (1 + theta).
+solve() holds this iterate as u = c v with c = 1 / e^T v, so the step
+changes v_j alone.  As M(u) = c M(v), kappa(u) = kappa(v) / c and
+ln det M(u) = ln det M(v) + n ln c, M(v) takes a plain rank-one update and
+no weight, kappa or M^{-1} entry is rescaled.  The coordinate algorithms
+keep c = 1.
 
-    algorithm     axis rule                   kernel   stepsize
-    fwk           argmax kappa, increase      simplex  exact
-    wa            Gauss-Southwell             simplex  exact, capped at a drop
-    cd_const      Gauss-Southwell             cd       exact_stepsize
-    cd_diminish   Gauss-Southwell             cd       schedule_stepsize
-    cd_backtrack  Gauss-Southwell             cd       armijo_stepsize
-    rcd           sampled by |grad h_j|       cd       exact_stepsize
+    algorithm     axis rule                   stepsize
+    fwk           argmax kappa, increase      simplex_stepsize
+    wa            Gauss-Southwell             simplex_stepsize
+    cd_const      Gauss-Southwell             exact_stepsize
+    cd_diminish   Gauss-Southwell             schedule_stepsize
+    cd_backtrack  Gauss-Southwell             armijo_stepsize
+    rcd           sampled by |grad h_j|       exact_stepsize
 
 The Gauss-Southwell rule takes the larger certificate violation: argmax
 kappa (increase) or argmin kappa over the support (decrease), ties to the
@@ -37,8 +36,8 @@ pass needs anyway (see linalg); solve() also decides when to rebuild them
 from the weights.  Besides that pass, which writes into one buffer per
 solve, an iteration makes two O(m) sweeps (argmax kappa and the kappa
 update) and one O(s) scan of the s support indices for the decrease axis;
-a simplex step writes one weight, as a coordinate step does, and the
-objective is O(1) from a running sum of the weights.
+every step writes one weight, and the objective is O(1) from the running
+weight sum.
 """
 
 import math
@@ -65,9 +64,6 @@ from .linalg import (
 )
 from .problem import DualWeights, PointSet, objective_h
 
-# scales below which a convex combination degenerates to the full jump
-# u' = e_j (t = 1, only at n = 1) and the factor is rebuilt from the weights
-_SCALE_FLOOR = 1e-14
 # weights below this are dropped outright by the backtracking variant rather
 # than decayed geometrically forever (the line search itself never hits zero)
 _DROP_FLOOR = 1e-14
@@ -160,15 +156,14 @@ class AxisChoice:
 
 @dataclass
 class StepOutcome:
-    """What a single step did to the held weights v of the iterate u = c v:
-    v_j moved by theta_rel, so M(v) -> M(v) + theta_rel x_j x_j^T, and the
-    normaliser c -> scale * c.  theta_rel is inf after a full jump, which
-    leaves u itself in v (so c = 1) and needs a rebuild."""
+    """What cd_step did to the held weights v: v_j moved by theta_rel, after
+    the projection onto v_j >= 0, so M(v) -> M(v) + theta_rel x_j x_j^T.
+    The step rescales no other weight (scale 1).  theta_rel is +inf for the
+    full jump of a simplex step at n = 1, after which solve() replaces the
+    weights and rebuilds."""
 
     step_type: StepType
-    axis: int
-    recorded: float  # lambda for simplex steps, theta for additive steps
-    scale: float  # 1 - t for simplex steps, 1 for additive steps
+    scale: float
     theta_rel: float
 
 
@@ -245,61 +240,6 @@ def select_axis_gauss_southwell(kappa: np.ndarray, support: np.ndarray,
                       1.0 - on_support.item(i) / n)
 
 
-def wa_step(v: DualWeights, kappa: np.ndarray, j: int, increase: bool,
-            n: int, c: float) -> StepOutcome:
-    """Simplex step u' = (1 - t) u + t e_j on the exact line-search stepsize,
-    for the iterate u = c v given as its weights v, kappa = kappa(v) and the
-    normaliser c.
-
-    Increase (t = lambda, the Frank-Wolfe step):
-    lambda = (kappa_j - n) / (n (kappa_j - 1)); afterwards the point lies
-    exactly on the trial ellipsoid boundary (kappa'_j = n).  Away step
-    (t = -lambda): lambda = min{ (n - kappa_j)/(n (kappa_j - 1)),
-    u_j/(1 - u_j) }; when the second candidate attains the min, u_j lands
-    exactly on zero and the step is a drop.  For kappa_j <= 1 the first
-    candidate is +inf: the objective decreases along the whole ray, so only
-    the drop bound is active.  Keeps e^T u = 1.
-
-    With s = 1 - t, u' = s c (v + t / (s c) e_j): only v_j changes, and the
-    caller takes c' = s c from the returned scale.  Below the scale floor
-    (the full jump t = 1 at n = 1) v is overwritten with u' itself.
-    """
-    kj = kappa.item(j) / c
-    vj = v.u.item(j)
-    uj = c * vj
-    if increase:
-        # on a full-rank symmetric instance kappa at the argmax exceeds 1
-        # whenever the iterate is not yet optimal
-        if not kj > 1.0:
-            raise StepRuleViolation(
-                f"increase step needs kappa_j > 1, got {kj}")
-        lam = (kj - n) / (n * (kj - 1.0))
-        step_type = StepType.ADD if uj == 0.0 else StepType.INCREASE
-        t = lam
-    else:
-        if not uj < 1.0:
-            raise StepRuleViolation(
-                f"away step needs mass outside the pivot, u_j = {uj}")
-        lam_drop = uj / (1.0 - uj)
-        lam = ((n - kj) / (n * (kj - 1.0))) if kj > 1.0 else np.inf
-        step_type = StepType.DECREASE
-        if lam_drop <= lam:
-            lam, step_type = lam_drop, StepType.DROP
-        t = -lam
-    scale = 1.0 - t
-    if step_type is StepType.DROP:
-        theta = -vj
-        v.u[j] = 0.0
-    elif scale > _SCALE_FLOOR:
-        theta = t / (scale * c)
-        v.u[j] = vj + theta
-    else:
-        v.u *= scale * c
-        v.u[j] += t
-        theta = np.inf
-    return StepOutcome(step_type, j, lam, scale, theta)
-
-
 def cd_step(u: DualWeights, j: int, theta: float,
             increase: bool) -> StepOutcome:
     """Projected coordinate step u_j <- u_j + theta onto u_j >= 0.
@@ -325,7 +265,7 @@ def cd_step(u: DualWeights, j: int, theta: float,
         step_type = StepType.DROP
         theta = -uj
         u.u[j] = 0.0
-    return StepOutcome(step_type, j, theta, 1.0, theta)
+    return StepOutcome(step_type, 1.0, theta)
 
 
 # Stepsize rules of the coordinate step.  Each maps
@@ -346,6 +286,32 @@ def exact_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
         raise StepRuleViolation(
             f"decrease branch needs kappa_j <= n, got {kappa_j} > {n}")
     return (kappa_j - n) / (n * kappa_j)
+
+
+def simplex_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
+                     k: int) -> float:
+    """Exact line search of the simplex step u' = (u + theta e_j) / (1 + theta)
+    from e^T u = 1: theta = (kappa_j - n) / ((n - 1) kappa_j) both ways, that
+    is lambda / (1 - lambda) for the Frank-Wolfe step
+    lambda = (kappa_j - n) / (n (kappa_j - 1)), after which x_j lies on the
+    trial ellipsoid boundary, and -lambda / (1 + lambda) for the away step
+    lambda = (n - kappa_j) / (n (kappa_j - 1)).  cd_step clamps an away step
+    at -u_j, the drop; for kappa_j <= 1 h falls along the whole away ray and
+    the step is -inf.  At n = 1 it is +inf, the full jump u' = e_j."""
+    if increase:
+        # on a full-rank symmetric instance kappa at the argmax exceeds 1
+        # whenever the iterate is not yet optimal
+        if not kappa_j > 1.0:
+            raise StepRuleViolation(
+                f"increase step needs kappa_j > 1, got {kappa_j}")
+    elif not u_j < 1.0:
+        raise StepRuleViolation(
+            f"away step needs mass outside the pivot, u_j = {u_j}")
+    elif not kappa_j > 1.0:
+        return -math.inf
+    if n == 1:
+        return math.inf
+    return (kappa_j - n) / ((n - 1) * kappa_j)
 
 
 def schedule_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
@@ -420,20 +386,20 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
     max(eps_plus, eps_minus) <= epsilon.  Hitting max_iter returns a report
     with converged=False rather than raising.
 
-    M^{-1}, ln det M, kappa and the sorted support indices are rebuilt from
-    the weights at the start, after a degenerate convex combination (scale
-    below 1e-14), after a SingularUpdate, and after every 50 n incremental
-    updates.  Between rebuilds kappa is updated in place and the support
-    array changes only when u_j crosses zero.  The weight sum e^T v that the
-    objective needs is re-summed at every rebuild and otherwise moved by
-    each step's change of v_j.
+    Every algorithm takes its step through cd_step with the theta of its
+    stepsize rule.  M^{-1}, ln det M, kappa and the sorted support indices
+    are rebuilt from the weights at the start, after the full jump of a
+    simplex step (n = 1 only), after a SingularUpdate, and after every 50 n
+    incremental updates.  Between rebuilds kappa is updated in place and the
+    support array changes only when v_j crosses zero.  The weight sum e^T v
+    is re-summed at every rebuild and otherwise moved by each step's change
+    of v_j.
 
-    fwk and wa hold their iterate as u = c v: the weights v, with kappa,
-    M^{-1} and ln det M those of M(v), and one normaliser c that each step
-    multiplies by 1 - t.  Every rebuild first folds c back into the weights
-    (v <- c v, c <- 1), and u_final is returned normalised.  Increase steps
-    have t < 1/n, so between rebuilds c >= (1 - 1/n)^(50 n), about e^-50.
-    The coordinate steps keep c = 1.
+    fwk and wa read c = 1 / e^T v from that sum after each step.  Every
+    rebuild first folds c into the weights (v <- c v, c <- 1), and u_final
+    is returned normalised.  Each increase multiplies c by 1 - t > 1 - 1/n,
+    so between rebuilds c >= (1 - 1/n)^(50 n), about e^-50.  The trace
+    records lambda = |t| for their steps and theta for the others.
 
     Parameters
     ----------
@@ -456,10 +422,13 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
     period = _REBUILD_PER_DIM * n
     alg = config.algorithm
 
-    stepsize = {Algorithm.CD_CONST: exact_stepsize,
+    stepsize = {Algorithm.FWK: simplex_stepsize,
+                Algorithm.WA: simplex_stepsize,
+                Algorithm.CD_CONST: exact_stepsize,
                 Algorithm.RCD: exact_stepsize,
                 Algorithm.CD_DIMINISH: schedule_stepsize,
-                Algorithm.CD_BACKTRACK: armijo_stepsize}.get(alg)
+                Algorithm.CD_BACKTRACK: armijo_stepsize}[alg]
+    simplex = stepsize is simplex_stepsize
 
     if config.init is InitScheme.KHACHIYAN:
         u = init_khachiyan(m)
@@ -493,8 +462,9 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
         if stop_eps <= config.epsilon or k == config.max_iter:
             break
         h_k = objective_h(total, state, c)
-        kappa_max = kappa.item(choice.j_plus)
-        kappa_min = kappa.item(choice.j_minus)
+        # the trace records kappa(u)
+        kappa_max = kappa.item(choice.j_plus) / c
+        kappa_min = kappa.item(choice.j_minus) / c
 
         if rcd:
             j = rcd_pick(n - kappa, rng)
@@ -502,49 +472,58 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
         else:
             increase = fwk or choice.increase
             j = choice.j_plus if increase else choice.j_minus
-        uj = u.u.item(j)
-        if stepsize is None:
-            kappa_max /= c  # the trace records kappa(u)
-            kappa_min /= c
-            outcome = wa_step(u, kappa, j, increase, n, c)
-            # a full jump leaves u itself in the weights
-            c = c * outcome.scale if math.isfinite(outcome.theta_rel) else 1.0
-        else:
-            theta = stepsize(uj, kappa.item(j), increase, n, k)
-            outcome = cd_step(u, j, theta, increase)
-        # only u_j changes, except in a full jump, which rebuilds
         vj = u.u.item(j)
-        total += vj - uj
-        on_support = vj > 0.0
-        if on_support != (uj > 0.0):
+        # the rule sees u_j = c v_j and kappa_j(u) = kappa_j(v) / c; with
+        # c = 1 (the coordinate algorithms) both are exact
+        theta = stepsize(c * vj, kappa.item(j) / c, increase, n, k)
+        outcome = cd_step(u, j, theta / c, increase)
+        theta_rel = outcome.theta_rel
+        if simplex:
+            # lambda = |t| of u' = (1 - t) u + t e_j; 1 for the full jump
+            step = c * theta_rel
+            recorded = abs(step / (1.0 + step)) if theta < math.inf else 1.0
+        else:
+            recorded = theta_rel
+        trace.append(IterationRecord(k, outcome.step_type, j, kappa_max,
+                                     kappa_min, eps_k, h_k, recorded))
+        if theta == math.inf:
+            # the full jump u' = e_j (n = 1): rebuild from the new weights
+            u.u.fill(0.0)
+            u.u[j] = 1.0
+            c, rebuild = 1.0, True
+            continue
+
+        # only v_j changed
+        vj_new = u.u.item(j)
+        total += vj_new - vj
+        if simplex:
+            c = 1.0 / total
+        on_support = vj_new > 0.0
+        if on_support != (vj > 0.0):
             i = support.searchsorted(j)
             if on_support:
                 support = np.concatenate((support[:i], (j,), support[i:]))
             else:
                 support = np.concatenate((support[:i], support[i + 1:]))
 
-        # inverse and gradient maintenance; a degenerate convex combination
-        # (lambda = 1, where wa_step reports theta_rel = inf) rebuilds
-        # outright, as do a singular update and the period-th update
-        rebuild = not math.isfinite(outcome.theta_rel)
-        if not rebuild and outcome.theta_rel != 0.0:
+        # inverse and gradient maintenance; a singular update and the
+        # period-th update rebuild instead
+        rebuild = False
+        if theta_rel != 0.0:
             y = apply_inverse(state, pts[:, j])
             np.dot(pts_t, y, out=w)
             # both updates take w_j = x_j^T y from the stored inverse, not the
             # maintained kappa_j, whose error 1/(1 + theta kappa_j) would scale
             wj = w.item(j)
             try:
-                kappa = gradient_rank_one(kappa, w, outcome.theta_rel, wj)
-                state = rank_one_modify(state, y, outcome.theta_rel, wj)
+                kappa = gradient_rank_one(kappa, w, theta_rel, wj)
+                state = rank_one_modify(state, y, theta_rel, wj)
             except SingularUpdate:
                 # exact drop of a geometrically loaded point; rebuild
                 rebuild = True
             else:
                 updates += 1
                 rebuild = updates >= period
-
-        trace.append(IterationRecord(k, outcome.step_type, j, kappa_max,
-                                     kappa_min, eps_k, h_k, outcome.recorded))
 
     final_eps = float(stop_eps)
     final_h = objective_h(total, state, c)

@@ -9,8 +9,6 @@ from mvee.linalg import (
     factor_from_weights,
     gradient_rank_one,
     gradient_refresh,
-    logdet,
-    quad_form,
     rank_one_modify,
 )
 from mvee.problem import DualWeights, PointSet, objective_h
@@ -21,10 +19,23 @@ def state_from_matrix(M):
     return FactorState(Minv=np.linalg.inv(M), log_det=np.linalg.slogdet(M)[1])
 
 
+def quad_form(state, x):
+    """x^T M^{-1} x as solve() forms it: x^T y with y = M^{-1} x."""
+    return float(x @ apply_inverse(state, x))
+
+
+def factor_of(M):
+    """The state factor_from_weights builds for an explicit SPD matrix,
+    from the columns of its Cholesky factor at unit weights."""
+    L = np.linalg.cholesky(M)
+    return factor_from_weights(PointSet(L, symmetric=True),
+                               DualWeights(np.ones(M.shape[0])))
+
+
 def modify(state, x, theta):
     """The state of M + theta x x^T, fed as solve() feeds it."""
-    return rank_one_modify(state, apply_inverse(state, x), theta,
-                           quad_form(state, x))
+    y = apply_inverse(state, x)
+    return rank_one_modify(state, y, theta, float(x @ y))
 
 
 def random_state(rng, n):
@@ -41,7 +52,7 @@ def test_factor_cross_uniform_weights():
     u = DualWeights(np.full(4, 0.25))
     st_ = factor_from_weights(X, u)
     assert np.allclose(st_.Minv, 2.0 * np.eye(2), atol=1e-14)
-    assert logdet(st_) == pytest.approx(np.log(0.25), abs=1e-14)
+    assert st_.log_det == pytest.approx(np.log(0.25), abs=1e-14)
 
 
 def test_factor_scalar_instance():
@@ -49,7 +60,7 @@ def test_factor_scalar_instance():
     u = DualWeights(np.array([0.5, 0.5]))
     st_ = factor_from_weights(X, u)
     assert st_.Minv[0, 0] == pytest.approx(1.0 / 2.5, abs=1e-15)
-    assert logdet(st_) == pytest.approx(np.log(2.5), abs=1e-15)
+    assert st_.log_det == pytest.approx(np.log(2.5), abs=1e-15)
 
 
 def test_factor_matches_dense_accumulation():
@@ -60,7 +71,7 @@ def test_factor_matches_dense_accumulation():
     dense = (X.points * u.u) @ X.points.T
     assert np.allclose(st_.Minv, np.linalg.inv(dense), atol=1e-12)
     assert np.array_equal(st_.Minv, st_.Minv.T)
-    assert logdet(st_) == pytest.approx(np.linalg.slogdet(dense)[1],
+    assert st_.log_det == pytest.approx(np.linalg.slogdet(dense)[1],
                                         abs=1e-12)
 
 
@@ -74,7 +85,7 @@ def test_factor_inverts_random_weighted_sets(n):
     st_ = factor_from_weights(X, u)
     M = (X.points * u.u) @ X.points.T
     assert np.allclose(st_.Minv @ M, np.eye(n), rtol=0.0, atol=1e-12)
-    assert logdet(st_) == pytest.approx(np.linalg.slogdet(M)[1], rel=1e-12)
+    assert st_.log_det == pytest.approx(np.linalg.slogdet(M)[1], rel=1e-12)
 
 
 def test_factor_rejects_rank_deficiency():
@@ -100,7 +111,7 @@ def test_rank_one_diagonal_update():
     st_ = state_from_matrix(np.eye(2))
     nxt = modify(st_, np.array([1.0, 0.0]), 3.0)
     assert np.allclose(nxt.Minv, np.diag([0.25, 1.0]), atol=1e-14)
-    assert logdet(nxt) == pytest.approx(np.log(4.0), abs=1e-12)
+    assert nxt.log_det == pytest.approx(np.log(4.0), abs=1e-12)
 
 
 def test_rank_one_downdate():
@@ -108,7 +119,7 @@ def test_rank_one_downdate():
     nxt = modify(st_, np.array([1.0, 1.0]), -0.5)
     assert np.allclose(nxt.Minv,
                        np.linalg.inv([[1.5, -0.5], [-0.5, 1.5]]), atol=1e-14)
-    assert logdet(nxt) == pytest.approx(np.log(2.0), abs=1e-12)
+    assert nxt.log_det == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_rank_one_downdate_to_singular_raises():
@@ -136,7 +147,7 @@ def test_rank_one_round_trip(seed, n, theta, down):
         return  # keep the downdate clearly PD
     s1 = modify(s0, x, t)
     s2 = modify(s1, x, -t)
-    assert logdet(s2) == pytest.approx(logdet(s0), abs=1e-10)
+    assert s2.log_det == pytest.approx(s0.log_det, abs=1e-10)
     assert np.allclose(s2.Minv, s0.Minv, rtol=1e-9, atol=1e-10)
 
 
@@ -150,7 +161,7 @@ def test_determinant_lemma(seed, n, theta):
     if 1.0 + theta * q <= 0.05:
         return
     s1 = modify(s0, x, theta)
-    assert logdet(s1) - logdet(s0) == pytest.approx(np.log1p(theta * q),
+    assert s1.log_det - s0.log_det == pytest.approx(np.log1p(theta * q),
                                                     abs=1e-10)
 
 
@@ -200,24 +211,24 @@ def test_apply_inverse_matches_solve():
 # --- logdet ---------------------------------------------------------------------
 
 def test_logdet_diagonal():
-    assert logdet(state_from_matrix(0.5 * np.eye(2))) == pytest.approx(
+    assert factor_of(0.5 * np.eye(2)).log_det == pytest.approx(
         np.log(0.25), abs=1e-14)
 
 
 def test_logdet_identity():
-    assert logdet(state_from_matrix(np.eye(4))) == 0.0
+    assert factor_of(np.eye(4)).log_det == 0.0
 
 
 def test_logdet_matches_dense():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((5, 5))
     M = A @ A.T + 5 * np.eye(5)
-    assert logdet(state_from_matrix(M)) == pytest.approx(
+    assert factor_of(M).log_det == pytest.approx(
         np.linalg.slogdet(M)[1], abs=1e-12)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 5), st.floats(0.1, 10.0))
-def test_scale_factor_shifts_logdet(seed, n, c):
+def test_scaled_weights_scale_the_matrix(seed, n, c):
     # the simplex steps hold u = c v and keep the state of M(v):
     # M(c v) = c M(v) has ln det shifted by n ln c and inverse over c, and
     # h(u) is evaluated from the state of M(v) and the normaliser c
@@ -226,7 +237,7 @@ def test_scale_factor_shifts_logdet(seed, n, c):
     v = DualWeights(rng.uniform(0.1, 1.0, n + 4))
     held = factor_from_weights(X, v)
     scaled = factor_from_weights(X, DualWeights(c * v.u))
-    assert logdet(scaled) == pytest.approx(logdet(held) + n * np.log(c),
+    assert scaled.log_det == pytest.approx(held.log_det + n * np.log(c),
                                            abs=1e-10)
     assert (np.abs(scaled.Minv * c - held.Minv).max()
             <= 1e-10 * np.abs(held.Minv).max())

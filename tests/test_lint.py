@@ -6,6 +6,9 @@
 - No scipy imports: the package runs on numpy alone, and scipy would
   multiply the start-up time of every `mvee` command.  A fresh-interpreter
   check also catches scipy pulled in through another module.
+- No public name that only tests use: every public module-level name in
+  the package is referenced from another statement of the package or from
+  the benchmark under perfbench/.
 """
 
 import ast
@@ -19,6 +22,7 @@ import pytest
 import mvee
 
 SOURCES = sorted(Path(mvee.__file__).parent.glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -70,3 +74,49 @@ def test_cli_import_leaves_scipy_unloaded():
                          text=True, timeout=120, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def _public_names(stmt):
+    """Public names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def _referenced(stmt):
+    """Names a statement reads: bare or attribute names, imported names, and
+    strings naming an attribute (the benchmark patches functions by name)."""
+    found = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_public_names_have_a_caller_outside_tests():
+    package = [(path, ast.parse(path.read_text(), filename=str(path)))
+               for path in SOURCES]
+    others = [ast.parse(path.read_text(), filename=str(path))
+              for path in sorted(PERFBENCH.glob("*.py"))]
+    statements = [stmt for _, tree in package for stmt in tree.body]
+    statements += [stmt for tree in others for stmt in tree.body]
+    reads = [_referenced(stmt) for stmt in statements]
+    unused = []
+    for path, tree in package:
+        for stmt in tree.body:
+            for name in _public_names(stmt):
+                if not any(name in names for other, names
+                           in zip(statements, reads) if other is not stmt):
+                    unused.append(f"{path.name}:{stmt.lineno} {name}")
+    assert not unused, f"public names with no caller outside tests: {unused}"

@@ -45,8 +45,8 @@ from mvee.solvers import (
     rcd_pick,
     schedule_stepsize,
     select_axis_gauss_southwell,
+    simplex_stepsize,
     solve,
-    wa_step,
     write_trace,
 )
 
@@ -147,24 +147,32 @@ def test_axis_selection_lowest_index_ties():
 # --- Frank-Wolfe step -------------------------------------------------------------
 
 def simplex_step(u, kappa, j, increase, n):
-    """wa_step from normalised weights (c = 1); returns the outcome and the
-    normalised weights c' v = scale * v after the step.  The same u held as
-    v = 4 u with c = 1/4 (so kappa(v) = kappa / 4) takes the same step."""
+    """An fwk or wa step as solve() takes it from normalised weights (c = 1):
+    simplex_stepsize, then cd_step.  Returns the outcome, lambda = |t| of
+    u' = (1 - t) u + t e_j, and the normalised weights u / e^T u after the
+    step.  The same u held as v = 4 u with c = 1/4 (so kappa(v) = kappa / 4)
+    takes the same step."""
     kappa = np.asarray(kappa, float)
     held = DualWeights(4.0 * u.u)
-    out = wa_step(u, kappa, j, increase, n, 1.0)
-    out_held = wa_step(held, kappa / 4.0, j, increase, n, 0.25)
+    theta = simplex_stepsize(float(u.u[j]), float(kappa[j]), increase, n, 0)
+    out = cd_step(u, j, theta, increase)
+    c = 0.25
+    theta_held = simplex_stepsize(c * float(held.u[j]), float(kappa[j] / 4.0)
+                                  / c, increase, n, 0)
+    out_held = cd_step(held, j, theta_held / c, increase)
+    lam = abs(out.theta_rel / (1.0 + out.theta_rel))
+    step = c * out_held.theta_rel
     assert out_held.step_type is out.step_type
-    assert out_held.recorded == out.recorded
-    assert np.allclose(0.25 * out_held.scale * held.u, out.scale * u.u,
+    assert abs(step / (1.0 + step)) == lam
+    assert np.allclose(held.u / held.u.sum(), u.u / u.u.sum(),
                        rtol=1e-15, atol=0.0)
-    return out, out.scale * u.u
+    return out, lam, u.u / u.u.sum()
 
 
 def test_fwk_fixed_point():
     u = DualWeights(np.array([0.5, 0.5]))
-    out, after = simplex_step(u, [2.0, 2.0], 0, True, 2)
-    assert out.recorded == 0.0
+    out, lam, after = simplex_step(u, [2.0, 2.0], 0, True, 2)
+    assert lam == 0.0
     assert np.array_equal(after, [0.5, 0.5])
 
 
@@ -175,7 +183,7 @@ def test_fwk_keeps_simplex_and_lands_on_boundary():
     state = factor_from_weights(X, u)
     kappa = gradient_refresh(state, X)
     j = int(np.argmax(kappa))
-    _, after = simplex_step(u, kappa, j, True, 3)
+    _, _, after = simplex_step(u, kappa, j, True, 3)
     assert after.sum() == pytest.approx(1.0, abs=1e-12)
     fresh = gradient_refresh(factor_from_weights(X, DualWeights(after)), X)
     assert fresh[j] == pytest.approx(3.0, abs=1e-8)
@@ -183,7 +191,7 @@ def test_fwk_keeps_simplex_and_lands_on_boundary():
 
 def test_fwk_add_vs_increase():
     u = DualWeights(np.array([0.5, 0.5, 0.0]))
-    out, after = simplex_step(u, [1.5, 1.5, 3.0], 2, True, 2)
+    out, _, after = simplex_step(u, [1.5, 1.5, 3.0], 2, True, 2)
     assert out.step_type is StepType.ADD
     assert after[2] > 0.0 and u.support[2]
 
@@ -194,9 +202,10 @@ def test_wa_tie_takes_increase_branch():
     u = DualWeights(np.full(3, 1 / 3))
     choice = axis_choice([2.4, 2.0, 1.6], u, 2)
     assert choice.increase
-    out, _ = simplex_step(u, [2.4, 2.0, 1.6], *gs_axis(choice), 2)
+    j, increase = gs_axis(choice)
+    out, _, _ = simplex_step(u, [2.4, 2.0, 1.6], j, increase, 2)
     assert out.step_type in (StepType.ADD, StepType.INCREASE)
-    assert out.axis == 0
+    assert j == 0
 
 
 def test_wa_decrease_formula():
@@ -204,9 +213,9 @@ def test_wa_decrease_formula():
     u = DualWeights(np.array([0.3, 0.3, 0.4]))
     kappa = np.array([2.1, 2.05, 1.5])
     choice = AxisChoice(0, 2, 0.05, 0.25)
-    out, after = simplex_step(u, kappa, *gs_axis(choice), 2)
+    out, lam, after = simplex_step(u, kappa, *gs_axis(choice), 2)
     assert out.step_type is StepType.DECREASE
-    assert out.recorded == pytest.approx(0.5)
+    assert lam == pytest.approx(0.5)
     assert after[2] == pytest.approx(0.4 * 1.5 - 0.5)
     assert after.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -215,9 +224,9 @@ def test_wa_drop_lands_on_zero():
     u = DualWeights(np.array([0.65, 0.30, 0.05]))
     kappa = np.array([2.1, 2.05, 1.2])
     choice = AxisChoice(0, 2, 0.05, 0.4)
-    out, after = simplex_step(u, kappa, *gs_axis(choice), 2)
+    out, lam, after = simplex_step(u, kappa, *gs_axis(choice), 2)
     assert out.step_type is StepType.DROP
-    assert out.recorded == pytest.approx(0.05 / 0.95)
+    assert lam == pytest.approx(0.05 / 0.95)
     assert after[2] == 0.0 and not u.support[2]
     assert after.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -227,9 +236,37 @@ def test_wa_small_kappa_only_drop_bound():
     u = DualWeights(np.array([0.4, 0.3, 0.3]))
     kappa = np.array([2.2, 2.0, 0.9])
     choice = AxisChoice(0, 2, 0.1, 0.55)
-    out, after = simplex_step(u, kappa, *gs_axis(choice), 2)
+    out, _, after = simplex_step(u, kappa, *gs_axis(choice), 2)
     assert out.step_type is StepType.DROP
     assert after[2] == 0.0
+
+
+@given(st.integers(2, 50), st.floats(0.0, 1e6, exclude_min=True),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(3, 1.5, 0.5)  # lambda_drop = lambda = 1 exactly: the drop binds
+@example(2, 0.9, 0.3)  # kappa_j <= 1: only the drop bound is active
+def test_simplex_stepsize_is_the_convex_combination_line_search(n, kappa_j,
+                                                                u_j):
+    # the step theta on u_j before renormalising is t / (1 - t) for the
+    # convex combination u' = (1 - t) u + t e_j: lambda / (1 - lambda) for
+    # the Frank-Wolfe step and -lambda / (1 + lambda) for the away step,
+    # with lambda in its closed form on the simplex
+    if kappa_j > 1.0:
+        lam = (kappa_j - n) / (n * (kappa_j - 1.0))
+        assert simplex_stepsize(u_j, kappa_j, True, n, 0) == pytest.approx(
+            lam / (1.0 - lam), rel=1e-13, abs=0.0)
+    lam = (n - kappa_j) / (n * (kappa_j - 1.0)) if kappa_j > 1.0 else math.inf
+    theta = simplex_stepsize(u_j, kappa_j, False, n, 0)
+    if kappa_j > 1.0:
+        assert theta == pytest.approx(-lam / (1.0 + lam), rel=1e-13, abs=0.0)
+    # cd_step's projection at -u_j is the away step's cap lambda_drop; the
+    # two forms round differently only where lambda_drop and lambda tie to
+    # within rounding
+    lam_drop = u_j / (1.0 - u_j)
+    u = DualWeights(np.array([u_j, 1.0 - u_j]))
+    out = cd_step(u, 0, theta, False)
+    if lam_drop == lam or not math.isclose(lam_drop, lam, rel_tol=1e-12):
+        assert (out.step_type is StepType.DROP) == (lam_drop <= lam)
 
 
 # --- coordinate-descent constant step ------------------------------------------------
@@ -239,8 +276,8 @@ def test_cd_add_step_and_decrement_value():
     kappa = np.array([1.9, 1.8, 4.0])
     out = gs_cd_step(u, kappa, AxisChoice(2, 1, 1.0, 0.1), 2)
     assert out.step_type is StepType.ADD
-    assert out.recorded == pytest.approx(0.125)
-    dec = np.log1p(out.recorded * 4.0) - 2 * out.recorded
+    assert out.theta_rel == pytest.approx(0.125)
+    dec = np.log1p(out.theta_rel * 4.0) - 2 * out.theta_rel
     assert dec == pytest.approx(np.log(1.5) - 0.25)
     assert dec >= (2 - 4.0) ** 2 / (2 * 4.0 ** 2)
 
@@ -249,7 +286,7 @@ def test_cd_decrease_step():
     u = DualWeights(np.array([0.2, 0.8]))
     out = gs_cd_step(u, np.array([3.0, 1.0]), AxisChoice(0, 1, 0.1, 0.5), 2)
     assert out.step_type is StepType.DECREASE
-    assert out.recorded == pytest.approx(-0.5)
+    assert out.theta_rel == pytest.approx(-0.5)
     assert u.u[1] == pytest.approx(0.3)
 
 
@@ -257,7 +294,7 @@ def test_cd_projected_drop():
     u = DualWeights(np.array([0.8, 0.2]))
     out = gs_cd_step(u, np.array([3.0, 1.0]), AxisChoice(0, 1, 0.1, 0.5), 2)
     assert out.step_type is StepType.DROP
-    assert out.recorded == pytest.approx(-0.2)
+    assert out.theta_rel == pytest.approx(-0.2)
     assert u.u[1] == 0.0 and not u.support[1]
 
 
@@ -268,7 +305,7 @@ def test_cd_decrease_landing_on_zero_is_a_drop():
     kappa = np.array([2.2, 1.0])
     out = gs_cd_step(u, kappa, axis_choice(kappa, u, 2), 2)
     assert out.step_type is StepType.DROP
-    assert out.recorded == pytest.approx(-0.5)
+    assert out.theta_rel == pytest.approx(-0.5)
     assert np.array_equal(u.u, [0.5, 0.0])
     assert np.array_equal(u.support, [True, False])
 
@@ -279,7 +316,7 @@ def test_diminishing_first_step_is_full():
     u = DualWeights(np.array([0.5, 0.5]))
     out = gs_cd_step(u, np.array([3.0, 1.5]), AxisChoice(0, 1, 0.5, 0.25), 2,
                      schedule_stepsize, 0)
-    assert out.recorded == pytest.approx(1.0)
+    assert out.theta_rel == pytest.approx(1.0)
 
 
 def test_diminishing_clamps_to_drop():
@@ -287,7 +324,7 @@ def test_diminishing_clamps_to_drop():
     out = gs_cd_step(u, np.array([2.5, 1.4]), AxisChoice(0, 1, 0.25, 0.3), 2,
                      schedule_stepsize, 8)
     assert out.step_type is StepType.DROP
-    assert out.recorded == pytest.approx(-0.05)
+    assert out.theta_rel == pytest.approx(-0.05)
     assert u.u[1] == 0.0
 
 
@@ -295,7 +332,7 @@ def test_diminishing_vanishes():
     u = DualWeights(np.array([0.5, 0.5]))
     out = gs_cd_step(u, np.array([2.5, 1.4]), AxisChoice(0, 1, 0.25, 0.3), 2,
                      schedule_stepsize, 10 ** 6)
-    assert abs(out.recorded) <= 2e-6
+    assert abs(out.theta_rel) <= 2e-6
 
 
 # --- backtracking ------------------------------------------------------------------------
@@ -331,7 +368,7 @@ def test_armijo_drops_weights_below_floor():
     u = DualWeights(np.array([1.0, 1e-14]))
     out = gs_cd_step(u, np.array([3.0, 1.0]), AxisChoice(0, 1, 0.1, 0.5), 2,
                      armijo_stepsize)
-    assert out.step_type is StepType.DROP and out.recorded == -1e-14
+    assert out.step_type is StepType.DROP and out.theta_rel == -1e-14
     assert u.u[1] == 0.0 and not u.support[1]
     assert armijo_stepsize(0.3, 1.0, False, 2, 0) == pytest.approx(-0.25)
     assert armijo_stepsize(0.0, 4.0, True, 2, 0) == pytest.approx(0.125)
@@ -366,21 +403,21 @@ def test_rcd_step_branches():
 
     u = DualWeights(np.array([0.5, 0.5, 0.0]))
     out = rcd_cd_step(u, np.array([2.0, 1.5, 1.0]), 2, 2)  # zero-weight interior
-    assert out.step_type is StepType.DROP and out.recorded == 0.0
+    assert out.step_type is StepType.DROP and out.theta_rel == 0.0
 
     # stationary axis: a zero step moves nothing; it is labelled with the
     # chosen direction on the support (rcd decreases at kappa_j = n) and a
     # drop off it
     u = DualWeights(np.array([0.5, 0.5]))
     out = rcd_cd_step(u, np.array([2.0, 2.0]), 0, 2)
-    assert out.recorded == 0.0 and u.u[0] == 0.5
+    assert out.theta_rel == 0.0 and u.u[0] == 0.5
     assert out.step_type is StepType.DECREASE and u.support[0]
     out = cd_step(u, 0, 0.0, True)
     assert out.step_type is StepType.INCREASE and u.u[0] == 0.5
 
     u = DualWeights(np.array([0.5, 0.5, 0.0]))
     out = rcd_cd_step(u, np.array([2.0, 2.0, 2.0]), 2, 2)
-    assert out.step_type is StepType.DROP and out.recorded == 0.0
+    assert out.step_type is StepType.DROP and out.theta_rel == 0.0
     assert np.array_equal(u.u, [0.5, 0.5, 0.0])
     assert np.array_equal(u.support, [True, True, False])
 
@@ -910,7 +947,7 @@ def test_kernels_called_once_per_iteration_through_module(small_lifted, alg,
             return out
         return wrapper
 
-    for name in ("cd_step", "wa_step", "select_axis_gauss_southwell",
+    for name in ("cd_step", "select_axis_gauss_southwell",
                  "objective_h", "apply_inverse", "gradient_rank_one",
                  "rank_one_modify"):
         monkeypatch.setattr(mvee.solvers, name,
@@ -918,10 +955,7 @@ def test_kernels_called_once_per_iteration_through_module(small_lifted, alg,
     rep = solve(small_lifted, SolverConfig(algorithm=alg, epsilon=1e-5,
                                            max_iter=300))
     assert rep.iterations > 0
-    kernel, other = (("wa_step", "cd_step")
-                     if alg in (Algorithm.FWK, Algorithm.WA)
-                     else ("cd_step", "wa_step"))
-    assert calls[kernel] == rep.iterations and calls[other] == 0
+    assert calls["cd_step"] == rep.iterations
     # the last stopping test and the final objective make one call more each
     assert calls["select_axis_gauss_southwell"] == rep.iterations + 1
     assert calls["objective_h"] == rep.iterations + 1
