@@ -1,5 +1,6 @@
 """Problem data model: point sets, dual weights, lifting, ellipsoid recovery,
-objectives, and optimality certificates.
+objectives, and the optimality certificate with the Gauss-Southwell axis
+rule that reads it.
 
 Conventions: points are stored as columns of an n x m matrix.  A centrally
 symmetric instance {+-x_i} keeps only one representative per pair, because
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateCovariance, InvalidInput, PointParseError,
-                     TooFewPoints)
+from .errors import (DegenerateCovariance, InvalidInput, NotFullRank,
+                     PointParseError, TooFewPoints)
+from .linalg import factor_from_weights
 
 
 @dataclass
@@ -32,6 +34,8 @@ class PointSet:
         if not np.isfinite(pts).all():
             raise InvalidInput("points contain non-finite entries")
         n, m = pts.shape
+        if n < 1:
+            raise InvalidInput("points need at least one coordinate")
         # full-dimensional MVEE needs n points on a symmetric instance,
         # n + 1 otherwise (affine hull requirement)
         needed = n if self.symmetric else n + 1
@@ -76,6 +80,19 @@ class Ellipsoid:
 
 
 @dataclass
+class AxisChoice:
+    j_plus: int
+    j_minus: int
+    eps_plus: float
+    eps_minus: float
+
+    @property
+    def increase(self) -> bool:
+        """Direction of the Gauss-Southwell step; ties go to the increase."""
+        return self.eps_plus >= self.eps_minus
+
+
+@dataclass
 class CertificateReport:
     eps_plus: float
     eps_minus: float
@@ -101,8 +118,12 @@ def recover_ellipsoid(u: DualWeights, X_original: PointSet,
 
     Weights are rescaled to sum to one first: the optimum satisfies
     e^T u = 1 exactly, so this is a no-op there and a normalization at
-    solver tolerance.  For a symmetric instance passed through unlifted
-    (X_lifted is X_original) the center is the origin and H = (X U X^T)^{-1}.
+    solver tolerance.  With w = u / e^T u and c = P w, the lifted points
+    (p_i, 1) give M(w) = [[P W P^T, c], [c^T, 1]], so the top-left n x n
+    block of M(w)^{-1} is the inverse of the Schur complement
+    P W P^T - c c^T: the shape H, read from the factor the solver uses.
+    For a symmetric instance passed through unlifted (X_lifted is
+    X_original) the center is the origin and H is all of M(w)^{-1}.
 
     Raises
     ------
@@ -112,25 +133,15 @@ def recover_ellipsoid(u: DualWeights, X_original: PointSet,
     total = u.u.sum()
     if total <= 0.0:
         raise DegenerateCovariance("weights sum to zero")
-    w = u.u / total
-    P = X_original.points
-    n = X_original.dim
-    if X_lifted.dim == n:
-        c = np.zeros(n)
-        sigma = (P * w) @ P.T
-    else:
-        c = P @ w
-        sigma = (P * w) @ P.T - np.outer(c, c)
-    sigma = (sigma + sigma.T) / 2.0
+    w = DualWeights(u.u / total)
     try:
-        Lc = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
+        state = factor_from_weights(X_lifted, w)
+    except NotFullRank:
         raise DegenerateCovariance(
             "support points span a lower-dimensional affine set") from None
-    # sigma = R^T R for upper triangular R = Lc^T; invert as in linalg
-    Rinv = np.linalg.solve(Lc.T, np.eye(n))
-    H = Rinv @ Rinv.T
-    return Ellipsoid(center=c, shape=H, level=float(n))
+    n = X_original.dim
+    c = X_original.points @ w.u if X_lifted.dim > n else np.zeros(n)
+    return Ellipsoid(center=c, shape=state.Minv[:n, :n], level=float(n))
 
 
 def volume(E: Ellipsoid) -> float:
@@ -149,12 +160,26 @@ def shape_logdet(E: Ellipsoid) -> float:
 
 def objective_h(total: float, state, c: float = 1.0) -> float:
     """h(c v) = -ln det(c X V X^T) + n (c e^T v - 1) from total = e^T v and
-    the state of M(v) = X V X^T, in O(1); ln det(c M) = ln det M + n ln c.
-    c is the normaliser of weights held up to scale, and 1 for weights held
-    as they are.  solvers.solve keeps e^T v as a running sum; pass
-    v.u.sum() for weights held elsewhere."""
+    the state of M(v) = X V X^T, in O(1); ln det(c M) = ln det M + n ln c."""
     n = len(state.Minv)
     return -(state.log_det + n * math.log(c)) + n * (c * total - 1.0)
+
+
+def select_axis_gauss_southwell(kappa: np.ndarray, support: np.ndarray,
+                                n: float) -> AxisChoice:
+    """Largest-|gradient| axes: argmax kappa overall, argmin over the support.
+
+    `support` holds the indices of the positive weights in increasing order,
+    so the decrease axis costs O(s) for s support points on top of the O(m)
+    argmax.  Ties break to the lowest index.  eps_plus = kappa_max/n - 1 and
+    eps_minus = 1 - kappa_min_support/n are the two certificate quantities.
+    """
+    j_plus = int(kappa.argmax())
+    on_support = kappa[support]
+    i = int(on_support.argmin())
+    return AxisChoice(j_plus, support.item(i),
+                      kappa.item(j_plus) / n - 1.0,
+                      1.0 - on_support.item(i) / n)
 
 
 def certificate(u: DualWeights, kappa: np.ndarray, n: int,
@@ -163,14 +188,14 @@ def certificate(u: DualWeights, kappa: np.ndarray, n: int,
 
     eps_plus bounds how far the worst point pokes outside the trial
     ellipsoid; eps_minus how far the weakest support point sits inside.
-    The certified objective gap is n ln(1 + eps_plus), clamped at zero.
+    Both come from the Gauss-Southwell axis rule.  The certified objective
+    gap is n ln(1 + eps_plus), clamped at zero.
     """
-    kappa = np.asarray(kappa)
-    eps_plus = float(kappa.max() / n - 1.0)
-    sup = u.support
-    if not sup.any():
+    support = np.flatnonzero(u.u)
+    if not support.size:
         raise InvalidInput("empty support")
-    eps_minus = float(1.0 - kappa[sup].min() / n)
+    choice = select_axis_gauss_southwell(np.asarray(kappa), support, n)
+    eps_plus, eps_minus = choice.eps_plus, choice.eps_minus
     feasible = eps_plus <= eps
     optimal = feasible and eps_minus <= eps
     gap = max(0.0, n * np.log1p(eps_plus))
@@ -197,6 +222,8 @@ def read_points(path) -> np.ndarray:
                 continue
             toks = (line.split(",") if "," in line else line.split())
             toks = [t.strip() for t in toks if t.strip()]
+            if not toks:
+                raise PointParseError(f"{path}: line {lineno}: no values")
             if header_allowed:
                 # only the first non-empty row may be a header
                 header_allowed = False

@@ -62,7 +62,8 @@ from .linalg import (
     gradient_refresh,
     rank_one_modify,
 )
-from .problem import DualWeights, PointSet, objective_h
+from .problem import (DualWeights, PointSet, objective_h,
+                      select_axis_gauss_southwell)
 
 # weights below this are dropped outright by the backtracking variant rather
 # than decayed geometrically forever (the line search itself never hits zero)
@@ -142,19 +143,6 @@ class SolveReport:
 
 
 @dataclass
-class AxisChoice:
-    j_plus: int
-    j_minus: int
-    eps_plus: float
-    eps_minus: float
-
-    @property
-    def increase(self) -> bool:
-        """Direction of the Gauss-Southwell step; ties go to the increase."""
-        return self.eps_plus >= self.eps_minus
-
-
-@dataclass
 class StepOutcome:
     """What cd_step did to the held weights v: v_j moved by theta_rel, after
     the projection onto v_j >= 0, so M(v) -> M(v) + theta_rel x_j x_j^T.
@@ -222,24 +210,6 @@ def init_kumar_yildirim(X: PointSet, seed: int) -> DualWeights:
     return DualWeights(u)
 
 
-def select_axis_gauss_southwell(kappa: np.ndarray, support: np.ndarray,
-                                n: float) -> AxisChoice:
-    """Largest-|gradient| axes: argmax kappa overall, argmin over the support.
-
-    `support` holds the indices of the positive weights in increasing order,
-    so the decrease axis costs O(s) for s support points on top of the O(m)
-    argmax.  Ties break to the lowest index.  eps_plus = kappa_max/n - 1 and
-    eps_minus = 1 - kappa_min_support/n are the two certificate quantities;
-    for weights v held up to a normaliser c, kappa(v) is passed with n c.
-    """
-    j_plus = int(kappa.argmax())
-    on_support = kappa[support]
-    i = int(on_support.argmin())
-    return AxisChoice(j_plus, support.item(i),
-                      kappa.item(j_plus) / n - 1.0,
-                      1.0 - on_support.item(i) / n)
-
-
 def cd_step(u: DualWeights, j: int, theta: float,
             increase: bool) -> StepOutcome:
     """Projected coordinate step u_j <- u_j + theta onto u_j >= 0.
@@ -276,7 +246,8 @@ def exact_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
                    k: int) -> float:
     """Per-axis exact smoothness step: (kappa_j - n) / kappa_j^2 on an
     increase (kappa_j >= n), (kappa_j - n) / (n kappa_j) on a decrease
-    (kappa_j <= n)."""
+    (kappa_j <= n).  At kappa_j <= 0 (x_j = 0) h changes by n theta along
+    the whole decrease ray, and the step is -inf: cd_step drops u_j."""
     if increase:
         if not kappa_j >= n:
             raise StepRuleViolation(
@@ -285,7 +256,7 @@ def exact_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
     if not kappa_j <= n:
         raise StepRuleViolation(
             f"decrease branch needs kappa_j <= n, got {kappa_j} > {n}")
-    return (kappa_j - n) / (n * kappa_j)
+    return (kappa_j - n) / (n * kappa_j) if kappa_j > 0.0 else -math.inf
 
 
 def simplex_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,

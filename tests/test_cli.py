@@ -1,10 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvee
 from mvee.cli import ALGORITHM_NAMES, _load_plan, main
+from mvee.problem import read_points
 from mvee.solvers import Algorithm, SolverConfig
 
 SQUARE_ROWS = "1 1\n1 -1\n-1 1\n-1 -1\n"
@@ -70,6 +76,16 @@ def test_solve_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(path))
     assert code == 1
     assert "line 2" in err
+
+
+def test_solve_separator_only_first_line(tmp_path, capsys):
+    # no tokens at all on the line a header would sit on
+    path = tmp_path / "sep.txt"
+    path.write_text(",\n1,2\n3,4\n5,6\n")
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == 1
+    assert "line 1" in err
+    assert "Traceback" not in err
 
 
 def test_solve_missing_file(capsys, tmp_path):
@@ -155,6 +171,19 @@ def test_gen_deterministic_and_shaped(tmp_path, capsys):
     assert a.read_text() == b.read_text()
     rows = [ln.split() for ln in a.read_text().strip().splitlines()]
     assert len(rows) == 10 and all(len(r) == 2 for r in rows)
+
+
+def test_module_entry_point_runs_gen(tmp_path):
+    # `python -m mvee.cli` is the documented module entry point
+    out = tmp_path / "points.txt"
+    src = Path(mvee.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvee.cli", "gen", "--n", "2", "--m", "7",
+         "--seed", "3", "--output", str(out)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert read_points(out).shape == (7, 2)
 
 
 def test_gen_rejects_flat_instance(tmp_path, capsys):

@@ -9,6 +9,8 @@
 - No public name that only tests use: every public module-level name in
   the package is referenced from another statement of the package or from
   the benchmark under perfbench/.
+- One home for factorizations: only linalg.py calls numpy's cholesky,
+  solve or inv, so every consumer of M^{-1} reads it from the same factor.
 """
 
 import ast
@@ -64,6 +66,26 @@ def test_no_scipy_imports(path):
         found += [(node.lineno, name) for name in modules
                   if name.split(".")[0] == "scipy"]
     assert not found, f"{path.name}: scipy imports {found}"
+
+
+FACTORIZATIONS = {"cholesky", "solve", "inv"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_factorizations_only_in_linalg(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in FACTORIZATIONS
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"):
+            found.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[-1] == "linalg"):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in FACTORIZATIONS]
+    assert not found, f"{path.name}: factorizations outside linalg.py {found}"
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -23,6 +23,7 @@ from mvee.linalg import (
     rank_one_modify,
 )
 from mvee.problem import (
+    AxisChoice,
     DualWeights,
     PointSet,
     certificate,
@@ -31,7 +32,6 @@ from mvee.problem import (
 )
 from mvee.solvers import (
     Algorithm,
-    AxisChoice,
     InitScheme,
     SolverConfig,
     StepOutcome,
@@ -660,6 +660,22 @@ def test_zero_step_on_the_support_is_labelled_a_decrease():
         row = rep.trace[k]
         assert row.theta_or_lambda == 0.0
         assert row.step_type is StepType.DECREASE, (k, row)
+
+
+def test_zero_column_is_dropped_by_the_exact_stepsize():
+    # x_2 = 0 has kappa_2 = 0, and h changes by n theta along its decrease
+    # ray: the step is -inf, which cd_step clamps to the drop
+    assert exact_stepsize(0.25, 0.0, False, 2, 0) == -math.inf
+    X = PointSet([[1, 0, 0, 2], [0, 1, 0, 1]], symmetric=True)
+    rep = solve(X, SolverConfig(algorithm=Algorithm.CD_CONST,
+                                init=InitScheme.KHACHIYAN))
+    assert rep.converged
+    assert rep.trace[0].axis == 2
+    assert rep.trace[0].step_type is StepType.DROP
+    assert rep.u_final.u[2] == 0.0
+    rep = solve(X, SolverConfig(algorithm=Algorithm.RCD,
+                                init=InitScheme.KHACHIYAN, max_iter=300))
+    assert rep.iterations == 300
 
 
 @pytest.mark.parametrize("alg", [Algorithm.CD_CONST, Algorithm.WA])
