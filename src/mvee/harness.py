@@ -5,8 +5,8 @@ ill-conditioned linear map and shifted.  A uniform ball fill puts more of
 its points near the surface than a standard-normal sample does, and more
 so as n grows.  Benchmarks run a grid of (regime x repetition x
 algorithm), building each repetition's instance once and solving it with
-every algorithm, and emit per-run trace CSVs plus an aggregate table with
-per-(regime, algorithm) arithmetic means.
+every algorithm; the task that solves a run writes its trace CSV.  An
+aggregate table adds per-(regime, algorithm) arithmetic means.
 """
 
 import csv
@@ -137,14 +137,16 @@ def run_benchmark(plan: BenchmarkPlan,
     result tables into plan.output_dir.
 
     One task per (regime, repetition) builds the instance, seeded
-    plan.seed + repetition, once and solves it with every algorithm.
-    Solver errors mark the row failed without aborting the rest of the
-    plan; an instance that cannot be built marks every algorithm's row of
-    its repetition.  Rows come back in plan order regardless of
-    parallelism; only the seconds column depends on timing.
+    plan.seed + repetition, once, solves it with every algorithm and
+    writes each solve's trace.  A solver error marks its row failed, with
+    no trace, and the plan goes on; an instance that cannot be built marks
+    every algorithm's row of its repetition.  Rows come back in plan order
+    whatever the parallelism; only the seconds column depends on timing.
     """
     tasks = [(regime, rep) for regime in plan.regimes
              for rep in range(regime.repetitions)]
+    outdir = Path(plan.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     def _failed(regime, rep, cfg, exc):
         return BenchmarkRow(regime.label, regime.n, regime.m,
@@ -156,34 +158,24 @@ def run_benchmark(plan: BenchmarkPlan,
         try:
             X = lift(gen_sample(regime.n, regime.m, plan.seed + rep))
         except MveeError as exc:
-            return [(_failed(regime, rep, cfg, exc), None)
-                    for cfg in plan.algorithms]
-        out = []
+            return [_failed(regime, rep, cfg, exc) for cfg in plan.algorithms]
+        rows = []
         for cfg in plan.algorithms:
             try:
                 report = solve(X, cfg)
             except MveeError as exc:
-                out.append((_failed(regime, rep, cfg, exc), None))
+                rows.append(_failed(regime, rep, cfg, exc))
                 continue
-            out.append((BenchmarkRow(regime.label, regime.n, regime.m,
-                                     cfg.algorithm.value, rep,
-                                     report.iterations, report.wall_time,
+            alg = cfg.algorithm.value
+            write_trace(report.trace, outdir / f"{regime.label}_{alg}_{rep}.csv")
+            rows.append(BenchmarkRow(regime.label, regime.n, regime.m, alg,
+                                     rep, report.iterations, report.wall_time,
                                      report.final_eps, report.final_h,
-                                     report.converged), report.trace))
-        return out
+                                     report.converged))
+        return rows
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        results = list(pool.map(_run, tasks))
-
-    rows = []
-    outdir = Path(plan.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for (regime, rep), solved in zip(tasks, results):
-        for row, trace in solved:
-            rows.append(row)
-            if trace is not None:
-                name = f"{regime.label}_{row.algorithm}_{rep}.csv"
-                write_trace(trace, outdir / name)
+        rows = [row for solved in pool.map(_run, tasks) for row in solved]
     write_rows_csv(rows, outdir / "results.csv")
     write_means_csv(rows, outdir / "results_means.csv")
     return rows

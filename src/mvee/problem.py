@@ -72,11 +72,12 @@ class DualWeights:
 
 @dataclass
 class Ellipsoid:
-    """E(H, c) = {x : (x - c)^T H (x - c) <= level}; H symmetric PD."""
+    """E(H, c) = {x : (x-c)^T H (x-c) <= level}; H SPD, logdet = ln det H."""
 
     center: np.ndarray
     shape: np.ndarray
     level: float
+    logdet: float
 
 
 @dataclass
@@ -106,8 +107,6 @@ def lift(X: PointSet) -> PointSet:
     one dimension higher.  The mirror -(x_i, 1) is implicit."""
     if X.symmetric:
         raise InvalidInput("instance is already symmetric")
-    if X.count < X.dim + 1:
-        raise TooFewPoints(f"need at least {X.dim + 1} points to lift")
     Y = np.vstack([X.points, np.ones((1, X.count))])
     return PointSet(Y, symmetric=True)
 
@@ -121,9 +120,10 @@ def recover_ellipsoid(u: DualWeights, X_original: PointSet,
     solver tolerance.  With w = u / e^T u and c = P w, the lifted points
     (p_i, 1) give M(w) = [[P W P^T, c], [c^T, 1]], so the top-left n x n
     block of M(w)^{-1} is the inverse of the Schur complement
-    P W P^T - c c^T: the shape H, read from the factor the solver uses.
-    For a symmetric instance passed through unlifted (X_lifted is
-    X_original) the center is the origin and H is all of M(w)^{-1}.
+    P W P^T - c c^T, whose determinant is det M(w): H and ln det H =
+    -ln det M(w) come from the factor the solver uses.  For a symmetric
+    instance passed through unlifted (X_lifted is X_original) the center
+    is the origin and H is all of M(w)^{-1}.
 
     Raises
     ------
@@ -141,21 +141,15 @@ def recover_ellipsoid(u: DualWeights, X_original: PointSet,
             "support points span a lower-dimensional affine set") from None
     n = X_original.dim
     c = X_original.points @ w.u if X_lifted.dim > n else np.zeros(n)
-    return Ellipsoid(center=c, shape=state.Minv[:n, :n], level=float(n))
+    return Ellipsoid(center=c, shape=state.Minv[:n, :n], level=float(n),
+                     logdet=-state.log_det)
 
 
 def volume(E: Ellipsoid) -> float:
     """Volume of {x : (x-c)^T H (x-c) <= n}, i.e. n^{n/2} Vol(B_n) / sqrt(det H)."""
     n = E.center.size
     return float(np.exp(0.5 * n * np.log(n) + 0.5 * n * np.log(np.pi)
-                        - math.lgamma(0.5 * n + 1.0) - 0.5 * shape_logdet(E)))
-
-
-def shape_logdet(E: Ellipsoid) -> float:
-    sign, ld = np.linalg.slogdet(E.shape)
-    if sign <= 0:
-        raise DegenerateCovariance("shape matrix is not positive definite")
-    return float(ld)
+                        - math.lgamma(0.5 * n + 1.0) - 0.5 * E.logdet))
 
 
 def objective_h(total: float, state, c: float = 1.0) -> float:
@@ -210,8 +204,8 @@ def read_points(path) -> np.ndarray:
 
     `#` starts a comment that runs to the end of the line; blank and
     comment-only lines are skipped.  An optional header row is auto-detected
-    by a non-numeric first token.  Returns the points as rows (count x dim).
-    Errors carry line numbers.
+    by a non-empty, non-numeric first field.  Returns the points as rows
+    (count x dim).  Errors, such as an empty field, carry line numbers.
     """
     rows = []
     header_allowed = True
@@ -221,23 +215,21 @@ def read_points(path) -> np.ndarray:
             if not line:
                 continue
             toks = (line.split(",") if "," in line else line.split())
-            toks = [t.strip() for t in toks if t.strip()]
-            if not toks:
-                raise PointParseError(f"{path}: line {lineno}: no values")
             if header_allowed:
                 # only the first non-empty row may be a header
                 header_allowed = False
                 try:
                     float(toks[0])
                 except ValueError:
-                    continue
+                    if toks[0].strip():
+                        continue
             vals = []
             for t in toks:
                 try:
                     vals.append(float(t))
                 except ValueError:
                     raise PointParseError(
-                        f"{path}: line {lineno}: non-numeric value {t!r}") from None
+                        f"{path}: line {lineno}: non-numeric value {t.strip()!r}") from None
             if rows and len(vals) != len(rows[0]):
                 raise PointParseError(
                     f"{path}: line {lineno}: expected {len(rows[0])} columns, "
@@ -262,7 +254,7 @@ def ellipsoid_to_dict(E: Ellipsoid) -> dict:
         "center": [float(v) for v in E.center],
         "shape": [[float(v) for v in row] for row in E.shape],
         "level": float(E.level),
-        "logdet_H": shape_logdet(E),
+        "logdet_H": float(E.logdet),
         "volume": volume(E),
     }
 

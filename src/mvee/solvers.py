@@ -56,6 +56,7 @@ from .errors import (
     StepRuleViolation,
 )
 from .linalg import (
+    PD_TOL,
     apply_inverse,
     factor_from_weights,
     gradient_rank_one,
@@ -326,7 +327,7 @@ def armijo_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
     lam = 1.0
     while lam >= 1e-16:
         theta = d * lam
-        if increase or (lam <= u_j and 1.0 + theta * kappa_j > 1e-12):
+        if increase or (lam <= u_j and 1.0 + theta * kappa_j > PD_TOL):
             dh = n * theta - np.log1p(theta * kappa_j)
             if dh <= -target * lam:
                 return theta

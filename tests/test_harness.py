@@ -270,6 +270,21 @@ def test_run_benchmark_parallel_determinism(tmp_path):
     assert [r.final_eps for r in seq] == [r.final_eps for r in par]
     assert [(r.regime, r.algorithm, r.rep) for r in seq] == \
         [(r.regime, r.algorithm, r.rep) for r in par]
+    # each task writes its own traces: the files do not depend on the pool
+    a, b = tmp_path / "a", tmp_path / "b"
+    traces = sorted(p.name for p in a.glob("tiny_*.csv"))
+    assert len(traces) == 4
+    assert traces == sorted(p.name for p in b.glob("tiny_*.csv"))
+    for name in traces:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def without_seconds(path):
+        with open(path) as fh:
+            return [{k: v for k, v in row.items() if k != "seconds"}
+                    for row in csv.DictReader(fh)]
+
+    assert without_seconds(a / "results.csv") == \
+        without_seconds(b / "results.csv")
 
 
 def test_means_csv_aggregates(tmp_path):

@@ -10,7 +10,8 @@
   the package is referenced from another statement of the package or from
   the benchmark under perfbench/.
 - One home for factorizations: only linalg.py calls numpy's cholesky,
-  solve or inv, so every consumer of M^{-1} reads it from the same factor.
+  solve, inv, slogdet or det, so every consumer of M^{-1} or ln det M
+  reads it from the same factor.
 """
 
 import ast
@@ -68,7 +69,7 @@ def test_no_scipy_imports(path):
     assert not found, f"{path.name}: scipy imports {found}"
 
 
-FACTORIZATIONS = {"cholesky", "solve", "inv"}
+FACTORIZATIONS = {"cholesky", "solve", "inv", "slogdet", "det"}
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "linalg.py"],

@@ -19,7 +19,6 @@ from mvee.problem import (
     objective_h,
     read_points,
     recover_ellipsoid,
-    shape_logdet,
     volume,
     write_ellipsoid_json,
     write_points,
@@ -130,17 +129,20 @@ def test_recover_shape_is_the_inverse_covariance(n, lifted):
     assert np.abs(E.shape - want).max() <= 1e-12 * np.abs(want).max()
     assert np.array_equal(E.shape, E.shape.T)
     assert E.center == pytest.approx(c, rel=1e-12, abs=1e-15)
+    # ln det H comes from the solver's factor: -ln det M(w)
+    assert E.logdet == pytest.approx(np.linalg.slogdet(E.shape)[1],
+                                     rel=1e-12, abs=0.0)
 
 
 # --- volume -----------------------------------------------------------------------
 
 def test_volume_disk():
-    E = Ellipsoid(np.zeros(2), np.eye(2), 2.0)
+    E = Ellipsoid(np.zeros(2), np.eye(2), 2.0, 0.0)
     assert volume(E) == pytest.approx(2 * np.pi, rel=1e-12)
 
 
 def test_volume_unit_ball():
-    E = Ellipsoid(np.zeros(3), 3.0 * np.eye(3), 3.0)
+    E = Ellipsoid(np.zeros(3), 3.0 * np.eye(3), 3.0, 3 * np.log(3.0))
     assert volume(E) == pytest.approx(4 * np.pi / 3, rel=1e-12)
 
 
@@ -153,19 +155,8 @@ def test_volume_unit_ball():
     (6, 36.0 * np.pi ** 3),
 ])
 def test_volume_level_n_ball(n, want):
-    E = Ellipsoid(np.zeros(n), np.eye(n), float(n))
+    E = Ellipsoid(np.zeros(n), np.eye(n), float(n), 0.0)
     assert volume(E) == pytest.approx(want, rel=1e-12)
-
-
-def test_volume_rejects_indefinite_shape():
-    E = Ellipsoid(np.zeros(2), np.diag([1.0, -1.0]), 2.0)
-    with pytest.raises(DegenerateCovariance):
-        volume(E)
-
-
-def test_shape_logdet():
-    E = Ellipsoid(np.zeros(2), np.diag([4.0, 0.25]), 2.0)
-    assert shape_logdet(E) == pytest.approx(0.0, abs=1e-14)
 
 
 @given(st.integers(0, 5_000), st.integers(1, 4), st.floats(0.1, 9.0))
@@ -174,8 +165,9 @@ def test_volume_scaling(seed, n, t):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     H = A @ A.T + n * np.eye(n)
-    base = Ellipsoid(np.zeros(n), H, float(n))
-    scaled = Ellipsoid(np.zeros(n), t * H, float(n))
+    logdet = np.linalg.slogdet(H)[1]
+    base = Ellipsoid(np.zeros(n), H, float(n), logdet)
+    scaled = Ellipsoid(np.zeros(n), t * H, float(n), n * np.log(t) + logdet)
     assert volume(scaled) == pytest.approx(volume(base) / t ** (n / 2),
                                            rel=1e-9)
 
@@ -354,6 +346,14 @@ def test_read_points_reports_bad_token_line(tmp_path):
         read_points(path)
 
 
+def test_read_points_rejects_empty_field(tmp_path):
+    # an empty CSV field is a missing value, not a separator to skip
+    path = tmp_path / "pts.csv"
+    path.write_text("1,2\n3,,4\n5,6\n")
+    with pytest.raises(PointParseError, match="line 2"):
+        read_points(path)
+
+
 def test_read_points_rejects_ragged_rows(tmp_path):
     path = tmp_path / "pts.txt"
     path.write_text("1.0 2.0\n3.0\n")
@@ -364,7 +364,7 @@ def test_read_points_rejects_ragged_rows(tmp_path):
 # --- ellipsoid JSON -------------------------------------------------------------------------
 
 def test_ellipsoid_dict_fields():
-    E = Ellipsoid(np.array([0.5]), np.array([[4.0]]), 1.0)
+    E = Ellipsoid(np.array([0.5]), np.array([[4.0]]), 1.0, np.log(4.0))
     d = ellipsoid_to_dict(E)
     assert d["n"] == 1
     assert d["center"] == [0.5]
@@ -375,7 +375,7 @@ def test_ellipsoid_dict_fields():
 
 
 def test_ellipsoid_json_with_extras():
-    E = Ellipsoid(np.zeros(2), np.eye(2), 2.0)
+    E = Ellipsoid(np.zeros(2), np.eye(2), 2.0, 0.0)
     buf = io.StringIO()
     write_ellipsoid_json(E, buf, extra={"converged": True})
     payload = json.loads(buf.getvalue())
