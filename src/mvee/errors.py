@@ -13,29 +13,25 @@ class NotFullRank(MveeError):
     """Weighted points do not span the ambient space; the factor is singular."""
 
 
-class DowndateBreaksPD(MveeError):
-    """A rank-one downdate would make the factored matrix indefinite.
-
-    The solver no longer raises this: it keeps M^{-1} explicitly, and a
-    numerically singular rank-one change surfaces as SingularUpdate.  The
-    name stays public so that code catching it keeps importing.
-    """
-
-
 class SingularUpdate(MveeError):
-    """A rank-one gradient update has a vanishing or negative denominator."""
+    """A rank-one update has a vanishing or negative denominator."""
+
+
+# the older name of the same failure; perfbench/layers.py imports it
+DowndateBreaksPD = SingularUpdate
 
 
 class StepRuleViolation(MveeError):
     """A step rule or kernel was called outside its preconditions."""
 
 
-class TooFewPoints(MveeError):
+class TooFewPoints(InvalidInput):
     """Not enough points for a full-dimensional enclosing ellipsoid."""
 
 
 class DegenerateCovariance(MveeError):
-    """The weighted covariance of the point set is not positive definite."""
+    """recover_ellipsoid cannot factor M(w): the weights are all zero or
+    their support spans a lower-dimensional affine set."""
 
 
 class LineSearchStalled(MveeError):

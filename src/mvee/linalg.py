@@ -3,9 +3,10 @@
 Every solver iteration goes through this module.  The step rules need only
 M^{-1} x_j, the quadratic forms kappa_i = x_i^T M^{-1} x_i and ln det M, so
 the state holds M^{-1} and ln det M rather than a factor of M.  A rank-one
-change M -> M + theta x x^T is one Sherman-Morrison step on M^{-1} and
-one determinant-lemma step on ln det M, O(n^2) either way; kappa follows in
-place in O(m) from the O(m n) pass w = X^T M^{-1} x.  A full rebuild from the
+change M -> M + theta x x^T is one call with one denominator
+1 + theta kappa_j: a Sherman-Morrison step on M^{-1}, O(n^2), and on kappa
+in place, O(m) from the caller's O(m n) pass w = X^T M^{-1} x, and a
+determinant-lemma step on ln det M.  A full rebuild from the
 current weights is an orthogonal factorization, O(m n^2).  When to rebuild
 (at initialization, on a schedule that bounds floating-point drift, and
 after a numerically singular update) is decided by solvers.solve, not here.
@@ -19,8 +20,10 @@ import numpy as np
 
 from .errors import NotFullRank, SingularUpdate
 
-# Relative positive-definiteness threshold for triangular diagonals and for
-# rank-one update denominators, near machine-epsilon scale for doubles.
+# Positive-definiteness threshold near machine-epsilon scale for doubles:
+# relative to the largest triangular diagonal in factor_from_weights, but an
+# absolute floor on the update denominator 1 + theta kappa_j, whose rounding
+# grows with cond(M).
 PD_TOL = 1e-12
 
 
@@ -81,27 +84,34 @@ def factor_from_weights(X, u):
     return FactorState(Minv, 2.0 * float(np.log(d).sum()))
 
 
-def rank_one_modify(state, y, theta, kappa_j):
-    """Return the state of M' = M + theta * x x^T.
+def rank_one_modify(state, kappa, y, w, theta, kappa_j):
+    """Return the state of M' = M + theta * x x^T and update kappa in place.
 
-    Takes y = M^{-1} x and kappa_j = x^T M^{-1} x rather than x, since the
-    caller has already formed y for its gradient pass:
-    M'^{-1} = M^{-1} - theta y y^T / (1 + theta kappa_j) and
-    ln det M' = ln det M + ln(1 + theta kappa_j).  O(n^2).
+    Takes y = M^{-1} x, the pass w = X^T y and kappa_j = x^T M^{-1} x rather
+    than x, since the caller forms y and w for its gradient pass:
+    M'^{-1} = M^{-1} - s y y^T, kappa_i <- kappa_i - s w_i^2 with
+    s = theta / (1 + theta kappa_j), and
+    ln det M' = ln det M + ln(1 + theta kappa_j).  O(n^2 + m); w and the
+    input state are left unchanged.
 
     Raises
     ------
     SingularUpdate
         If 1 + theta * kappa_j <= PD_TOL: M + theta x x^T is (numerically)
-        singular and the caller should rebuild from (X, u) instead.
+        singular and the caller should rebuild from (X, u) instead; neither
+        the state nor kappa is touched.
     """
     denom = 1.0 + theta * kappa_j
     if denom <= PD_TOL:
         raise SingularUpdate(f"update denominator {denom:.3e}")
-    # M^{-1} - (theta / denom) (y y^T), operation by operation in one
-    # buffer: the same bits without the two n x n temporaries
+    s = theta / denom
+    change = w * w
+    change *= s
+    kappa -= change
+    # M^{-1} - s (y y^T), operation by operation in one buffer: the same
+    # bits without the two n x n temporaries
     outer = y[:, None] * y
-    outer *= theta / denom
+    outer *= s
     np.subtract(state.Minv, outer, out=outer)
     return FactorState(outer, state.log_det + math.log(denom))
 
@@ -114,39 +124,3 @@ def apply_inverse(state, x):
 def gradient_refresh(state, X):
     """Recompute kappa_i = x_i^T M^{-1} x_i for all columns.  O(m n^2)."""
     return np.einsum("ij,ij->j", X.points, state.Minv @ X.points)
-
-
-def gradient_rank_one(kappa, w, theta, kappa_j):
-    """Sherman-Morrison update of kappa, in place, under
-    M -> M + theta * x_j x_j^T.
-
-    Parameters
-    ----------
-    kappa : ndarray, shape (m,)
-        Current quadratic forms; overwritten with the updated ones.
-    w : ndarray, shape (m,)
-        Precomputed inner products w_i = x_i^T M^{-1} x_j (O(m n) pass);
-        left unchanged.
-    theta : float
-    kappa_j : float
-        Current quadratic form of the modified column.
-
-    Returns
-    -------
-    ndarray
-        kappa itself, holding kappa_i - theta * w_i^2 / (1 + theta * kappa_j).
-        O(m) with one temporary of length m.
-
-    Raises
-    ------
-    SingularUpdate
-        If 1 + theta * kappa_j <= PD_TOL, i.e. the update is (numerically)
-        singular and the state must be rebuilt instead; kappa is untouched.
-    """
-    denom = 1.0 + theta * kappa_j
-    if denom <= PD_TOL:
-        raise SingularUpdate(f"update denominator {denom:.3e}")
-    change = w * w
-    change *= theta / denom
-    kappa -= change
-    return kappa

@@ -59,7 +59,6 @@ from .linalg import (
     PD_TOL,
     apply_inverse,
     factor_from_weights,
-    gradient_rank_one,
     gradient_refresh,
     rank_one_modify,
 )
@@ -388,6 +387,7 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
     NotFullRank
         If the points do not span R^n, as for a lifted lower-dimensional set.
     """
+    t0 = time.perf_counter()
     if not X.symmetric:
         raise InvalidInput("solve expects a symmetric instance; lift(...) first")
     n, m = X.dim, X.count
@@ -407,7 +407,6 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
     else:
         u = init_kumar_yildirim(X, config.seed)
 
-    t0 = time.perf_counter()
     pts = X.points
     pts_t = pts.T
     w = np.empty(m)  # the gradient pass w = X^T M^{-1} x_j, reused each step
@@ -484,12 +483,11 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
         if theta_rel != 0.0:
             y = apply_inverse(state, pts[:, j])
             np.dot(pts_t, y, out=w)
-            # both updates take w_j = x_j^T y from the stored inverse, not the
-            # maintained kappa_j, whose error 1/(1 + theta kappa_j) would scale
-            wj = w.item(j)
             try:
-                kappa = gradient_rank_one(kappa, w, theta_rel, wj)
-                state = rank_one_modify(state, y, theta_rel, wj)
+                # w_j from the stored inverse, not the maintained kappa_j,
+                # whose error 1/(1 + theta kappa_j) would scale
+                state = rank_one_modify(state, kappa, y, w, theta_rel,
+                                        w.item(j))
             except SingularUpdate:
                 # exact drop of a geometrically loaded point; rebuild
                 rebuild = True

@@ -1,8 +1,10 @@
+import functools
 import time
 
 import pytest
 from hypothesis import HealthCheck, settings
 
+from mvee.errors import SingularUpdate
 from mvee.harness import gen_sample
 from mvee.problem import lift
 from mvee.solvers import Algorithm, SolverConfig, solve
@@ -69,3 +71,20 @@ def cd_moderate(moderate_instances):
 @pytest.fixture(scope="session")
 def wa_moderate(moderate_instances):
     return capped_reports(moderate_instances, Algorithm.WA, MODERATE_CAP_WA)
+
+
+def singular_on_call(fn, k):
+    """Wrap a rank-one kernel so that its k-th call (from 1) raises
+    SingularUpdate without running it, as a numerically singular update
+    does.  The wrapper keeps fn's name and module, so the benchmark's tracer
+    still takes it for the package's own function."""
+    calls = 0
+
+    @functools.wraps(fn)
+    def wrapper(*args):
+        nonlocal calls
+        calls += 1
+        if calls == k:
+            raise SingularUpdate("injected singular update")
+        return fn(*args)
+    return wrapper

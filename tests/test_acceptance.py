@@ -42,7 +42,6 @@ from mvee.harness import delta_minus, delta_plus, gen_sample
 from mvee.linalg import (
     apply_inverse,
     factor_from_weights,
-    gradient_rank_one,
     gradient_refresh,
     rank_one_modify,
 )
@@ -365,19 +364,20 @@ def test_criterion_08_factor_oracle_and_drift():
         xj = X.points[:, j]
         kj = float(dense_kappa[j])
         y = apply_inverse(state, xj)
-        up = rank_one_modify(state, y, theta, kj)
+        wvec = X.points.T @ y
+        inc = dense_kappa.copy()
+        up = rank_one_modify(state, inc, y, wvec, theta, kj)
         Mup = M + theta * np.outer(xj, xj)
         assert np.abs(up.Minv - np.linalg.inv(Mup)).max() < 1e-10
         assert abs(up.log_det - np.linalg.slogdet(Mup)[1]) < 1e-10
-        down = rank_one_modify(up, apply_inverse(up, xj), -theta,
-                               xj @ (up.Minv @ xj))
-        assert np.abs(down.Minv - np.linalg.inv(M)).max() < 1e-10
-        assert abs(down.log_det - np.linalg.slogdet(M)[1]) < 1e-10
-        wvec = X.points.T @ y
-        inc = gradient_rank_one(dense_kappa, wvec, theta, kj)
         dense_up = np.einsum("ij,ij->j", X.points,
                              np.linalg.solve(Mup, X.points))
         assert np.abs(inc - dense_up).max() < 1e-10
+        y_up = apply_inverse(up, xj)
+        w_up = X.points.T @ y_up
+        down = rank_one_modify(up, inc, y_up, w_up, -theta, w_up[j])
+        assert np.abs(down.Minv - np.linalg.inv(M)).max() < 1e-10
+        assert abs(down.log_det - np.linalg.slogdet(M)[1]) < 1e-10
 
     # long-run drift under the solver's maintenance policy
     rng = np.random.default_rng(42)
@@ -398,8 +398,7 @@ def test_criterion_08_factor_oracle_and_drift():
         xj = X.points[:, j]
         y = apply_inverse(state, xj)
         wvec = X.points.T @ y
-        kappa = gradient_rank_one(kappa, wvec, theta, kj)
-        state = rank_one_modify(state, y, theta, float(wvec[j]))
+        state = rank_one_modify(state, kappa, y, wvec, theta, float(wvec[j]))
         w[j] += theta
         updates += 1
         if updates % (50 * n) == 0:

@@ -16,6 +16,8 @@ from mvee.harness import gen_sample
 from mvee.problem import lift
 from mvee.solvers import SolverConfig
 
+from conftest import singular_on_call
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SOURCES = sorted(PERFBENCH.glob("*.py"))
 
@@ -68,3 +70,20 @@ def test_traced_step_counts_sum_to_iterations(algorithm, monkeypatch):
                ("add", "increase", "decrease", "drop")) == rep.iterations
     assert metrics["linalg.rebuilds.forced"] == 0
     assert metrics["solvers.support_final"] == rep.u_final.support.sum()
+
+
+def test_traced_singular_update_counts_as_forced(monkeypatch):
+    # a SingularUpdate raised by rank_one_modify is the forced rebuild the
+    # tracer counts; its attempts stay in update_ok_ratio's base
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    monkeypatch.setattr(mvee.solvers, "rank_one_modify",
+                        singular_on_call(mvee.solvers.rank_one_modify, 20))
+    X = lift(gen_sample(3, 40, 0))
+    with layers.Tracer() as tracer:
+        rep = mvee.solvers.solve(X, SolverConfig(epsilon=1e-5))
+    metrics = tracer.layer_metrics()
+    assert rep.converged
+    assert metrics["linalg.rebuilds.forced"] == 1
+    assert metrics["linalg.rebuilds.scheduled"] == 0
+    assert metrics["linalg.update_ok_ratio"] < 1.0

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import mvee
+import mvee.harness
 from mvee.cli import ALGORITHM_NAMES, _load_plan, main
+from mvee.errors import MveeError
 from mvee.problem import read_points
 from mvee.solvers import Algorithm, SolverConfig
 
@@ -235,6 +237,60 @@ def test_plan_fallbacks_are_the_solver_defaults(tmp_path):
     for cfg in configs:
         assert (cfg.epsilon, cfg.max_iter, cfg.init) == \
             (default.epsilon, default.max_iter, default.init)
+
+
+def test_default_plan_is_the_documented_one():
+    regimes, configs, seed = _load_plan(None)
+    assert seed == 1234
+    assert [(r.label, r.n, r.m, r.repetitions) for r in regimes] == [
+        ("small", 10, 500, 10), ("moderate", 30, 1800, 10)]
+    assert [cfg.algorithm for cfg in configs] == [Algorithm.CD_CONST,
+                                                  Algorithm.WA]
+    default = SolverConfig()
+    for cfg in configs:
+        assert (cfg.epsilon, cfg.max_iter, cfg.init, cfg.seed) == \
+            (default.epsilon, default.max_iter, default.init, 1234)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[plan\nseed = 1\n", "malformed plan: File contains no section"),
+    ("[plan]\n\n[regime.r]\nn = four\nm = 30\n",
+     "malformed plan: invalid literal for int()"),
+    ("[plan]\nseed = 1\n", "at least one [regime.<label>] section"),
+], ids=["broken_ini", "non_integer_n", "no_regime"])
+def test_bench_bad_plan_is_an_input_error(tmp_path, capsys, text, message):
+    plan = tmp_path / "plan.ini"
+    plan.write_text(text)
+    code, _, err = run(capsys, "bench", "--plan", str(plan),
+                       "--output-dir", str(tmp_path / "o"))
+    assert code == 1
+    assert message in err
+
+
+def test_bench_failed_solve_marks_only_its_row(tmp_path, capsys,
+                                               monkeypatch):
+    real_solve = mvee.harness.solve
+
+    def failing_wa(X, cfg):
+        if cfg.algorithm is Algorithm.WA:
+            raise MveeError("injected failure")
+        return real_solve(X, cfg)
+
+    monkeypatch.setattr(mvee.harness, "solve", failing_wa)
+    plan = tmp_path / "plan.ini"
+    plan.write_text(TINY_PLAN)
+    outdir = tmp_path / "results"
+    code, _, err = run(capsys, "bench", "--plan", str(plan),
+                       "--output-dir", str(outdir))
+    assert code == 2
+    assert "row (tiny, wa, rep 0) failed: injected failure" in err
+    with open(outdir / "results.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["algorithm"], r["converged"]) for r in rows] == [
+        ("cd_const", "true"), ("wa", "false")] * 2
+    for rep in (0, 1):
+        assert (outdir / f"tiny_cd_const_{rep}.csv").exists()
+        assert not (outdir / f"tiny_wa_{rep}.csv").exists()
 
 
 def test_bench_unknown_algorithm(tmp_path, capsys):

@@ -7,7 +7,6 @@ from mvee.linalg import (
     FactorState,
     apply_inverse,
     factor_from_weights,
-    gradient_rank_one,
     gradient_refresh,
     rank_one_modify,
 )
@@ -33,9 +32,11 @@ def factor_of(M):
 
 
 def modify(state, x, theta):
-    """The state of M + theta x x^T, fed as solve() feeds it."""
+    """The state of M + theta x x^T, fed as solve() feeds it, with x as the
+    only column whose kappa is carried."""
     y = apply_inverse(state, x)
-    return rank_one_modify(state, y, theta, float(x @ y))
+    w = np.array([x @ y])
+    return rank_one_modify(state, w.copy(), y, w, theta, w.item(0))
 
 
 def random_state(rng, n):
@@ -264,35 +265,44 @@ def test_gradient_refresh_matches_dense():
     assert np.allclose(gradient_refresh(st_, X), dense, atol=1e-11)
 
 
-def test_gradient_rank_one_zero_theta_is_identity():
+def test_rank_one_zero_theta_is_identity():
     # kappa is updated in place, so compare with a copy taken before the call
+    st_ = state_from_matrix(np.eye(2))
     kappa = np.array([1.0, 2.0, 3.0])
     before = kappa.copy()
-    out = gradient_rank_one(kappa, np.array([0.5, 0.5, 0.5]), 0.0, 2.0)
-    assert np.array_equal(out, before)
+    nxt = rank_one_modify(st_, kappa, np.array([0.5, 0.5]),
+                          np.array([0.5, 0.5, 0.5]), 0.0, 2.0)
+    assert np.array_equal(kappa, before)
+    assert np.array_equal(nxt.Minv, st_.Minv)
+    assert nxt.log_det == st_.log_det
 
 
-def test_gradient_rank_one_updates_kappa_in_place_and_keeps_w():
+def test_rank_one_updates_kappa_in_place_and_keeps_w():
     # solve() and the drift loop of criterion 8 read w_j after the call
+    st_ = state_from_matrix(np.eye(2))
     kappa = np.array([1.0, 2.0, 3.0])
     w = np.array([0.5, -1.0, 2.0])
     w_before = w.copy()
     want = kappa - (0.5 / (1.0 + 0.5 * 2.0)) * (w * w)
-    out = gradient_rank_one(kappa, w, 0.5, 2.0)
-    assert out is kappa
+    rank_one_modify(st_, kappa, np.array([1.0, 1.0]), w, 0.5, 2.0)
     assert np.array_equal(kappa, want)
     assert np.array_equal(w, w_before)
 
 
-def test_gradient_rank_one_singular_pivot_raises():
-    # the state is rebuilt after this, so kappa must be left as it was
+def test_rank_one_singular_pivot_raises():
+    # the state is rebuilt after this, so kappa and the state must be left
+    # as they were
+    st_ = state_from_matrix(np.eye(1))
     kappa = np.array([2.0])
     with pytest.raises(SingularUpdate):
-        gradient_rank_one(kappa, np.array([1.0]), -0.5, 2.0)
+        rank_one_modify(st_, kappa, np.array([1.0]), np.array([1.0]), -0.5,
+                        2.0)
     assert np.array_equal(kappa, [2.0])
+    assert np.array_equal(st_.Minv, np.eye(1))
+    assert st_.log_det == 0.0
 
 
-def test_gradient_rank_one_sequence_matches_refresh():
+def test_rank_one_sequence_matches_refresh():
     # 50 random updates, incremental kappa vs full recomputation
     rng = np.random.default_rng(5)
     X = PointSet(rng.standard_normal((4, 20)), symmetric=True)
@@ -311,8 +321,7 @@ def test_gradient_rank_one_sequence_matches_refresh():
         xj = X.points[:, j]
         y = apply_inverse(state, xj)
         wvec = X.points.T @ y
-        kappa = gradient_rank_one(kappa, wvec, theta, kj)
-        state = rank_one_modify(state, y, theta, float(wvec[j]))
+        state = rank_one_modify(state, kappa, y, wvec, theta, float(wvec[j]))
         w[j] += theta
     assert np.allclose(kappa, gradient_refresh(state, X), atol=1e-10)
     assert np.allclose(kappa, gradient_refresh(factor_from_weights(

@@ -12,6 +12,8 @@
 - One home for factorizations: only linalg.py calls numpy's cholesky,
   solve, inv, slogdet or det, so every consumer of M^{-1} or ln det M
   reads it from the same factor.
+- One home for the singular decision: `raise SingularUpdate` appears at
+  exactly one site, so M^{-1}, ln det M and kappa fail the same test.
 """
 
 import ast
@@ -87,6 +89,19 @@ def test_factorizations_only_in_linalg(path):
             found += [(node.lineno, alias.name) for alias in node.names
                       if alias.name in FACTORIZATIONS]
     assert not found, f"{path.name}: factorizations outside linalg.py {found}"
+
+
+def test_one_site_raises_singular_update():
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "SingularUpdate":
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(found) == 1, f"raise SingularUpdate at {found}"
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -216,6 +216,9 @@ BAD_INPUTS = {
     "pointset_not_2d": lambda tmp: PointSet(np.zeros(3)),
     "pointset_nonfinite": lambda tmp: PointSet(np.array([[1.0, np.inf]])),
     "pointset_zero_dim": lambda tmp: PointSet(np.zeros((0, 3)), symmetric=True),
+    "pointset_m_equals_n": lambda tmp: PointSet(np.eye(3)),
+    "pointset_symmetric_m_below_n": lambda tmp: PointSet(np.eye(3)[:, :2],
+                                                         symmetric=True),
     "weights_not_1d": lambda tmp: DualWeights(np.ones((2, 2))),
     "weights_negative": lambda tmp: DualWeights(np.array([1.0, -1.0])),
     "lift_symmetric": lambda tmp: lift(SQUARE),

@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -18,7 +19,6 @@ from mvee.harness import gen_sample
 from mvee.linalg import (
     FactorState,
     factor_from_weights,
-    gradient_rank_one,
     gradient_refresh,
     rank_one_modify,
 )
@@ -49,6 +49,8 @@ from mvee.solvers import (
     solve,
     write_trace,
 )
+
+from conftest import singular_on_call
 
 CROSS = PointSet(np.eye(2), symmetric=True)  # {+-e1, +-e2} via implicit mirror
 
@@ -881,8 +883,7 @@ def test_simplex_weights_match_normalised_reference(alg, seed, n, extra,
         y = state.Minv @ X.points[:, row.axis]
         w = X.points.T @ y
         try:
-            kappa = gradient_rank_one(kappa, w, theta_rel, w[row.axis])
-            state = rank_one_modify(state, y, theta_rel, w[row.axis])
+            state = rank_one_modify(state, kappa, y, w, theta_rel, w[row.axis])
         except SingularUpdate:
             stale = True
             continue
@@ -964,8 +965,7 @@ def test_kernels_called_once_per_iteration_through_module(small_lifted, alg,
         return wrapper
 
     for name in ("cd_step", "select_axis_gauss_southwell",
-                 "objective_h", "apply_inverse", "gradient_rank_one",
-                 "rank_one_modify"):
+                 "objective_h", "apply_inverse", "rank_one_modify"):
         monkeypatch.setattr(mvee.solvers, name,
                             counting(getattr(mvee.solvers, name)))
     rep = solve(small_lifted, SolverConfig(algorithm=alg, epsilon=1e-5,
@@ -979,8 +979,49 @@ def test_kernels_called_once_per_iteration_through_module(small_lifted, alg,
     updates = sum(math.isfinite(o.theta_rel) and o.theta_rel != 0.0
                   for o in outcomes)
     assert updates > 0
-    for name in ("apply_inverse", "gradient_rank_one", "rank_one_modify"):
+    for name in ("apply_inverse", "rank_one_modify"):
         assert calls[name] == updates, (name, calls[name], updates)
+
+
+@pytest.mark.parametrize("alg", [Algorithm.CD_CONST, Algorithm.WA])
+def test_singular_update_forces_one_rebuild(small_lifted, alg, monkeypatch):
+    # a SingularUpdate from the kernel is caught in solve(), which rebuilds
+    # from the weights once and carries on to a certificate that a fresh
+    # factorization of the final weights confirms; the injected failure
+    # comes before any scheduled rebuild (50 n = 200 updates)
+    cfg = SolverConfig(algorithm=alg, epsilon=1e-5, max_iter=2000)
+    factors = []
+    real_factor = mvee.solvers.factor_from_weights
+
+    def counting(X, u):
+        factors.append(u)
+        return real_factor(X, u)
+
+    monkeypatch.setattr(mvee.solvers, "factor_from_weights", counting)
+    plain = solve(small_lifted, cfg)
+    plain_factors = len(factors)
+    monkeypatch.setattr(mvee.solvers, "rank_one_modify",
+                        singular_on_call(rank_one_modify, 20))
+    rep = solve(small_lifted, cfg)
+    assert plain.iterations > 20
+    assert len(factors) - plain_factors == plain_factors + 1
+    assert rep.converged
+    kappa = gradient_refresh(real_factor(small_lifted, rep.u_final),
+                             small_lifted)
+    cert = certificate(rep.u_final, kappa, small_lifted.dim, cfg.epsilon)
+    assert abs(max(cert.eps_plus, cert.eps_minus) - rep.final_eps) <= 1e-10
+
+
+def test_wall_time_includes_the_start(small_lifted, monkeypatch):
+    real_init = mvee.solvers.init_kumar_yildirim
+
+    def slow_init(X, seed):
+        time.sleep(0.05)
+        return real_init(X, seed)
+
+    monkeypatch.setattr(mvee.solvers, "init_kumar_yildirim", slow_init)
+    rep = solve(small_lifted, SolverConfig(epsilon=1e-5))
+    assert rep.wall_time >= 0.05
 
 
 def test_khachiyan_init_supported():
