@@ -2,19 +2,21 @@
 
 Every solver iteration goes through this module.  The step rules need only
 M^{-1} x_j, the quadratic forms kappa_i = x_i^T M^{-1} x_i and ln det M, so
-the state holds M^{-1} and ln det M rather than a factor of M.  A rank-one
-change M -> M + theta x x^T is one call with one denominator
-1 + theta kappa_j: a Sherman-Morrison step on M^{-1}, O(n^2), and on kappa
-in place, O(m) from the caller's O(m n) pass w = X^T M^{-1} x, and a
-determinant-lemma step on ln det M.  A full rebuild from the
-current weights is an orthogonal factorization, O(m n^2).  When to rebuild
-(at initialization, on a schedule that bounds floating-point drift, and
-after a numerically singular update) is decided by solvers.solve, not here.
-numpy is the only dependency, so importing the package stays cheap.
+the state holds M^{-1}, kappa and ln det M rather than a factor of M, and
+kappa and M^{-1} are two views of one buffer.  A rank-one change
+M -> M + theta x x^T is one in-place call with one denominator
+1 + theta kappa_j: it writes w * w and y y^T into a scratch buffer of the
+same layout, scales it once and subtracts it once, which is a
+Sherman-Morrison step on M^{-1}, O(n^2), and on kappa, O(m) from the
+caller's O(m n) pass w = X^T M^{-1} x, plus a determinant-lemma step on
+ln det M.  A full rebuild from the current weights is an orthogonal
+factorization, O(m n^2).  When to rebuild (at initialization, on a schedule
+that bounds floating-point drift, and after a numerically singular update)
+is decided by solvers.solve, not here.  numpy is the only dependency, so
+importing the package stays cheap.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,21 +29,40 @@ from .errors import NotFullRank, SingularUpdate
 PD_TOL = 1e-12
 
 
-@dataclass
 class FactorState:
-    """M^{-1} and ln det M for M = X U X^T; solvers.solve decides when to
-    rebuild them from the weights.
+    """kappa, M^{-1} and ln det M for M = X U X^T, moved in place by
+    rank_one_modify; solvers.solve decides when to rebuild them from the
+    weights.
+
+    kappa and Minv are views of one contiguous buffer of m + n^2 floats, and
+    a scratch buffer of the same layout holds the rank-one change, so an
+    update is one scale and one subtract over both.  FactorState(m, n)
+    allocates both for m points in R^n; factor_from_weights fills Minv and
+    log_det, and kappa holds no values until gradient_refresh writes it.
 
     Attributes
     ----------
+    buf : ndarray, shape (m + n * n,)
+        kappa followed by the rows of M^{-1}.
+    kappa : ndarray, shape (m,)
+        x_i^T M^{-1} x_i, the view buf[:m].
     Minv : ndarray, shape (n, n)
-        Symmetric positive definite inverse of M.
+        Symmetric positive definite inverse of M, the view buf[m:].
     log_det : float
         ln det M.
     """
 
-    Minv: np.ndarray
-    log_det: float
+    __slots__ = ("buf", "kappa", "Minv", "log_det", "_change",
+                 "_change_kappa", "_change_Minv")
+
+    def __init__(self, m, n):
+        self.buf = np.empty(m + n * n)
+        self.kappa = self.buf[:m]
+        self.Minv = self.buf[m:].reshape(n, n)
+        self.log_det = 0.0
+        self._change = np.empty(m + n * n)
+        self._change_kappa = self._change[:m]
+        self._change_Minv = self._change[m:].reshape(n, n)
 
 
 def factor_from_weights(X, u):
@@ -62,6 +83,7 @@ def factor_from_weights(X, u):
     Returns
     -------
     FactorState
+        With Minv and log_det set; kappa is left for gradient_refresh.
 
     Raises
     ------
@@ -80,40 +102,42 @@ def factor_from_weights(X, u):
     if d.max() <= 0.0 or d.min() <= PD_TOL * d.max():
         raise NotFullRank("weighted points are rank deficient")
     Rinv = np.linalg.solve(R, np.eye(n))
-    Minv = Rinv @ Rinv.T
-    return FactorState(Minv, 2.0 * float(np.log(d).sum()))
+    state = FactorState(X.count, n)
+    np.matmul(Rinv, Rinv.T, out=state.Minv)
+    state.log_det = 2.0 * float(np.log(d).sum())
+    return state
 
 
-def rank_one_modify(state, kappa, y, w, theta, kappa_j):
-    """Return the state of M' = M + theta * x x^T and update kappa in place.
+def rank_one_modify(state, j, y, w, theta):
+    """Move the state to M' = M + theta * x_j x_j^T in place.
 
-    Takes y = M^{-1} x, the pass w = X^T y and kappa_j = x^T M^{-1} x rather
-    than x, since the caller forms y and w for its gradient pass:
-    M'^{-1} = M^{-1} - s y y^T, kappa_i <- kappa_i - s w_i^2 with
-    s = theta / (1 + theta kappa_j), and
-    ln det M' = ln det M + ln(1 + theta kappa_j).  O(n^2 + m); w and the
-    input state are left unchanged.
+    Takes y = M^{-1} x_j and the pass w = X^T y rather than x_j, since the
+    caller forms both for its gradient pass.  kappa_j = w_j is read from the
+    pass, not from the maintained kappa, whose error 1 / (1 + theta kappa_j)
+    would scale.  With s = theta / (1 + theta kappa_j):
+    kappa_i <- kappa_i - s w_i^2, M'^{-1} = M^{-1} - s y y^T and
+    ln det M' = ln det M + ln(1 + theta kappa_j).  O(n^2 + m) in four numpy
+    calls and no allocation; y and w are left unchanged.
 
     Raises
     ------
     SingularUpdate
         If 1 + theta * kappa_j <= PD_TOL: M + theta x x^T is (numerically)
-        singular and the caller should rebuild from (X, u) instead; neither
-        the state nor kappa is touched.
+        singular and the caller should rebuild from (X, u) instead; the
+        state is not touched.
     """
-    denom = 1.0 + theta * kappa_j
+    denom = 1.0 + theta * w.item(j)
     if denom <= PD_TOL:
         raise SingularUpdate(f"update denominator {denom:.3e}")
-    s = theta / denom
-    change = w * w
-    change *= s
-    kappa -= change
-    # M^{-1} - s (y y^T), operation by operation in one buffer: the same
-    # bits without the two n x n temporaries
-    outer = y[:, None] * y
-    outer *= s
-    np.subtract(state.Minv, outer, out=outer)
-    return FactorState(outer, state.log_det + math.log(denom))
+    # w * w and y y^T are rounded, then scaled, then subtracted: the
+    # roundings of kappa - s (w * w) and M^{-1} - s (y y^T) taken one
+    # operation at a time
+    np.multiply(w, w, out=state._change_kappa)
+    np.multiply(y[:, None], y, out=state._change_Minv)
+    change = state._change
+    change *= theta / denom
+    state.buf -= change
+    state.log_det += math.log(denom)
 
 
 def apply_inverse(state, x):
@@ -122,5 +146,7 @@ def apply_inverse(state, x):
 
 
 def gradient_refresh(state, X):
-    """Recompute kappa_i = x_i^T M^{-1} x_i for all columns.  O(m n^2)."""
-    return np.einsum("ij,ij->j", X.points, state.Minv @ X.points)
+    """Recompute kappa_i = x_i^T M^{-1} x_i for all columns into
+    state.kappa, and return it.  O(m n^2)."""
+    return np.einsum("ij,ij->j", X.points, state.Minv @ X.points,
+                     out=state.kappa)

@@ -141,8 +141,9 @@ def recover_ellipsoid(u: DualWeights, X_original: PointSet,
             "support points span a lower-dimensional affine set") from None
     n = X_original.dim
     c = X_original.points @ w.u if X_lifted.dim > n else np.zeros(n)
-    return Ellipsoid(center=c, shape=state.Minv[:n, :n], level=float(n),
-                     logdet=-state.log_det)
+    # a copy, so the ellipsoid does not keep the state's m + n^2 buffer
+    return Ellipsoid(center=c, shape=state.Minv[:n, :n].copy(),
+                     level=float(n), logdet=-state.log_det)
 
 
 def volume(E: Ellipsoid) -> float:

@@ -29,15 +29,18 @@ kappa (increase) or argmin kappa over the support (decrease), ties to the
 increase.  rcd samples j with probability proportional to |grad h_j| and
 steps in the descent direction.
 
-Each iteration is O(m n) after an O(m n^2) initialization: M^{-1}, ln det M
-and the kappa vector are maintained incrementally, one Sherman-Morrison
-step per iteration on the vector y = M^{-1} x_j that the O(m n) gradient
-pass needs anyway (see linalg); solve() also decides when to rebuild them
-from the weights.  Besides that pass, which writes into one buffer per
-solve, an iteration makes two O(m) sweeps (argmax kappa and the kappa
-update) and one O(s) scan of the s support indices for the decrease axis;
-every step writes one weight, and the objective is O(1) from the running
-weight sum.
+Each iteration is O(m n) after an O(m n^2) initialization: kappa, M^{-1}
+and ln det M live in one linalg.FactorState, which solve() holds between
+rebuilds and moves in place by one Sherman-Morrison step per iteration on
+the vector y = M^{-1} x_j that the O(m n) gradient pass needs anyway;
+solve() also decides when to rebuild it from the weights.  An incremental
+update is six numpy calls: y = M^{-1} x_j, the pass w = X^T y into one
+buffer per solve, and rank_one_modify's four (w * w and y y^T into the
+state's scratch buffer, one scale of it and one subtract from kappa and
+M^{-1} together).  Besides these, an iteration makes one O(m) sweep
+(argmax kappa) and one O(s) scan of the s support indices for the decrease
+axis; every step writes one weight, and the objective is O(1) from the
+running weight sum.
 """
 
 import math
@@ -196,6 +199,8 @@ def init_kumar_yildirim(X: PointSet, seed: int) -> DualWeights:
             raise NotFullRank("cannot find a direction outside the chosen span")
         np.dot(d, pts, out=p)
         np.abs(p, out=p)
+        # a chosen point lies in the span, up to the basis' rounding
+        p[chosen] = -1.0
         j = int(p.argmax())
         r = pts[:, j].copy()
         if Q.shape[1]:
@@ -358,13 +363,13 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
     with converged=False rather than raising.
 
     Every algorithm takes its step through cd_step with the theta of its
-    stepsize rule.  M^{-1}, ln det M, kappa and the sorted support indices
-    are rebuilt from the weights at the start, after the full jump of a
-    simplex step (n = 1 only), after a SingularUpdate, and after every 50 n
-    incremental updates.  Between rebuilds kappa is updated in place and the
-    support array changes only when v_j crosses zero.  The weight sum e^T v
-    is re-summed at every rebuild and otherwise moved by each step's change
-    of v_j.
+    stepsize rule.  The state (kappa, M^{-1}, ln det M) and the sorted
+    support indices are rebuilt from the weights at the start, after the
+    full jump of a simplex step (n = 1 only), after a SingularUpdate, and
+    after every 50 n incremental updates.  Between rebuilds the state is
+    updated in place and the support array changes only when v_j crosses
+    zero.  The weight sum e^T v is re-summed at every rebuild and otherwise
+    moved by each step's change of v_j.
 
     fwk and wa read c = 1 / e^T v from that sum after each step.  Every
     rebuild first folds c into the weights (v <- c v, c <- 1), and u_final
@@ -482,12 +487,10 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
         rebuild = False
         if theta_rel != 0.0:
             y = apply_inverse(state, pts[:, j])
-            np.dot(pts_t, y, out=w)
+            pts_t.dot(y, out=w)
             try:
-                # w_j from the stored inverse, not the maintained kappa_j,
-                # whose error 1/(1 + theta kappa_j) would scale
-                state = rank_one_modify(state, kappa, y, w, theta_rel,
-                                        w.item(j))
+                # moves kappa, M^{-1} and ln det M in place
+                rank_one_modify(state, j, y, w, theta_rel)
             except SingularUpdate:
                 # exact drop of a geometrically loaded point; rebuild
                 rebuild = True

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from mvee.errors import NotFullRank, SingularUpdate
+from mvee.harness import gen_sample
 from mvee.linalg import (
     FactorState,
     apply_inverse,
@@ -10,12 +13,16 @@ from mvee.linalg import (
     gradient_refresh,
     rank_one_modify,
 )
-from mvee.problem import DualWeights, PointSet, objective_h
+from mvee.problem import DualWeights, PointSet, lift, objective_h
 
 
-def state_from_matrix(M):
-    """Build a FactorState for an explicit SPD matrix from its dense inverse."""
-    return FactorState(Minv=np.linalg.inv(M), log_det=np.linalg.slogdet(M)[1])
+def state_from_matrix(M, m=1):
+    """Build a FactorState with m kappa slots for an explicit SPD matrix from
+    its dense inverse."""
+    state = FactorState(m, len(M))
+    state.Minv[...] = np.linalg.inv(M)
+    state.log_det = np.linalg.slogdet(M)[1]
+    return state
 
 
 def quad_form(state, x):
@@ -32,11 +39,12 @@ def factor_of(M):
 
 
 def modify(state, x, theta):
-    """The state of M + theta x x^T, fed as solve() feeds it, with x as the
-    only column whose kappa is carried."""
+    """Move the state to M + theta x x^T in place, fed as solve() feeds it,
+    with x as the column of kappa slot 0."""
     y = apply_inverse(state, x)
     w = np.array([x @ y])
-    return rank_one_modify(state, w.copy(), y, w, theta, w.item(0))
+    state.kappa[0] = w.item(0)
+    rank_one_modify(state, 0, y, w, theta)
 
 
 def random_state(rng, n):
@@ -110,17 +118,17 @@ def test_factor_rejects_small_support():
 
 def test_rank_one_diagonal_update():
     st_ = state_from_matrix(np.eye(2))
-    nxt = modify(st_, np.array([1.0, 0.0]), 3.0)
-    assert np.allclose(nxt.Minv, np.diag([0.25, 1.0]), atol=1e-14)
-    assert nxt.log_det == pytest.approx(np.log(4.0), abs=1e-12)
+    modify(st_, np.array([1.0, 0.0]), 3.0)
+    assert np.allclose(st_.Minv, np.diag([0.25, 1.0]), atol=1e-14)
+    assert st_.log_det == pytest.approx(np.log(4.0), abs=1e-12)
 
 
 def test_rank_one_downdate():
     st_ = state_from_matrix(2.0 * np.eye(2))
-    nxt = modify(st_, np.array([1.0, 1.0]), -0.5)
-    assert np.allclose(nxt.Minv,
+    modify(st_, np.array([1.0, 1.0]), -0.5)
+    assert np.allclose(st_.Minv,
                        np.linalg.inv([[1.5, -0.5], [-0.5, 1.5]]), atol=1e-14)
-    assert nxt.log_det == pytest.approx(np.log(2.0), abs=1e-12)
+    assert st_.log_det == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_rank_one_downdate_to_singular_raises():
@@ -129,41 +137,55 @@ def test_rank_one_downdate_to_singular_raises():
         modify(st_, np.array([1.0]), -1.0)
 
 
-def test_rank_one_does_not_mutate_input():
-    st_ = state_from_matrix(np.eye(2))
-    before = st_.Minv.copy()
-    modify(st_, np.array([0.3, 0.4]), 1.0)
-    assert np.array_equal(st_.Minv, before)
-    assert st_.log_det == 0.0
+def test_rank_one_moves_the_state_in_place():
+    # solve() holds one state between rebuilds and its kappa view: the update
+    # writes into the state's buffer, whose views stay, and leaves y and w
+    st_ = state_from_matrix(np.eye(2), m=3)
+    buf, kappa, Minv = st_.buf, st_.kappa, st_.Minv
+    kappa[:] = [1.0, 2.0, 3.0]
+    y = np.array([0.3, 0.4])
+    w = np.array([0.5, -1.0, 0.25])
+    y_before, w_before = y.copy(), w.copy()
+    rank_one_modify(st_, 2, y, w, 1.0)
+    assert st_.buf is buf and st_.kappa is kappa and st_.Minv is Minv
+    assert np.shares_memory(kappa, buf) and np.shares_memory(Minv, buf)
+    s = 1.0 / (1.0 + 0.25)
+    assert np.array_equal(Minv, np.eye(2) - s * (y[:, None] * y))
+    assert np.array_equal(kappa, [1.0, 2.0, 3.0] - s * (w * w))
+    assert st_.log_det == math.log(1.25)
+    assert np.array_equal(y, y_before)
+    assert np.array_equal(w, w_before)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 6),
        st.floats(0.05, 4.0), st.booleans())
 def test_rank_one_round_trip(seed, n, theta, down):
     rng = np.random.default_rng(seed)
-    s0 = random_state(rng, n)
+    st_ = random_state(rng, n)
+    Minv0, log_det0 = st_.Minv.copy(), st_.log_det
     x = rng.standard_normal(n)
     t = -theta if down else theta
-    if t < 0 and 1.0 + t * quad_form(s0, x) <= 0.05:
+    if t < 0 and 1.0 + t * quad_form(st_, x) <= 0.05:
         return  # keep the downdate clearly PD
-    s1 = modify(s0, x, t)
-    s2 = modify(s1, x, -t)
-    assert s2.log_det == pytest.approx(s0.log_det, abs=1e-10)
-    assert np.allclose(s2.Minv, s0.Minv, rtol=1e-9, atol=1e-10)
+    modify(st_, x, t)
+    modify(st_, x, -t)
+    assert st_.log_det == pytest.approx(log_det0, abs=1e-10)
+    assert np.allclose(st_.Minv, Minv0, rtol=1e-9, atol=1e-10)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 6), st.floats(-0.4, 3.0))
 def test_determinant_lemma(seed, n, theta):
     # logdet(M + theta x x^T) - logdet(M) = ln(1 + theta x^T M^-1 x)
     rng = np.random.default_rng(seed)
-    s0 = random_state(rng, n)
+    st_ = random_state(rng, n)
+    log_det0 = st_.log_det
     x = rng.standard_normal(n)
-    q = quad_form(s0, x)
+    q = quad_form(st_, x)
     if 1.0 + theta * q <= 0.05:
         return
-    s1 = modify(s0, x, theta)
-    assert s1.log_det - s0.log_det == pytest.approx(np.log1p(theta * q),
-                                                    abs=1e-10)
+    modify(st_, x, theta)
+    assert st_.log_det - log_det0 == pytest.approx(np.log1p(theta * q),
+                                                   abs=1e-10)
 
 
 # --- quadratic forms and inverses ----------------------------------------------
@@ -266,38 +288,38 @@ def test_gradient_refresh_matches_dense():
 
 
 def test_rank_one_zero_theta_is_identity():
-    # kappa is updated in place, so compare with a copy taken before the call
-    st_ = state_from_matrix(np.eye(2))
-    kappa = np.array([1.0, 2.0, 3.0])
-    before = kappa.copy()
-    nxt = rank_one_modify(st_, kappa, np.array([0.5, 0.5]),
-                          np.array([0.5, 0.5, 0.5]), 0.0, 2.0)
-    assert np.array_equal(kappa, before)
-    assert np.array_equal(nxt.Minv, st_.Minv)
-    assert nxt.log_det == st_.log_det
+    st_ = state_from_matrix(np.eye(2), m=3)
+    st_.kappa[:] = [1.0, 2.0, 3.0]
+    rank_one_modify(st_, 1, np.array([0.5, 0.5]), np.array([0.5, 0.5, 0.5]),
+                    0.0)
+    assert np.array_equal(st_.kappa, [1.0, 2.0, 3.0])
+    assert np.array_equal(st_.Minv, np.eye(2))
+    assert st_.log_det == 0.0
 
 
 def test_rank_one_updates_kappa_in_place_and_keeps_w():
-    # solve() and the drift loop of criterion 8 read w_j after the call
-    st_ = state_from_matrix(np.eye(2))
-    kappa = np.array([1.0, 2.0, 3.0])
+    # kappa_j is read from the pass w, which the caller keeps as it was
+    st_ = state_from_matrix(np.eye(2), m=3)
+    kappa = st_.kappa
+    kappa[:] = [1.0, 2.0, 3.0]
     w = np.array([0.5, -1.0, 2.0])
     w_before = w.copy()
-    want = kappa - (0.5 / (1.0 + 0.5 * 2.0)) * (w * w)
-    rank_one_modify(st_, kappa, np.array([1.0, 1.0]), w, 0.5, 2.0)
+    want = np.array([1.0, 2.0, 3.0]) - (0.5 / (1.0 + 0.5 * 2.0)) * (w * w)
+    rank_one_modify(st_, 2, np.array([1.0, 1.0]), w, 0.5)
     assert np.array_equal(kappa, want)
     assert np.array_equal(w, w_before)
 
 
 def test_rank_one_singular_pivot_raises():
     # the state is rebuilt after this, so kappa and the state must be left
-    # as they were
+    # as they were, to the byte
     st_ = state_from_matrix(np.eye(1))
-    kappa = np.array([2.0])
+    st_.kappa[0] = 2.0
+    before = st_.buf.tobytes()
     with pytest.raises(SingularUpdate):
-        rank_one_modify(st_, kappa, np.array([1.0]), np.array([1.0]), -0.5,
-                        2.0)
-    assert np.array_equal(kappa, [2.0])
+        rank_one_modify(st_, 0, np.array([1.0]), np.array([2.0]), -0.5)
+    assert st_.buf.tobytes() == before
+    assert np.array_equal(st_.kappa, [2.0])
     assert np.array_equal(st_.Minv, np.eye(1))
     assert st_.log_det == 0.0
 
@@ -321,8 +343,65 @@ def test_rank_one_sequence_matches_refresh():
         xj = X.points[:, j]
         y = apply_inverse(state, xj)
         wvec = X.points.T @ y
-        state = rank_one_modify(state, kappa, y, wvec, theta, float(wvec[j]))
+        rank_one_modify(state, j, y, wvec, theta)
         w[j] += theta
-    assert np.allclose(kappa, gradient_refresh(state, X), atol=1e-10)
-    assert np.allclose(kappa, gradient_refresh(factor_from_weights(
+    # a refresh overwrites the state's kappa, so compare a copy
+    maintained = kappa.copy()
+    assert np.allclose(maintained, gradient_refresh(state, X), atol=1e-10)
+    assert np.allclose(maintained, gradient_refresh(factor_from_weights(
         X, DualWeights(w)), X), atol=1e-10)
+
+
+def out_of_place_modify(Minv, log_det, kappa, y, w, theta, kappa_j):
+    """The rank-one update as it was before kappa and M^{-1} shared a buffer:
+    kappa in place, a new M^{-1} and ln det M returned."""
+    denom = 1.0 + theta * kappa_j
+    s = theta / denom
+    change = w * w
+    change *= s
+    kappa -= change
+    outer = y[:, None] * y
+    outer *= s
+    np.subtract(Minv, outer, out=outer)
+    return outer, log_det + math.log(denom)
+
+
+@pytest.mark.parametrize("n", [1, 10, 30])
+def test_rank_one_bit_identical_to_out_of_place(n):
+    # the shared-buffer kernel and solve's pass rounding for rounding as the
+    # out-of-place update and np.dot: increases at the argmax kappa with the
+    # exact step, and every third update the drop of the support point of
+    # least kappa
+    X = lift(gen_sample(n, 3 * n + 20, n))
+    pts, pts_t = X.points, X.points.T
+    d, m = X.dim, X.count
+    u = np.full(m, 1.0 / m)
+    state = factor_from_weights(X, DualWeights(u))
+    kappa = gradient_refresh(state, X)
+    Minv_ref, log_det_ref, kappa_ref = (state.Minv.copy(), state.log_det,
+                                        kappa.copy())
+    w, w_ref = np.empty(m), np.empty(m)
+    drops = 0
+    for k in range(60):
+        if k % 3 == 2:
+            support = np.flatnonzero(u)
+            j = int(support[kappa[support].argmin()])
+            theta = -u[j]
+            drops += 1
+        else:
+            j = int(kappa.argmax())
+            theta = (kappa[j] - d) / (kappa[j] * kappa[j])
+        u[j] += theta
+        y = apply_inverse(state, pts[:, j])
+        pts_t.dot(y, out=w)
+        y_ref = Minv_ref.dot(pts[:, j])
+        np.dot(pts_t, y_ref, out=w_ref)
+        assert np.array_equal(y, y_ref) and np.array_equal(w, w_ref), k
+        rank_one_modify(state, j, y, w, theta)
+        Minv_ref, log_det_ref = out_of_place_modify(
+            Minv_ref, log_det_ref, kappa_ref, y_ref, w_ref, theta,
+            w_ref.item(j))
+        assert np.array_equal(kappa, kappa_ref), k
+        assert np.array_equal(state.Minv, Minv_ref), k
+        assert state.log_det == log_det_ref, k
+    assert drops == 20
