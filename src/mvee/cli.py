@@ -9,7 +9,7 @@ import configparser
 import sys
 from pathlib import Path
 
-from .errors import MveeError, PlanError, PointParseError
+from .errors import MveeError, PlanError
 from .harness import (BenchmarkPlan, Regime, emit_decrement_curves,
                       gen_sample, run_benchmark)
 from .problem import (
@@ -207,9 +207,6 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         return _cmd_curves(args)
-    except (PointParseError, PlanError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
     except (MveeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Input is checked where it enters: InvalidInput (also a ValueError),
+PointParseError and PlanError name a bad argument, point file or plan file,
+and the command line prints each as `error: ...` and exits 1.  The other
+classes report what a factorization or a step found during a solve.
+"""
 
 
 class MveeError(Exception):
@@ -36,10 +42,6 @@ class DegenerateCovariance(MveeError):
 
 class LineSearchStalled(MveeError):
     """Backtracking reduced the trial step below 1e-16 without acceptance."""
-
-
-class ExactOptimum(MveeError):
-    """The gradient vanishes identically; the iterate is already optimal."""
 
 
 class PointParseError(MveeError):

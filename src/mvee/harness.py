@@ -30,6 +30,8 @@ class Regime:
     repetitions: int
 
     def __post_init__(self):
+        if self.n < 1:
+            raise InvalidInput("n must be at least 1")
         if self.repetitions < 1:
             raise InvalidInput("repetitions must be at least 1")
         if self.m < self.n + 1:
@@ -76,6 +78,8 @@ def gen_sample(n: int, m: int, seed: int) -> PointSet:
     the iteration count of a solve from the Khachiyan start, which is
     affine-invariant.  Returns a non-symmetric PointSet.
     """
+    if n < 1:
+        raise InvalidInput("n must be at least 1")
     if m < n + 1:
         raise InvalidInput("m must be at least n + 1")
     rng = np.random.default_rng(seed)
@@ -86,7 +90,7 @@ def gen_sample(n: int, m: int, seed: int) -> PointSet:
     cond = 10.0 ** rng.uniform(0.0, 2.0)
     q1 = _random_orthogonal(rng, n)
     q2 = _random_orthogonal(rng, n)
-    svals = np.exp(np.linspace(0.0, np.log(cond), n)) if n > 1 else np.ones(1)
+    svals = np.exp(np.linspace(0.0, np.log(cond), n))
     amap = (q1 * svals) @ q2.T
     shift = rng.standard_normal(n)
     out = amap @ g

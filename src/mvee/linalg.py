@@ -99,7 +99,7 @@ def factor_from_weights(X, u):
     B = pts[:, support] * np.sqrt(u.u[support])
     R = np.linalg.qr(B.T, mode="r")[:n, :n]
     d = np.abs(np.diag(R))
-    if d.max() <= 0.0 or d.min() <= PD_TOL * d.max():
+    if d.min() <= PD_TOL * d.max():
         raise NotFullRank("weighted points are rank deficient")
     Rinv = np.linalg.solve(R, np.eye(n))
     state = FactorState(X.count, n)

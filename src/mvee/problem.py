@@ -147,9 +147,10 @@ def recover_ellipsoid(u: DualWeights, X_original: PointSet,
 
 
 def volume(E: Ellipsoid) -> float:
-    """Volume of {x : (x-c)^T H (x-c) <= n}, i.e. n^{n/2} Vol(B_n) / sqrt(det H)."""
+    """Volume of {x : (x-c)^T H (x-c) <= level}, i.e.
+    level^{n/2} Vol(B_n) / sqrt(det H)."""
     n = E.center.size
-    return float(np.exp(0.5 * n * np.log(n) + 0.5 * n * np.log(np.pi)
+    return float(np.exp(0.5 * n * np.log(E.level) + 0.5 * n * np.log(np.pi)
                         - math.lgamma(0.5 * n + 1.0) - 0.5 * E.logdet))
 
 

@@ -27,7 +27,10 @@ keep c = 1.
 The Gauss-Southwell rule takes the larger certificate violation: argmax
 kappa (increase) or argmin kappa over the support (decrease), ties to the
 increase.  rcd samples j with probability proportional to |grad h_j| and
-steps in the descent direction.
+steps in the descent direction.  The loop stops once the certificate
+reaches epsilon, and SolverConfig holds epsilon > 0, so every axis either
+rule picks has grad h_j = n - kappa_j != 0: no stepsize rule or sampler
+meets a zero gradient.
 
 Each iteration is O(m n) after an O(m n^2) initialization: kappa, M^{-1}
 and ln det M live in one linalg.FactorState, which solve() holds between
@@ -51,7 +54,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    ExactOptimum,
     InvalidInput,
     LineSearchStalled,
     NotFullRank,
@@ -116,7 +118,8 @@ class SolverConfig:
             self.init = InitScheme(self.init)
         except ValueError as exc:
             raise InvalidInput(str(exc)) from None
-        if self.epsilon <= 0:
+        # NaN fails too: no eps_k <= NaN, so the solve could never stop
+        if not self.epsilon > 0:
             raise InvalidInput("epsilon must be positive")
         if self.max_iter < 1:
             raise InvalidInput("max_iter must be at least 1")
@@ -189,8 +192,7 @@ def init_kumar_yildirim(X: PointSet, seed: int) -> DualWeights:
         d = None
         for _attempt in range(n):
             cand = rng.standard_normal(n)
-            if Q.shape[1]:
-                cand = cand - Q @ (Q.T @ cand)
+            cand = cand - Q @ (Q.T @ cand)
             norm = np.linalg.norm(cand)
             if norm >= 1e-10:
                 d = cand / norm
@@ -202,9 +204,7 @@ def init_kumar_yildirim(X: PointSet, seed: int) -> DualWeights:
         # a chosen point lies in the span, up to the basis' rounding
         p[chosen] = -1.0
         j = int(p.argmax())
-        r = pts[:, j].copy()
-        if Q.shape[1]:
-            r = r - Q @ (Q.T @ r)
+        r = pts[:, j] - Q @ (Q.T @ pts[:, j])
         rnorm = np.linalg.norm(r)
         if rnorm <= 1e-10 * max(1.0, np.linalg.norm(pts[:, j])):
             raise NotFullRank("points do not span the space")
@@ -314,7 +314,7 @@ def armijo_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
     the module's _ARMIJO_ALPHA and _ARMIJO_BETA.  Weights below the drop
     floor are removed outright: backtracking alone shrinks them
     geometrically but never to zero, which would stall the support
-    certificate.
+    certificate.  The axis must have kappa_j != n.
 
     Raises
     ------
@@ -323,11 +323,8 @@ def armijo_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
     """
     if not increase and u_j <= _DROP_FLOOR:
         return -u_j
-    grad = n - kappa_j
-    if grad == 0.0:
-        return 0.0
     d = 1.0 if increase else -1.0
-    target = _ARMIJO_ALPHA * abs(grad)
+    target = _ARMIJO_ALPHA * abs(n - kappa_j)
     lam = 1.0
     while lam >= 1e-16:
         theta = d * lam
@@ -340,18 +337,10 @@ def armijo_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
 
 
 def rcd_pick(grad: np.ndarray, rng: np.random.Generator) -> int:
-    """Sample an axis with probability proportional to |grad h_i|.
-
-    Raises
-    ------
-    ExactOptimum
-        If the gradient vanishes identically.
-    """
+    """Sample an axis with probability proportional to |grad h_i|; the
+    gradient must not vanish identically."""
     weights = np.abs(grad)
-    total = weights.sum()
-    if total <= 0.0:
-        raise ExactOptimum("gradient is identically zero")
-    return int(rng.choice(weights.size, p=weights / total))
+    return int(rng.choice(weights.size, p=weights / weights.sum()))
 
 
 def solve(X: PointSet, config: SolverConfig) -> SolveReport:

@@ -1,0 +1,92 @@
+"""Fingerprint the solver's trajectories, to check that a change keeps them
+bit-identical.
+
+    python tests/fingerprints.py SRC_DIR > fingerprints.txt
+
+imports mvee from SRC_DIR (the `src` directory of a checkout) and prints
+one line per solve: a label and the SHA-256 of every trace row (iteration,
+step type, axis and the repr of each float column), the iteration count,
+the repr of the final eps and h, the convergence flag and the bytes of
+u_final.  The last line is the row total.  Two trees run the same
+trajectories exactly when their outputs do not differ:
+
+    python tests/fingerprints.py /path/to/parent/src > parent.txt
+    python tests/fingerprints.py src > change.txt
+    diff parent.txt change.txt
+
+The 55 solves cover every algorithm from both starts; the small-cd and
+moderate-wa instances of the benchmark; the cd_diminish solve that declines
+a singular decrease; and the full jump of a simplex step at n = 1.  Needs
+numpy and mvee only; pytest does not collect this file.
+"""
+
+import hashlib
+import sys
+
+
+def solves():
+    """Yield (label, instance, config keywords) for each fingerprint solve."""
+    import numpy as np
+    from mvee.harness import gen_sample
+    from mvee.problem import PointSet, lift
+    from mvee.solvers import Algorithm, InitScheme
+
+    algs = list(Algorithm)
+    inits = list(InitScheme)
+    base = lift(gen_sample(3, 40, 0))
+    for alg in algs:
+        for init in inits:
+            yield (f"pinned {alg.value} {init.value}", base,
+                   dict(algorithm=alg, init=init, epsilon=1e-5,
+                        max_iter=2000))
+    for (n, m, seed), cap in (((3, 40, 0), 4000), ((5, 80, 5), 4000),
+                              ((10, 500, 1234), 20_000)):
+        X = lift(gen_sample(n, m, seed))
+        for alg in algs:
+            for init in inits:
+                yield (f"gen({n},{m},{seed}) {alg.value} {init.value}", X,
+                       dict(algorithm=alg, init=init, epsilon=1e-7,
+                            max_iter=cap))
+    for seed in (1234, 1235, 1236):
+        yield (f"small-cd {seed}", lift(gen_sample(10, 500, seed)),
+               dict(algorithm=Algorithm.CD_CONST, epsilon=1e-7,
+                    max_iter=400_000))
+    X = PointSet(np.random.default_rng(3550).standard_normal((4, 12)),
+                 symmetric=True)
+    yield ("normal 3550 cd_diminish", X,
+           dict(algorithm=Algorithm.CD_DIMINISH, epsilon=1e-12, max_iter=50,
+                seed=3550))
+    yield ("moderate-wa 1234", lift(gen_sample(30, 1800, 1234)),
+           dict(algorithm=Algorithm.WA, epsilon=1e-4, max_iter=200_000))
+    X = PointSet(np.random.default_rng(0).standard_normal((1, 7)),
+                 symmetric=True)
+    for alg in (Algorithm.FWK, Algorithm.WA):
+        yield (f"n=1 {alg.value} khachiyan", X,
+               dict(algorithm=alg, init=InitScheme.KHACHIYAN))
+
+
+def main(argv):
+    if len(argv) != 2:
+        sys.exit(f"usage: {argv[0]} SRC_DIR")
+    sys.path.insert(0, argv[1])
+    from mvee.solvers import SolverConfig, solve
+
+    rows = 0
+    for label, X, kw in solves():
+        rep = solve(X, SolverConfig(**kw))
+        digest = hashlib.sha256()
+        for r in rep.trace:
+            digest.update(
+                f"{r.iter},{r.step_type.value},{r.axis},{r.kappa_max!r},"
+                f"{r.kappa_min_support!r},{r.eps_k!r},{r.h_value!r},"
+                f"{r.theta_or_lambda!r}\n".encode())
+        digest.update(f"{rep.iterations},{rep.final_eps!r},{rep.final_h!r},"
+                      f"{rep.converged}\n".encode())
+        digest.update(rep.u_final.u.tobytes())
+        rows += len(rep.trace)
+        print(f"{label}: {digest.hexdigest()}", flush=True)
+    print(f"rows: {rows}")
+
+
+if __name__ == "__main__":
+    main(sys.argv)

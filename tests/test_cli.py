@@ -77,7 +77,7 @@ def test_solve_parse_error(tmp_path, capsys):
     path.write_text("1 2\n3 x\n")
     code, _, err = run(capsys, "solve", str(path))
     assert code == 1
-    assert "line 2" in err
+    assert err.startswith("error:") and "line 2" in err
 
 
 def test_solve_separator_only_first_line(tmp_path, capsys):
@@ -94,6 +94,15 @@ def test_solve_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "solve", str(tmp_path / "nope.txt"))
     assert code == 1
     assert err
+
+
+def test_solve_rejects_nan_epsilon(tmp_path, capsys):
+    path = tmp_path / "square.txt"
+    path.write_text(SQUARE_ROWS)
+    code, out, err = run(capsys, "solve", str(path), "--epsilon", "nan")
+    assert code == 1
+    assert not out
+    assert err == "error: epsilon must be positive\n"
 
 
 def test_solve_rejects_unknown_algorithm(tmp_path, capsys):
@@ -195,6 +204,15 @@ def test_gen_rejects_flat_instance(tmp_path, capsys):
     assert "m must be at least" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_gen_rejects_empty_dimension(tmp_path, capsys, n):
+    code, _, err = run(capsys, "gen", "--n", n, "--m", "5",
+                       "--output", str(tmp_path / "x.txt"))
+    assert code == 1
+    assert err == "error: n must be at least 1\n"
+    assert not (tmp_path / "x.txt").exists()
+
+
 # --- bench -------------------------------------------------------------------------
 
 def test_bench_plan_file(tmp_path, capsys):
@@ -257,14 +275,19 @@ def test_default_plan_is_the_documented_one():
     ("[plan]\n\n[regime.r]\nn = four\nm = 30\n",
      "malformed plan: invalid literal for int()"),
     ("[plan]\nseed = 1\n", "at least one [regime.<label>] section"),
-], ids=["broken_ini", "non_integer_n", "no_regime"])
+    ("[plan]\n\n[regime.r]\nn = 0\nm = 30\n",
+     "malformed plan: n must be at least 1"),
+    ("[plan]\nepsilon = nan\n\n[regime.r]\nn = 4\nm = 30\n",
+     "malformed plan: epsilon must be positive"),
+], ids=["broken_ini", "non_integer_n", "no_regime", "zero_n", "nan_epsilon"])
 def test_bench_bad_plan_is_an_input_error(tmp_path, capsys, text, message):
     plan = tmp_path / "plan.ini"
     plan.write_text(text)
     code, _, err = run(capsys, "bench", "--plan", str(plan),
                        "--output-dir", str(tmp_path / "o"))
     assert code == 1
-    assert message in err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bench_failed_solve_marks_only_its_row(tmp_path, capsys,

@@ -137,8 +137,10 @@ def test_recover_shape_is_the_inverse_covariance(n, lifted):
 # --- volume -----------------------------------------------------------------------
 
 def test_volume_disk():
-    E = Ellipsoid(np.zeros(2), np.eye(2), 2.0, 0.0)
-    assert volume(E) == pytest.approx(2 * np.pi, rel=1e-12)
+    # {x : |x|^2 <= level}: the unit disk at level 1, radius sqrt 2 at 2
+    for level, area in ((1.0, np.pi), (2.0, 2 * np.pi)):
+        E = Ellipsoid(np.zeros(2), np.eye(2), level, 0.0)
+        assert volume(E) == pytest.approx(area, rel=1e-12)
 
 
 def test_volume_unit_ball():
@@ -225,16 +227,19 @@ BAD_INPUTS = {
     "certificate_no_support": lambda tmp: certificate(
         DualWeights(np.zeros(2)), np.array([2.0, 2.0]), 2, 1e-7),
     "config_epsilon": lambda tmp: SolverConfig(epsilon=-1.0),
+    "config_epsilon_nan": lambda tmp: SolverConfig(epsilon=float("nan")),
     "config_max_iter": lambda tmp: SolverConfig(max_iter=0),
     "config_algorithm": lambda tmp: SolverConfig(algorithm="newton"),
     "config_init": lambda tmp: SolverConfig(init="uniform"),
     "init_khachiyan_empty": lambda tmp: init_khachiyan(0),
     "solve_not_symmetric": lambda tmp: solve(INTERVAL, SolverConfig()),
+    "regime_n": lambda tmp: Regime("r", 0, 5, 1),
     "regime_m": lambda tmp: Regime("r", 4, 4, 1),
     "regime_repetitions": lambda tmp: Regime("r", 4, 30, 0),
     "plan_no_regimes": lambda tmp: BenchmarkPlan([], [SolverConfig()], tmp),
     "plan_no_algorithms": lambda tmp: BenchmarkPlan(
         [Regime("r", 4, 30, 1)], [], tmp),
+    "gen_sample_n": lambda tmp: gen_sample(0, 5, 0),
     "gen_sample_m": lambda tmp: gen_sample(3, 3, 0),
     "curves_no_dimensions": lambda tmp: emit_decrement_curves(
         [], tmp / "curves.csv"),
