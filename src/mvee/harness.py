@@ -10,7 +10,6 @@ aggregate table adds per-(regime, algorithm) arithmetic means.
 """
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -147,6 +146,7 @@ def run_benchmark(plan: BenchmarkPlan,
     every algorithm's row of its repetition.  Rows come back in plan order
     whatever the parallelism; only the seconds column depends on timing.
     """
+    from concurrent.futures import ThreadPoolExecutor  # only mvee bench
     tasks = [(regime, rep) for regime in plan.regimes
              for rep in range(regime.repetitions)]
     outdir = Path(plan.output_dir)

@@ -6,8 +6,9 @@ the state holds M^{-1}, kappa and ln det M rather than a factor of M, and
 kappa and M^{-1} are two views of one buffer.  A rank-one change
 M -> M + theta x x^T is one in-place call with one denominator
 1 + theta kappa_j: it writes w * w and y y^T into a scratch buffer of the
-same layout, scales it once and subtracts it once, which is a
-Sherman-Morrison step on M^{-1}, O(n^2), and on kappa, O(m) from the
+same layout (y y^T as one BLAS product, each y_i y_j rounded once, as the
+broadcast product rounds it), scales it once and subtracts it once, which
+is a Sherman-Morrison step on M^{-1}, O(n^2), and on kappa, O(m) from the
 caller's O(m n) pass w = X^T M^{-1} x, plus a determinant-lemma step on
 ln det M.  A full rebuild from the current weights is an orthogonal
 factorization, O(m n^2).  When to rebuild (at initialization, on a schedule
@@ -117,7 +118,10 @@ def rank_one_modify(state, j, y, w, theta):
     would scale.  With s = theta / (1 + theta kappa_j):
     kappa_i <- kappa_i - s w_i^2, M'^{-1} = M^{-1} - s y y^T and
     ln det M' = ln det M + ln(1 + theta kappa_j).  O(n^2 + m) in four numpy
-    calls and no allocation; y and w are left unchanged.
+    calls and no allocation; y and w are left unchanged.  y y^T is one BLAS
+    product of an n x 1 and a 1 x n matrix, which rounds each y_i y_j once,
+    the same roundings as the broadcast y[:, None] * y at under half its
+    cost.
 
     Raises
     ------
@@ -133,7 +137,7 @@ def rank_one_modify(state, j, y, w, theta):
     # roundings of kappa - s (w * w) and M^{-1} - s (y y^T) taken one
     # operation at a time
     np.multiply(w, w, out=state._change_kappa)
-    np.multiply(y[:, None], y, out=state._change_Minv)
+    np.dot(y[:, None], y[None, :], out=state._change_Minv)
     change = state._change
     change *= theta / denom
     state.buf -= change

@@ -80,7 +80,7 @@ class Ellipsoid:
     logdet: float
 
 
-@dataclass
+@dataclass(slots=True)
 class AxisChoice:
     j_plus: int
     j_minus: int

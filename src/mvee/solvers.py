@@ -125,7 +125,7 @@ class SolverConfig:
             raise InvalidInput("max_iter must be at least 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     iter: int
     step_type: StepType
@@ -148,7 +148,7 @@ class SolveReport:
     u_final: DualWeights
 
 
-@dataclass
+@dataclass(slots=True)
 class StepOutcome:
     """What cd_step did to the held weights v: v_j moved by theta_rel, after
     the projection onto v_j >= 0, so M(v) -> M(v) + theta_rel x_j x_j^T.
@@ -336,7 +336,7 @@ def armijo_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
     raise LineSearchStalled(f"no acceptable step above 1e-16 (kappa={kappa_j})")
 
 
-def rcd_pick(grad: np.ndarray, rng: np.random.Generator) -> int:
+def rcd_pick(grad: np.ndarray, rng: "np.random.Generator") -> int:
     """Sample an axis with probability proportional to |grad h_i|; the
     gradient must not vanish identically."""
     weights = np.abs(grad)

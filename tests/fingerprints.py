@@ -14,10 +14,12 @@ trajectories exactly when their outputs do not differ:
     python tests/fingerprints.py src > change.txt
     diff parent.txt change.txt
 
-The 55 solves cover every algorithm from both starts; the small-cd and
-moderate-wa instances of the benchmark; the cd_diminish solve that declines
-a singular decrease; and the full jump of a simplex step at n = 1.  Needs
-numpy and mvee only; pytest does not collect this file.
+The 58 solves cover every algorithm from both starts; an instance of each
+benchmark workload (small-cd, moderate-wa, batch-bench with both of its
+algorithms, and the first 200 iterations of stress-cd); the cd_diminish
+solve that declines a singular decrease; and the full jump of a simplex
+step at n = 1.  Needs numpy and mvee only; pytest does not collect this
+file.
 """
 
 import hashlib
@@ -63,6 +65,12 @@ def solves():
     for alg in (Algorithm.FWK, Algorithm.WA):
         yield (f"n=1 {alg.value} khachiyan", X,
                dict(algorithm=alg, init=InitScheme.KHACHIYAN))
+    X = lift(gen_sample(20, 20_000, 1234))
+    for alg in (Algorithm.CD_CONST, Algorithm.WA):
+        yield (f"batch-bench 1234 {alg.value}", X,
+               dict(algorithm=alg, epsilon=1e-1, max_iter=10_000))
+    yield ("stress-cd 1234", lift(gen_sample(100, 30_000, 1234)),
+           dict(algorithm=Algorithm.CD_CONST, max_iter=200))
 
 
 def main(argv):

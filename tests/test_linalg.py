@@ -366,13 +366,37 @@ def out_of_place_modify(Minv, log_det, kappa, y, w, theta, kappa_j):
     return outer, log_det + math.log(denom)
 
 
-@pytest.mark.parametrize("n", [1, 10, 30])
-def test_rank_one_bit_identical_to_out_of_place(n):
-    # the shared-buffer kernel and solve's pass rounding for rounding as the
-    # out-of-place update and np.dot: increases at the argmax kappa with the
-    # exact step, and every third update the drop of the support point of
-    # least kappa
-    X = lift(gen_sample(n, 3 * n + 20, n))
+def greedy_update(k, u, kappa, d):
+    """Increases at the argmax kappa with the exact step, and every third
+    update the drop of the support point of least kappa."""
+    if k % 3 == 2:
+        support = np.flatnonzero(u)
+        j = int(support[kappa[support].argmin()])
+        return j, -u[j]
+    j = int(kappa.argmax())
+    return j, (kappa[j] - d) / (kappa[j] * kappa[j])
+
+
+def cyclic_update(k, u, kappa, d):
+    """Each column in turn, its weight doubled on one sweep and halved on
+    the next; since u_j kappa_j <= 1, 1 + theta kappa_j >= 1/2.  Greedy
+    drops would leave a four-point set singular."""
+    j = k % u.size
+    return j, u[j] if k // u.size % 2 == 0 else -u[j] / 2
+
+
+@pytest.mark.parametrize("X, update, drops, zero_ys", [
+    *(pytest.param(lift(gen_sample(n, 3 * n + 20, n)), greedy_update, 20, 0,
+                   id=str(n)) for n in (1, 10, 30, 100)),
+    # y = M^{-1} x_j is exact zeros at the zero column, every fourth update
+    pytest.param(PointSet([[1, 0, 0, 2], [0, 1, 0, 1]], symmetric=True),
+                 cyclic_update, 0, 15, id="zero_column"),
+])
+def test_rank_one_bit_identical_to_out_of_place(X, update, drops, zero_ys):
+    # the shared-buffer kernel (y y^T one BLAS product) and solve's pass
+    # rounding for rounding as the out-of-place update (y y^T broadcast) and
+    # np.dot, and M^{-1} exactly symmetric, after each of 60 updates;
+    # np.array_equal takes -0.0 == 0.0
     pts, pts_t = X.points, X.points.T
     d, m = X.dim, X.count
     u = np.full(m, 1.0 / m)
@@ -381,18 +405,13 @@ def test_rank_one_bit_identical_to_out_of_place(n):
     Minv_ref, log_det_ref, kappa_ref = (state.Minv.copy(), state.log_det,
                                         kappa.copy())
     w, w_ref = np.empty(m), np.empty(m)
-    drops = 0
+    seen_drops = seen_zero_ys = 0
     for k in range(60):
-        if k % 3 == 2:
-            support = np.flatnonzero(u)
-            j = int(support[kappa[support].argmin()])
-            theta = -u[j]
-            drops += 1
-        else:
-            j = int(kappa.argmax())
-            theta = (kappa[j] - d) / (kappa[j] * kappa[j])
+        j, theta = update(k, u, kappa, d)
         u[j] += theta
+        seen_drops += u[j] == 0.0
         y = apply_inverse(state, pts[:, j])
+        seen_zero_ys += not y.any()
         pts_t.dot(y, out=w)
         y_ref = Minv_ref.dot(pts[:, j])
         np.dot(pts_t, y_ref, out=w_ref)
@@ -403,5 +422,6 @@ def test_rank_one_bit_identical_to_out_of_place(n):
             w_ref.item(j))
         assert np.array_equal(kappa, kappa_ref), k
         assert np.array_equal(state.Minv, Minv_ref), k
+        assert np.array_equal(state.Minv, state.Minv.T), k
         assert state.log_det == log_det_ref, k
-    assert drops == 20
+    assert (seen_drops, seen_zero_ys) == (drops, zero_ys)

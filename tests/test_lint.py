@@ -104,14 +104,32 @@ def test_one_site_raises_singular_update():
     assert len(found) == 1, f"raise SingularUpdate at {found}"
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    probe = ("import sys, mvee.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _fresh_interpreter(probe):
+    """stdout of `python -c probe`, with this checkout's mvee importable."""
     src = Path(mvee.__file__).resolve().parent.parent
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, timeout=120, check=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)))
-    assert out.stdout.strip() == "[]", out.stdout
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src))).stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    out = _fresh_interpreter(
+        "import sys, mvee.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.strip() == "[]", out
+
+
+def test_cli_import_leaves_random_and_futures_unloaded():
+    # numpy.random only where a bare `import numpy` leaves it unloaded too;
+    # the thread pool is imported by run_benchmark when mvee bench runs
+    out = _fresh_interpreter(
+        "import sys, numpy; random = 'numpy.random' in sys.modules; "
+        "import mvee.cli; "
+        "print(random, 'numpy.random' in sys.modules, "
+        "'concurrent.futures' in sys.modules)")
+    by_numpy, random, futures = (s == "True" for s in out.split())
+    assert not futures, "import mvee.cli loads concurrent.futures"
+    assert by_numpy or not random, "import mvee.cli loads numpy.random"
 
 
 def _public_names(stmt):
