@@ -186,8 +186,6 @@ def _cmd_curves(args) -> int:
         n_values = [int(t) for t in args.n_values.split(",") if t.strip()]
     except ValueError:
         raise MveeError(f"bad dimension list {args.n_values!r}") from None
-    if not n_values or any(n < 1 for n in n_values):
-        raise MveeError("dimensions must be positive integers")
     emit_decrement_curves(n_values, args.output)
     print(f"wrote curves for n in {n_values} to {args.output}")
     return 0

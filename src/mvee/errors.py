@@ -3,7 +3,7 @@
 Input is checked where it enters: InvalidInput (also a ValueError),
 PointParseError and PlanError name a bad argument, point file or plan file,
 and the command line prints each as `error: ...` and exits 1.  The other
-classes report what a factorization or a step found during a solve.
+classes report what a factorization or a line search found during a solve.
 """
 
 
@@ -25,10 +25,6 @@ class SingularUpdate(MveeError):
 
 # the older name of the same failure; perfbench/layers.py imports it
 DowndateBreaksPD = SingularUpdate
-
-
-class StepRuleViolation(MveeError):
-    """A step rule or kernel was called outside its preconditions."""
 
 
 class TooFewPoints(InvalidInput):

@@ -11,6 +11,7 @@ aggregate table adds per-(regime, algorithm) arithmetic means.
 
 import csv
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -49,6 +50,8 @@ class BenchmarkPlan:
             raise InvalidInput("plan needs at least one regime")
         if not self.algorithms:
             raise InvalidInput("plan needs at least one algorithm")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise InvalidInput("seed must be a non-negative integer")
 
 
 @dataclass
@@ -81,6 +84,8 @@ def gen_sample(n: int, m: int, seed: int) -> PointSet:
         raise InvalidInput("n must be at least 1")
     if m < n + 1:
         raise InvalidInput("m must be at least n + 1")
+    if not isinstance(seed, Integral) or seed < 0:
+        raise InvalidInput("seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, m))
     g /= np.linalg.norm(g, axis=0)
@@ -119,8 +124,8 @@ def delta_minus(kappa: np.ndarray, n: int):
 def emit_decrement_curves(n_values: Sequence[int], output) -> None:
     """Sample both decrement curves at 500 points per curve per dimension
     and write them as CSV rows (n, curve, kappa, delta)."""
-    if not n_values:
-        raise InvalidInput("need at least one dimension")
+    if not n_values or any(n < 1 for n in n_values):
+        raise InvalidInput("need at least one dimension, each positive")
     with open(output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "curve", "kappa", "delta"])

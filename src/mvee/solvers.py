@@ -4,9 +4,10 @@ Six algorithms over the dual objective
 h(u) = -ln det(X U X^T) + n (e^T u - 1), all driven by the quadratic forms
 kappa_i = x_i^T (X U X^T)^{-1} x_i and the gradient identity
 grad h(u)_i = n - kappa_i.  They are one coordinate-wise method: an axis
-rule picks a point j and a direction (increase or decrease u_j), a stepsize
-rule gives theta, and cd_step takes the projected coordinate step
-u_j <- max(u_j + theta, 0).  The algorithms differ only in those two rules.
+rule picks a point j, a stepsize rule gives theta in the descent direction
+(up when kappa_j > n, down otherwise), and cd_step takes the projected
+coordinate step u_j <- max(u_j + theta, 0).  The algorithms differ only in
+those two rules.
 
 fwk and wa renormalise after the step, u' = (u + theta e_j) / (1 + theta),
 which is the simplex step (1 - t) u + t e_j with t = theta / (1 + theta).
@@ -17,7 +18,7 @@ no weight, kappa or M^{-1} entry is rescaled.  The coordinate algorithms
 keep c = 1.
 
     algorithm     axis rule                   stepsize
-    fwk           argmax kappa, increase      simplex_stepsize
+    fwk           argmax kappa                simplex_stepsize
     wa            Gauss-Southwell             simplex_stepsize
     cd_const      Gauss-Southwell             exact_stepsize
     cd_diminish   Gauss-Southwell             schedule_stepsize
@@ -25,12 +26,11 @@ keep c = 1.
     rcd           sampled by |grad h_j|       exact_stepsize
 
 The Gauss-Southwell rule takes the larger certificate violation: argmax
-kappa (increase) or argmin kappa over the support (decrease), ties to the
-increase.  rcd samples j with probability proportional to |grad h_j| and
-steps in the descent direction.  The loop stops once the certificate
-reaches epsilon, and SolverConfig holds epsilon > 0, so every axis either
-rule picks has grad h_j = n - kappa_j != 0: no stepsize rule or sampler
-meets a zero gradient.
+kappa or argmin kappa over the support, ties to the argmax; rcd samples j
+with probability proportional to |grad h_j|.  The loop stops once the
+certificate reaches epsilon, and SolverConfig holds epsilon > 0, so every
+axis either rule picks has grad h_j = n - kappa_j != 0: no stepsize rule or
+sampler meets a zero gradient or an axis without a descent direction.
 
 Each iteration is O(m n) after an O(m n^2) initialization: kappa, M^{-1}
 and ln det M live in one linalg.FactorState, which solve() holds between
@@ -50,16 +50,11 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
-from .errors import (
-    InvalidInput,
-    LineSearchStalled,
-    NotFullRank,
-    SingularUpdate,
-    StepRuleViolation,
-)
+from .errors import InvalidInput, LineSearchStalled, NotFullRank, SingularUpdate
 from .linalg import (
     PD_TOL,
     apply_inverse,
@@ -121,8 +116,10 @@ class SolverConfig:
         # NaN fails too: no eps_k <= NaN, so the solve could never stop
         if not self.epsilon > 0:
             raise InvalidInput("epsilon must be positive")
-        if self.max_iter < 1:
-            raise InvalidInput("max_iter must be at least 1")
+        if not isinstance(self.max_iter, Integral) or self.max_iter < 1:
+            raise InvalidInput("max_iter must be an integer of at least 1")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise InvalidInput("seed must be a non-negative integer")
 
 
 @dataclass(slots=True)
@@ -152,6 +149,7 @@ class SolveReport:
 class StepOutcome:
     """What cd_step did to the held weights v: v_j moved by theta_rel, after
     the projection onto v_j >= 0, so M(v) -> M(v) + theta_rel x_j x_j^T.
+    The step type is read from theta_rel and v_j alone (see cd_step).
     The step rescales no other weight (scale 1).  theta_rel is +inf for the
     full jump of a simplex step at n = 1, after which solve() replaces the
     weights and rebuilds."""
@@ -215,24 +213,18 @@ def init_kumar_yildirim(X: PointSet, seed: int) -> DualWeights:
     return DualWeights(u)
 
 
-def cd_step(u: DualWeights, j: int, theta: float,
-            increase: bool) -> StepOutcome:
+def cd_step(u: DualWeights, j: int, theta: float) -> StepOutcome:
     """Projected coordinate step u_j <- u_j + theta onto u_j >= 0.
 
-    A decrease that does not leave u_j > 0 is clamped to zero and is a
-    drop.  A zero step (a stationary axis, or a decrease the stepsize rule
-    declined) moves nothing; on the support it is labelled with the
-    direction the axis rule chose, off it a drop.
+    theta > 0 is an add from u_j = 0, else an increase.  Otherwise a step
+    that leaves u_j > 0 is a decrease, and one that does not is clamped to
+    zero and is a drop.  A zero step moves nothing: on the support it is a
+    decrease (schedule_stepsize declining a singular one), off it a drop.
     """
     uj = u.u.item(j)
     if theta > 0.0:
         step_type = StepType.ADD if uj == 0.0 else StepType.INCREASE
         u.u[j] = uj + theta
-    elif theta == 0.0:
-        if uj > 0.0:
-            step_type = StepType.INCREASE if increase else StepType.DECREASE
-        else:
-            step_type = StepType.DROP
     elif uj + theta > 0.0:
         step_type = StepType.DECREASE
         u.u[j] = uj + theta
@@ -243,29 +235,22 @@ def cd_step(u: DualWeights, j: int, theta: float,
     return StepOutcome(step_type, 1.0, theta)
 
 
-# Stepsize rules of the coordinate step.  Each maps
-# (u_j, kappa_j, increase, n, k) to the signed step theta on the chosen
-# axis at iteration k; solve() picks one per algorithm before its loop.
+# Stepsize rules of the coordinate step.  Each maps (u_j, kappa_j, n, k) to
+# the signed step theta on the chosen axis at iteration k, increasing u_j
+# when kappa_j > n and decreasing it otherwise; solve() picks one per
+# algorithm before its loop.
 
-def exact_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
-                   k: int) -> float:
+def exact_stepsize(u_j: float, kappa_j: float, n: int, k: int) -> float:
     """Per-axis exact smoothness step: (kappa_j - n) / kappa_j^2 on an
-    increase (kappa_j >= n), (kappa_j - n) / (n kappa_j) on a decrease
+    increase (kappa_j > n), (kappa_j - n) / (n kappa_j) on a decrease
     (kappa_j <= n).  At kappa_j <= 0 (x_j = 0) h changes by n theta along
     the whole decrease ray, and the step is -inf: cd_step drops u_j."""
-    if increase:
-        if not kappa_j >= n:
-            raise StepRuleViolation(
-                f"increase branch needs kappa_j >= n, got {kappa_j} < {n}")
+    if kappa_j > n:
         return (kappa_j - n) / (kappa_j * kappa_j)
-    if not kappa_j <= n:
-        raise StepRuleViolation(
-            f"decrease branch needs kappa_j <= n, got {kappa_j} > {n}")
     return (kappa_j - n) / (n * kappa_j) if kappa_j > 0.0 else -math.inf
 
 
-def simplex_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
-                     k: int) -> float:
+def simplex_stepsize(u_j: float, kappa_j: float, n: int, k: int) -> float:
     """Exact line search of the simplex step u' = (u + theta e_j) / (1 + theta)
     from e^T u = 1: theta = (kappa_j - n) / ((n - 1) kappa_j) both ways, that
     is lambda / (1 - lambda) for the Frank-Wolfe step
@@ -273,38 +258,28 @@ def simplex_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
     trial ellipsoid boundary, and -lambda / (1 + lambda) for the away step
     lambda = (n - kappa_j) / (n (kappa_j - 1)).  cd_step clamps an away step
     at -u_j, the drop; for kappa_j <= 1 h falls along the whole away ray and
-    the step is -inf.  At n = 1 it is +inf, the full jump u' = e_j."""
-    if increase:
-        # on a full-rank symmetric instance kappa at the argmax exceeds 1
-        # whenever the iterate is not yet optimal
-        if not kappa_j > 1.0:
-            raise StepRuleViolation(
-                f"increase step needs kappa_j > 1, got {kappa_j}")
-    elif not u_j < 1.0:
-        raise StepRuleViolation(
-            f"away step needs mass outside the pivot, u_j = {u_j}")
-    elif not kappa_j > 1.0:
+    the step is -inf (an increase has kappa_j > n >= 1).  At n = 1 it is
+    +inf, the full jump u' = e_j."""
+    if kappa_j <= 1.0:
         return -math.inf
     if n == 1:
         return math.inf
     return (kappa_j - n) / ((n - 1) * kappa_j)
 
 
-def schedule_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
-                      k: int) -> float:
+def schedule_stepsize(u_j: float, kappa_j: float, n: int, k: int) -> float:
     """The 2/(k+2) schedule, signed by the direction.  It ignores the barrier
     in h, so a decrease leaving M (numerically) singular, as a drop of a
     point with u_j kappa_j = 1 does, is not taken: the step is zero."""
     lam = 2.0 / (k + 2.0)
-    if increase:
+    if kappa_j > n:
         return lam
     if 1.0 - min(lam, u_j) * kappa_j <= _SINGULAR_STEP_TOL:
         return 0.0
     return -lam
 
 
-def armijo_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
-                    k: int) -> float:
+def armijo_stepsize(u_j: float, kappa_j: float, n: int, k: int) -> float:
     """Armijo backtracking along the direction, exploiting the closed form
     h(u + theta e_j) - h(u) = n theta - ln(1 + theta kappa_j).
 
@@ -321,6 +296,7 @@ def armijo_stepsize(u_j: float, kappa_j: float, increase: bool, n: int,
     LineSearchStalled
         If lambda underflows below 1e-16 without acceptance.
     """
+    increase = kappa_j > n
     if not increase and u_j <= _DROP_FLOOR:
         return -u_j
     d = 1.0 if increase else -1.0
@@ -433,15 +409,13 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
 
         if rcd:
             j = rcd_pick(n - kappa, rng)
-            increase = kappa.item(j) > n  # descent sign
         else:
-            increase = fwk or choice.increase
-            j = choice.j_plus if increase else choice.j_minus
+            j = choice.j_plus if fwk or choice.increase else choice.j_minus
         vj = u.u.item(j)
         # the rule sees u_j = c v_j and kappa_j(u) = kappa_j(v) / c; with
         # c = 1 (the coordinate algorithms) both are exact
-        theta = stepsize(c * vj, kappa.item(j) / c, increase, n, k)
-        outcome = cd_step(u, j, theta / c, increase)
+        theta = stepsize(c * vj, kappa.item(j) / c, n, k)
+        outcome = cd_step(u, j, theta / c)
         theta_rel = outcome.theta_rel
         if simplex:
             # lambda = |t| of u' = (1 - t) u + t e_j; 1 for the full jump

@@ -279,7 +279,10 @@ def test_default_plan_is_the_documented_one():
      "malformed plan: n must be at least 1"),
     ("[plan]\nepsilon = nan\n\n[regime.r]\nn = 4\nm = 30\n",
      "malformed plan: epsilon must be positive"),
-], ids=["broken_ini", "non_integer_n", "no_regime", "zero_n", "nan_epsilon"])
+    ("[plan]\nseed = -3\n\n[regime.r]\nn = 4\nm = 30\n",
+     "malformed plan: seed must be a non-negative integer"),
+], ids=["broken_ini", "non_integer_n", "no_regime", "zero_n", "nan_epsilon",
+        "negative_seed"])
 def test_bench_bad_plan_is_an_input_error(tmp_path, capsys, text, message):
     plan = tmp_path / "plan.ini"
     plan.write_text(text)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mvee.harness
-from mvee.errors import MveeError, NotFullRank
+from mvee.errors import InvalidInput, MveeError, NotFullRank
 from mvee.harness import (
     BenchmarkPlan,
     Regime,
@@ -174,6 +174,18 @@ def test_emit_decrement_curves_file(tmp_path):
     k = float(plus_n1[7]["kappa"])
     assert float(plus_n1[7]["delta"]) == pytest.approx(
         delta_plus(np.array([k]), 1)[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("n_values", [[0], [-2], [1, 0]],
+                         ids=["zero", "negative", "zero_after_one"])
+def test_emit_decrement_curves_rejects_nonpositive_dimensions(tmp_path,
+                                                              n_values):
+    # a dimension below 1 would write rows of nan; the API refuses it
+    # before it opens the output
+    out = tmp_path / "curves.csv"
+    with pytest.raises(InvalidInput):
+        emit_decrement_curves(n_values, out)
+    assert not out.exists()
 
 
 # --- benchmark orchestration ---------------------------------------------------------

@@ -229,6 +229,9 @@ BAD_INPUTS = {
     "config_epsilon": lambda tmp: SolverConfig(epsilon=-1.0),
     "config_epsilon_nan": lambda tmp: SolverConfig(epsilon=float("nan")),
     "config_max_iter": lambda tmp: SolverConfig(max_iter=0),
+    "config_max_iter_float": lambda tmp: SolverConfig(max_iter=2.5),
+    "config_seed_negative": lambda tmp: SolverConfig(seed=-1),
+    "config_seed_float": lambda tmp: SolverConfig(seed=1.5),
     "config_algorithm": lambda tmp: SolverConfig(algorithm="newton"),
     "config_init": lambda tmp: SolverConfig(init="uniform"),
     "init_khachiyan_empty": lambda tmp: init_khachiyan(0),
@@ -239,8 +242,11 @@ BAD_INPUTS = {
     "plan_no_regimes": lambda tmp: BenchmarkPlan([], [SolverConfig()], tmp),
     "plan_no_algorithms": lambda tmp: BenchmarkPlan(
         [Regime("r", 4, 30, 1)], [], tmp),
+    "plan_seed_negative": lambda tmp: BenchmarkPlan(
+        [Regime("r", 4, 30, 1)], [SolverConfig()], tmp, seed=-1),
     "gen_sample_n": lambda tmp: gen_sample(0, 5, 0),
     "gen_sample_m": lambda tmp: gen_sample(3, 3, 0),
+    "gen_sample_seed_negative": lambda tmp: gen_sample(3, 20, -1),
     "curves_no_dimensions": lambda tmp: emit_decrement_curves(
         [], tmp / "curves.csv"),
 }

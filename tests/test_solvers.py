@@ -12,7 +12,6 @@ from mvee.errors import (
     MveeError,
     NotFullRank,
     SingularUpdate,
-    StepRuleViolation,
 )
 from mvee.harness import gen_sample
 from mvee.linalg import (
@@ -59,23 +58,19 @@ def axis_choice(kappa, u, n):
 
 
 def gs_axis(choice):
-    """The axis and direction solve() takes from a Gauss-Southwell choice."""
-    increase = choice.increase
-    return (choice.j_plus if increase else choice.j_minus), increase
+    """The axis solve() takes from a Gauss-Southwell choice."""
+    return choice.j_plus if choice.increase else choice.j_minus
 
 
 def gs_cd_step(u, kappa, choice, n, stepsize=exact_stepsize, k=0):
     """One coordinate step on the Gauss-Southwell axis, as solve() makes it."""
-    j, increase = gs_axis(choice)
-    return cd_step(u, j, stepsize(float(u.u[j]), float(kappa[j]), increase,
-                                  n, k), increase)
+    j = gs_axis(choice)
+    return cd_step(u, j, stepsize(float(u.u[j]), float(kappa[j]), n, k))
 
 
 def rcd_cd_step(u, kappa, j, n):
-    """One rcd step on a sampled axis j: descent sign, exact stepsize."""
-    kj = float(kappa[j])
-    return cd_step(u, j, exact_stepsize(float(u.u[j]), kj, kj > n, n, 0),
-                   kj > n)
+    """One rcd step on a sampled axis j: exact stepsize, descent sign."""
+    return cd_step(u, j, exact_stepsize(float(u.u[j]), float(kappa[j]), n, 0))
 
 
 # --- initialization -------------------------------------------------------------
@@ -163,7 +158,7 @@ def test_axis_selection_lowest_index_ties():
 
 # --- Frank-Wolfe step -------------------------------------------------------------
 
-def simplex_step(u, kappa, j, increase, n):
+def simplex_step(u, kappa, j, n):
     """An fwk or wa step as solve() takes it from normalised weights (c = 1):
     simplex_stepsize, then cd_step.  Returns the outcome, lambda = |t| of
     u' = (1 - t) u + t e_j, and the normalised weights u / e^T u after the
@@ -171,12 +166,12 @@ def simplex_step(u, kappa, j, increase, n):
     takes the same step."""
     kappa = np.asarray(kappa, float)
     held = DualWeights(4.0 * u.u)
-    theta = simplex_stepsize(float(u.u[j]), float(kappa[j]), increase, n, 0)
-    out = cd_step(u, j, theta, increase)
+    theta = simplex_stepsize(float(u.u[j]), float(kappa[j]), n, 0)
+    out = cd_step(u, j, theta)
     c = 0.25
     theta_held = simplex_stepsize(c * float(held.u[j]), float(kappa[j] / 4.0)
-                                  / c, increase, n, 0)
-    out_held = cd_step(held, j, theta_held / c, increase)
+                                  / c, n, 0)
+    out_held = cd_step(held, j, theta_held / c)
     lam = abs(out.theta_rel / (1.0 + out.theta_rel))
     step = c * out_held.theta_rel
     assert out_held.step_type is out.step_type
@@ -188,7 +183,7 @@ def simplex_step(u, kappa, j, increase, n):
 
 def test_fwk_fixed_point():
     u = DualWeights(np.array([0.5, 0.5]))
-    out, lam, after = simplex_step(u, [2.0, 2.0], 0, True, 2)
+    out, lam, after = simplex_step(u, [2.0, 2.0], 0, 2)
     assert lam == 0.0
     assert np.array_equal(after, [0.5, 0.5])
 
@@ -200,7 +195,7 @@ def test_fwk_keeps_simplex_and_lands_on_boundary():
     state = factor_from_weights(X, u)
     kappa = gradient_refresh(state, X)
     j = int(np.argmax(kappa))
-    _, _, after = simplex_step(u, kappa, j, True, 3)
+    _, _, after = simplex_step(u, kappa, j, 3)
     assert after.sum() == pytest.approx(1.0, abs=1e-12)
     fresh = gradient_refresh(factor_from_weights(X, DualWeights(after)), X)
     assert fresh[j] == pytest.approx(3.0, abs=1e-8)
@@ -208,7 +203,7 @@ def test_fwk_keeps_simplex_and_lands_on_boundary():
 
 def test_fwk_add_vs_increase():
     u = DualWeights(np.array([0.5, 0.5, 0.0]))
-    out, _, after = simplex_step(u, [1.5, 1.5, 3.0], 2, True, 2)
+    out, _, after = simplex_step(u, [1.5, 1.5, 3.0], 2, 2)
     assert out.step_type is StepType.ADD
     assert after[2] > 0.0 and u.support[2]
 
@@ -219,8 +214,8 @@ def test_wa_tie_takes_increase_branch():
     u = DualWeights(np.full(3, 1 / 3))
     choice = axis_choice([2.4, 2.0, 1.6], u, 2)
     assert choice.increase
-    j, increase = gs_axis(choice)
-    out, _, _ = simplex_step(u, [2.4, 2.0, 1.6], j, increase, 2)
+    j = gs_axis(choice)
+    out, _, _ = simplex_step(u, [2.4, 2.0, 1.6], j, 2)
     assert out.step_type in (StepType.ADD, StepType.INCREASE)
     assert j == 0
 
@@ -230,7 +225,7 @@ def test_wa_decrease_formula():
     u = DualWeights(np.array([0.3, 0.3, 0.4]))
     kappa = np.array([2.1, 2.05, 1.5])
     choice = AxisChoice(0, 2, 0.05, 0.25)
-    out, lam, after = simplex_step(u, kappa, *gs_axis(choice), 2)
+    out, lam, after = simplex_step(u, kappa, gs_axis(choice), 2)
     assert out.step_type is StepType.DECREASE
     assert lam == pytest.approx(0.5)
     assert after[2] == pytest.approx(0.4 * 1.5 - 0.5)
@@ -241,7 +236,7 @@ def test_wa_drop_lands_on_zero():
     u = DualWeights(np.array([0.65, 0.30, 0.05]))
     kappa = np.array([2.1, 2.05, 1.2])
     choice = AxisChoice(0, 2, 0.05, 0.4)
-    out, lam, after = simplex_step(u, kappa, *gs_axis(choice), 2)
+    out, lam, after = simplex_step(u, kappa, gs_axis(choice), 2)
     assert out.step_type is StepType.DROP
     assert lam == pytest.approx(0.05 / 0.95)
     assert after[2] == 0.0 and not u.support[2]
@@ -253,9 +248,18 @@ def test_wa_small_kappa_only_drop_bound():
     u = DualWeights(np.array([0.4, 0.3, 0.3]))
     kappa = np.array([2.2, 2.0, 0.9])
     choice = AxisChoice(0, 2, 0.1, 0.55)
-    out, _, after = simplex_step(u, kappa, *gs_axis(choice), 2)
+    out, _, after = simplex_step(u, kappa, gs_axis(choice), 2)
     assert out.step_type is StepType.DROP
     assert after[2] == 0.0
+
+
+def test_simplex_stepsize_at_kappa_one_is_a_drop():
+    # kappa_j = 1 < n is a decrease whose whole away ray lowers h: the step
+    # is -inf, which cd_step clamps to the drop
+    assert simplex_stepsize(0.5, 1.0, 2, 0) == -math.inf
+    out, lam, after = simplex_step(DualWeights([0.5, 0.5]), [1.0, 0.5], 0, 2)
+    assert out.step_type is StepType.DROP and lam == 1.0
+    assert np.array_equal(after, [0.0, 1.0])
 
 
 @given(st.integers(2, 50), st.floats(0.0, 1e6, exclude_min=True),
@@ -268,12 +272,12 @@ def test_simplex_stepsize_is_the_convex_combination_line_search(n, kappa_j,
     # convex combination u' = (1 - t) u + t e_j: lambda / (1 - lambda) for
     # the Frank-Wolfe step and -lambda / (1 + lambda) for the away step,
     # with lambda in its closed form on the simplex
+    # (one formula, so both forms hold whichever way kappa_j lies from n)
+    theta = simplex_stepsize(u_j, kappa_j, n, 0)
     if kappa_j > 1.0:
         lam = (kappa_j - n) / (n * (kappa_j - 1.0))
-        assert simplex_stepsize(u_j, kappa_j, True, n, 0) == pytest.approx(
-            lam / (1.0 - lam), rel=1e-13, abs=0.0)
+        assert theta == pytest.approx(lam / (1.0 - lam), rel=1e-13, abs=0.0)
     lam = (n - kappa_j) / (n * (kappa_j - 1.0)) if kappa_j > 1.0 else math.inf
-    theta = simplex_stepsize(u_j, kappa_j, False, n, 0)
     if kappa_j > 1.0:
         assert theta == pytest.approx(-lam / (1.0 + lam), rel=1e-13, abs=0.0)
     # cd_step's projection at -u_j is the away step's cap lambda_drop; the
@@ -281,7 +285,7 @@ def test_simplex_stepsize_is_the_convex_combination_line_search(n, kappa_j,
     # within rounding
     lam_drop = u_j / (1.0 - u_j)
     u = DualWeights(np.array([u_j, 1.0 - u_j]))
-    out = cd_step(u, 0, theta, False)
+    out = cd_step(u, 0, theta)
     if lam_drop == lam or not math.isclose(lam_drop, lam, rel_tol=1e-12):
         assert (out.step_type is StepType.DROP) == (lam_drop <= lam)
 
@@ -355,16 +359,16 @@ def test_diminishing_vanishes():
 # --- backtracking ------------------------------------------------------------------------
 
 def test_backtracking_halves_until_armijo():
-    assert armijo_stepsize(0.0, 4.0, True, 2, 0) == pytest.approx(0.125)
+    assert armijo_stepsize(0.0, 4.0, 2, 0) == pytest.approx(0.125)
 
 
 def test_backtracking_alpha_zero_accepts_first_descent(monkeypatch):
     monkeypatch.setattr(mvee.solvers, "_ARMIJO_ALPHA", 0.0)
-    assert armijo_stepsize(0.0, 4.0, True, 2, 0) == pytest.approx(0.5)
+    assert armijo_stepsize(0.0, 4.0, 2, 0) == pytest.approx(0.5)
 
 
 def test_backtracking_negative_direction_respects_feasibility():
-    theta = armijo_stepsize(0.3, 1.0, False, 2, 0)
+    theta = armijo_stepsize(0.3, 1.0, 2, 0)
     assert theta == pytest.approx(-0.25)
     assert -theta <= 0.3
 
@@ -372,7 +376,7 @@ def test_backtracking_negative_direction_respects_feasibility():
 def test_backtracking_stalls_when_target_unreachable(monkeypatch):
     monkeypatch.setattr(mvee.solvers, "_ARMIJO_ALPHA", 1.0)
     with pytest.raises(LineSearchStalled):
-        armijo_stepsize(0.0, 2.5, True, 2, 0)
+        armijo_stepsize(0.0, 2.5, 2, 0)
 
 
 def test_armijo_drops_weights_below_floor():
@@ -383,8 +387,8 @@ def test_armijo_drops_weights_below_floor():
                      armijo_stepsize)
     assert out.step_type is StepType.DROP and out.theta_rel == -1e-14
     assert u.u[1] == 0.0 and not u.support[1]
-    assert armijo_stepsize(0.3, 1.0, False, 2, 0) == pytest.approx(-0.25)
-    assert armijo_stepsize(0.0, 4.0, True, 2, 0) == pytest.approx(0.125)
+    assert armijo_stepsize(0.3, 1.0, 2, 0) == pytest.approx(-0.25)
+    assert armijo_stepsize(0.0, 4.0, 2, 0) == pytest.approx(0.125)
 
 
 # --- randomized coordinate descent -----------------------------------------------------------
@@ -413,15 +417,12 @@ def test_rcd_step_branches():
     out = rcd_cd_step(u, np.array([2.0, 1.5, 1.0]), 2, 2)  # zero-weight interior
     assert out.step_type is StepType.DROP and out.theta_rel == 0.0
 
-    # stationary axis: a zero step moves nothing; it is labelled with the
-    # chosen direction on the support (rcd decreases at kappa_j = n) and a
-    # drop off it
+    # stationary axis: a zero step moves nothing; it is a decrease on the
+    # support and a drop off it
     u = DualWeights(np.array([0.5, 0.5]))
     out = rcd_cd_step(u, np.array([2.0, 2.0]), 0, 2)
     assert out.theta_rel == 0.0 and u.u[0] == 0.5
     assert out.step_type is StepType.DECREASE and u.support[0]
-    out = cd_step(u, 0, 0.0, True)
-    assert out.step_type is StepType.INCREASE and u.u[0] == 0.5
 
     u = DualWeights(np.array([0.5, 0.5, 0.0]))
     out = rcd_cd_step(u, np.array([2.0, 2.0, 2.0]), 2, 2)
@@ -555,9 +556,9 @@ def test_exact_stepsize_decrements_meet_bounds(alg, eps, monkeypatch):
     n = X.dim
     kappas = []
 
-    def recording(u_j, kappa_j, increase, dim, k):
+    def recording(u_j, kappa_j, dim, k):
         kappas.append(kappa_j)
-        return exact_stepsize(u_j, kappa_j, increase, dim, k)
+        return exact_stepsize(u_j, kappa_j, dim, k)
 
     monkeypatch.setattr(mvee.solvers, "exact_stepsize", recording)
     rep = solve(X, SolverConfig(algorithm=alg, epsilon=eps, max_iter=10_000))
@@ -619,28 +620,6 @@ def test_lower_dimensional_sets_raise_not_full_rank(alg, init, name):
         solve(X, SolverConfig(algorithm=alg, init=init))
 
 
-# --- step-rule preconditions ---------------------------------------------------------------------
-
-@pytest.mark.parametrize("call", [
-    # Frank-Wolfe stepsize denominator kappa_j - 1 must be positive
-    lambda: simplex_step(DualWeights([0.5, 0.5]), [1.0, 0.5], 0, True, 2),
-    # an away step from a point holding all the mass has nowhere to go
-    lambda: simplex_step(DualWeights([1.0, 0.0]), [1.0, 1.0],
-                         *gs_axis(AxisChoice(1, 0, -0.5, 0.5)), 2),
-    # the increase branch needs kappa_j >= n
-    lambda: gs_cd_step(DualWeights([0.5, 0.5]), np.array([1.0, 1.0]),
-                       AxisChoice(0, 1, 0.5, 0.1), 2),
-    # the decrease branch needs kappa_j <= n
-    lambda: gs_cd_step(DualWeights([0.5, 0.5]), np.array([3.0, 3.0]),
-                       AxisChoice(0, 1, 0.1, 0.5), 2),
-], ids=["fwk_kappa_above_one", "wa_away_mass", "cd_increase_kappa",
-        "cd_decrease_kappa"])
-def test_step_rule_preconditions_raise(call):
-    # real checks, not asserts: they must survive python -O
-    with pytest.raises(StepRuleViolation):
-        call()
-
-
 # --- maintained state against dense recomputation -------------------------------------------------
 
 def _close(got, want, tol):
@@ -673,7 +652,7 @@ def test_zero_step_on_the_support_is_labelled_a_decrease():
 def test_zero_column_is_dropped_by_the_exact_stepsize():
     # x_2 = 0 has kappa_2 = 0, and h changes by n theta along its decrease
     # ray: the step is -inf, which cd_step clamps to the drop
-    assert exact_stepsize(0.25, 0.0, False, 2, 0) == -math.inf
+    assert exact_stepsize(0.25, 0.0, 2, 0) == -math.inf
     X = PointSet([[1, 0, 0, 2], [0, 1, 0, 1]], symmetric=True)
     rep = solve(X, SolverConfig(algorithm=Algorithm.CD_CONST,
                                 init=InitScheme.KHACHIYAN))
@@ -1046,16 +1025,61 @@ def test_axis_rules_never_see_a_zero_gradient(name, init, alg, monkeypatch):
         calls.append(j)
         return j
 
-    def armijo(u_j, kappa_j, increase, n, k):
+    def armijo(u_j, kappa_j, n, k):
         assert n - kappa_j != 0.0, (k, kappa_j)
         calls.append(k)
-        return real_armijo(u_j, kappa_j, increase, n, k)
+        return real_armijo(u_j, kappa_j, n, k)
 
     monkeypatch.setattr(mvee.solvers, "rcd_pick", pick)
     monkeypatch.setattr(mvee.solvers, "armijo_stepsize", armijo)
     rep = solve(AXIS_RULE_INSTANCES[name],
                 SolverConfig(algorithm=alg, init=init, max_iter=2000))
     assert len(calls) == rep.iterations
+
+
+@pytest.mark.parametrize("name", list(AXIS_RULE_INSTANCES))
+@pytest.mark.parametrize("init", list(InitScheme))
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_step_goes_up_exactly_when_the_axis_rule_chose_the_increase(
+        name, init, alg, monkeypatch):
+    # the stepsize rules read the direction from kappa_j > n alone; on every
+    # step it agrees with the one the loop chose: the Gauss-Southwell argmax
+    # (always for fwk), or a negative gradient at rcd's sampled axis.  fwk
+    # and wa read kappa_j / c against n while the axis rule reads kappa_j
+    # against n c, and they agree too
+    choices, descents, steps = [], [], []
+    real_select = mvee.solvers.select_axis_gauss_southwell
+    real_pick = mvee.solvers.rcd_pick
+    real_step = mvee.solvers.cd_step
+    fwk = alg is Algorithm.FWK
+
+    def select(kappa, support, dim):
+        choices.append(real_select(kappa, support, dim))
+        return choices[-1]
+
+    def pick(grad, rng):
+        j = real_pick(grad, rng)
+        descents.append(grad[j] < 0.0)
+        return j
+
+    def step(u, j, theta):
+        chosen = choices[-1]
+        if alg is Algorithm.RCD:
+            up = descents[-1]
+        else:
+            up = fwk or chosen.eps_plus >= chosen.eps_minus
+            assert j == (chosen.j_plus if up else chosen.j_minus), (
+                len(steps), j, chosen)
+        assert (theta > 0.0) == up, (len(steps), j, theta, chosen)
+        steps.append(up)
+        return real_step(u, j, theta)
+
+    monkeypatch.setattr(mvee.solvers, "select_axis_gauss_southwell", select)
+    monkeypatch.setattr(mvee.solvers, "rcd_pick", pick)
+    monkeypatch.setattr(mvee.solvers, "cd_step", step)
+    rep = solve(AXIS_RULE_INSTANCES[name],
+                SolverConfig(algorithm=alg, init=init, max_iter=2000))
+    assert len(steps) == rep.iterations
 
 
 def test_wall_time_includes_the_start(small_lifted, monkeypatch):
