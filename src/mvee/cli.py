@@ -150,7 +150,11 @@ def _load_plan(path) -> tuple[list[Regime], list[SolverConfig], int]:
         for name in names:
             if name not in ALGORITHM_NAMES:
                 raise PlanError(f"unknown algorithm {name!r}")
-            algorithms.append(SolverConfig(algorithm=ALGORITHM_NAMES[name],
+            alg = ALGORITHM_NAMES[name]
+            # one trace file and one row per (regime, algorithm, repetition)
+            if any(cfg.algorithm is alg for cfg in algorithms):
+                raise PlanError(f"algorithm {alg.value!r} is listed twice")
+            algorithms.append(SolverConfig(algorithm=alg,
                                            epsilon=epsilon, max_iter=max_iter,
                                            init=init, seed=seed))
         regimes = []

@@ -4,12 +4,13 @@ Instances fill a ball uniformly, then are pushed through a random
 ill-conditioned linear map and shifted.  A uniform ball fill puts more of
 its points near the surface than a standard-normal sample does, and more
 so as n grows.  Benchmarks run a grid of (regime x repetition x
-algorithm), building each repetition's instance once and solving it with
-every algorithm; the task that solves a run writes its trace CSV.  An
+algorithm), building each repetition's instance and start once and solving
+it with every algorithm; the task that solves a run writes its trace CSV.  An
 aggregate table adds per-(regime, algorithm) arithmetic means.
 """
 
 import csv
+import time
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInput, MveeError
 from .problem import PointSet, lift
-from .solvers import SolverConfig, solve, write_trace
+from .solvers import SolverConfig, initial_weights, solve, write_trace
 
 
 @dataclass
@@ -30,6 +31,9 @@ class Regime:
     repetitions: int
 
     def __post_init__(self):
+        if not all(isinstance(v, Integral)
+                   for v in (self.n, self.m, self.repetitions)):
+            raise InvalidInput("n, m and repetitions must be integers")
         if self.n < 1:
             raise InvalidInput("n must be at least 1")
         if self.repetitions < 1:
@@ -80,6 +84,8 @@ def gen_sample(n: int, m: int, seed: int) -> PointSet:
     the iteration count of a solve from the Khachiyan start, which is
     affine-invariant.  Returns a non-symmetric PointSet.
     """
+    if not isinstance(n, Integral) or not isinstance(m, Integral):
+        raise InvalidInput("n and m must be integers")
     if n < 1:
         raise InvalidInput("n must be at least 1")
     if m < n + 1:
@@ -145,11 +151,14 @@ def run_benchmark(plan: BenchmarkPlan,
     result tables into plan.output_dir.
 
     One task per (regime, repetition) builds the instance, seeded
-    plan.seed + repetition, once, solves it with every algorithm and
-    writes each solve's trace.  A solver error marks its row failed, with
-    no trace, and the plan goes on; an instance that cannot be built marks
-    every algorithm's row of its repetition.  Rows come back in plan order
-    whatever the parallelism; only the seconds column depends on timing.
+    plan.seed + repetition, once, computes the start once per distinct
+    (init, seed) of the configs, solves the instance from it with every
+    algorithm and writes each solve's trace.  A row's seconds are its
+    start's time plus the solve's, the time to solve from scratch.  A
+    solver error marks its row failed, with no trace, and the plan goes on;
+    an instance or a start that cannot be built marks every row that needs
+    it.  Rows come back in plan order whatever the parallelism; only the
+    seconds column depends on timing.
     """
     from concurrent.futures import ThreadPoolExecutor  # only mvee bench
     tasks = [(regime, rep) for regime in plan.regimes
@@ -168,17 +177,31 @@ def run_benchmark(plan: BenchmarkPlan,
             X = lift(gen_sample(regime.n, regime.m, plan.seed + rep))
         except MveeError as exc:
             return [_failed(regime, rep, cfg, exc) for cfg in plan.algorithms]
+        starts = {}  # (init, seed) -> (weights or their error, seconds)
         rows = []
         for cfg in plan.algorithms:
+            key = (cfg.init, cfg.seed)
+            if key not in starts:
+                t0 = time.perf_counter()
+                try:
+                    start = initial_weights(X, cfg)
+                except MveeError as exc:
+                    start = exc
+                starts[key] = start, time.perf_counter() - t0
+            start, start_s = starts[key]
+            if isinstance(start, MveeError):
+                rows.append(_failed(regime, rep, cfg, start))
+                continue
             try:
-                report = solve(X, cfg)
+                report = solve(X, cfg, start)
             except MveeError as exc:
                 rows.append(_failed(regime, rep, cfg, exc))
                 continue
             alg = cfg.algorithm.value
             write_trace(report.trace, outdir / f"{regime.label}_{alg}_{rep}.csv")
             rows.append(BenchmarkRow(regime.label, regime.n, regime.m, alg,
-                                     rep, report.iterations, report.wall_time,
+                                     rep, report.iterations,
+                                     start_s + report.wall_time,
                                      report.final_eps, report.final_h,
                                      report.converged))
         return rows

@@ -136,6 +136,9 @@ class IterationRecord:
 
 @dataclass
 class SolveReport:
+    """What solve() returned; wall_time runs from its call to its return,
+    so it includes a start solve() computed and excludes one passed in."""
+
     converged: bool
     iterations: int
     final_eps: float
@@ -211,6 +214,14 @@ def init_kumar_yildirim(X: PointSet, seed: int) -> DualWeights:
     u = np.zeros(m)
     u[chosen] = 1.0 / n
     return DualWeights(u)
+
+
+def initial_weights(X: PointSet, config: SolverConfig) -> DualWeights:
+    """The weights solve() starts from: uniform for the Khachiyan start,
+    else the Kumar-Yildirim points drawn with config.seed."""
+    if config.init is InitScheme.KHACHIYAN:
+        return init_khachiyan(X.count)
+    return init_kumar_yildirim(X, config.seed)
 
 
 def cd_step(u: DualWeights, j: int, theta: float) -> StepOutcome:
@@ -319,7 +330,8 @@ def rcd_pick(grad: np.ndarray, rng: "np.random.Generator") -> int:
     return int(rng.choice(weights.size, p=weights / weights.sum()))
 
 
-def solve(X: PointSet, config: SolverConfig) -> SolveReport:
+def solve(X: PointSet, config: SolverConfig,
+          start: DualWeights | None = None) -> SolveReport:
     """Run the configured algorithm on a symmetric instance.
 
     Stops when the certificate reaches the tolerance: fwk certifies primal
@@ -347,6 +359,9 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
     X : PointSet
         Must be symmetric; lift(...) arbitrary instances first.
     config : SolverConfig
+    start : DualWeights, optional
+        Weights to start from, one per point, as initial_weights(X, config)
+        gives; solve() works on a copy.  None computes that start.
 
     Returns
     -------
@@ -372,10 +387,12 @@ def solve(X: PointSet, config: SolverConfig) -> SolveReport:
                 Algorithm.CD_BACKTRACK: armijo_stepsize}[alg]
     simplex = stepsize is simplex_stepsize
 
-    if config.init is InitScheme.KHACHIYAN:
-        u = init_khachiyan(m)
+    if start is None:
+        u = initial_weights(X, config)
+    elif start.u.size != m:
+        raise InvalidInput(f"start has {start.u.size} weights for {m} points")
     else:
-        u = init_kumar_yildirim(X, config.seed)
+        u = DualWeights(start.u)  # a copy
 
     pts = X.points
     pts_t = pts.T

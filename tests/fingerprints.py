@@ -7,8 +7,13 @@ imports mvee from SRC_DIR (the `src` directory of a checkout) and prints
 one line per solve: a label and the SHA-256 of every trace row (iteration,
 step type, axis and the repr of each float column), the iteration count,
 the repr of the final eps and h, the convergence flag and the bytes of
-u_final.  The last line is the row total.  Two trees run the same
-trajectories exactly when their outputs do not differ:
+u_final.  Then come the `mvee bench` lines: run_benchmark on two small
+plans at parallelism 2, each with all six algorithms under starts of both
+inits and two seeds (some shared within a repetition, some not) and two
+repetitions of two regimes; one SHA-256 per output file, results.csv and
+results_means.csv without their timing columns.  The last line is the row
+total of the solves.  Two trees run the same trajectories exactly when
+their outputs do not differ:
 
     python tests/fingerprints.py /path/to/parent/src > parent.txt
     python tests/fingerprints.py src > change.txt
@@ -73,6 +78,51 @@ def solves():
            dict(algorithm=Algorithm.CD_CONST, max_iter=200))
 
 
+# (algorithm, init, seed) of each bench plan; every algorithm meets both inits
+BENCH_PLANS = {
+    "A": (("fwk", "kumar_yildirim", 0), ("wa", "kumar_yildirim", 0),
+          ("cd_const", "kumar_yildirim", 1), ("cd_diminish", "khachiyan", 0),
+          ("cd_backtrack", "khachiyan", 1), ("rcd", "kumar_yildirim", 1)),
+    "B": (("fwk", "khachiyan", 1), ("wa", "khachiyan", 0),
+          ("cd_const", "khachiyan", 0), ("cd_diminish", "kumar_yildirim", 1),
+          ("cd_backtrack", "kumar_yildirim", 0), ("rcd", "khachiyan", 1)),
+}
+# timing columns of the two result tables
+TIMING = {"seconds", "mean_seconds"}
+
+
+def bench_fingerprints():
+    """Yield (label, SHA-256) for every file of each bench plan's output."""
+    import csv
+    import tempfile
+    from pathlib import Path
+    from mvee.harness import BenchmarkPlan, Regime, run_benchmark
+    from mvee.solvers import SolverConfig
+
+    for name, configs in BENCH_PLANS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            plan = BenchmarkPlan(
+                regimes=[Regime("r3", 3, 40, 2), Regime("r5", 5, 80, 2)],
+                algorithms=[SolverConfig(algorithm=alg, init=init, seed=seed,
+                                         epsilon=1e-5, max_iter=2000)
+                            for alg, init, seed in configs],
+                output_dir=out, seed=0)
+            run_benchmark(plan, parallelism=2)
+            for path in sorted(out.iterdir()):
+                if path.name.startswith("results"):
+                    with open(path, newline="") as fh:
+                        table = list(csv.reader(fh))
+                    keep = [i for i, col in enumerate(table[0])
+                            if col not in TIMING]
+                    data = "\n".join(",".join(row[i] for i in keep)
+                                      for row in table).encode()
+                else:
+                    data = path.read_bytes()
+                yield (f"bench {name} {path.name}",
+                       hashlib.sha256(data).hexdigest())
+
+
 def main(argv):
     if len(argv) != 2:
         sys.exit(f"usage: {argv[0]} SRC_DIR")
@@ -93,6 +143,8 @@ def main(argv):
         digest.update(rep.u_final.u.tobytes())
         rows += len(rep.trace)
         print(f"{label}: {digest.hexdigest()}", flush=True)
+    for label, digest in bench_fingerprints():
+        print(f"{label}: {digest}", flush=True)
     print(f"rows: {rows}")
 
 

@@ -281,8 +281,10 @@ def test_default_plan_is_the_documented_one():
      "malformed plan: epsilon must be positive"),
     ("[plan]\nseed = -3\n\n[regime.r]\nn = 4\nm = 30\n",
      "malformed plan: seed must be a non-negative integer"),
+    ("[plan]\nalgorithms = cd_const, cd\n\n[regime.r]\nn = 4\nm = 30\n",
+     "algorithm 'cd_const' is listed twice"),
 ], ids=["broken_ini", "non_integer_n", "no_regime", "zero_n", "nan_epsilon",
-        "negative_seed"])
+        "negative_seed", "repeated_algorithm"])
 def test_bench_bad_plan_is_an_input_error(tmp_path, capsys, text, message):
     plan = tmp_path / "plan.ini"
     plan.write_text(text)
@@ -297,10 +299,10 @@ def test_bench_failed_solve_marks_only_its_row(tmp_path, capsys,
                                                monkeypatch):
     real_solve = mvee.harness.solve
 
-    def failing_wa(X, cfg):
+    def failing_wa(X, cfg, start=None):
         if cfg.algorithm is Algorithm.WA:
             raise MveeError("injected failure")
-        return real_solve(X, cfg)
+        return real_solve(X, cfg, start)
 
     monkeypatch.setattr(mvee.harness, "solve", failing_wa)
     plan = tmp_path / "plan.ini"

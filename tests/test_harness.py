@@ -1,9 +1,11 @@
 import csv
+import time
 
 import numpy as np
 import pytest
 
 import mvee.harness
+import mvee.solvers
 from mvee.errors import InvalidInput, MveeError, NotFullRank
 from mvee.harness import (
     BenchmarkPlan,
@@ -15,7 +17,8 @@ from mvee.harness import (
     run_benchmark,
 )
 from mvee.problem import lift
-from mvee.solvers import Algorithm, SolverConfig, init_kumar_yildirim
+from mvee.solvers import (Algorithm, InitScheme, SolverConfig,
+                          init_kumar_yildirim)
 
 LN2 = np.log(2.0)
 
@@ -273,6 +276,82 @@ def test_run_benchmark_unbuildable_instance_fails_every_algorithm(
     assert not rows[2].converged and rows[2].iterations == 0
     assert (plan.output_dir / "tiny_wa_0.csv").exists()
     assert not (plan.output_dir / "tiny_wa_1.csv").exists()
+
+
+def mixed_start_plan(tmp_path):
+    """cd_const and wa share the Kumar-Yildirim start of seed 0, rcd draws
+    its own from seed 1, and fwk starts from the Khachiyan weights."""
+    ky = InitScheme.KUMAR_YILDIRIM
+    return BenchmarkPlan(
+        regimes=[Regime("tiny", 4, 30, 2)],
+        algorithms=[SolverConfig(algorithm=alg, init=init, seed=seed,
+                                 epsilon=1e-6, max_iter=5000)
+                    for alg, init, seed in (
+                        (Algorithm.CD_CONST, ky, 0), (Algorithm.WA, ky, 0),
+                        (Algorithm.RCD, ky, 1),
+                        (Algorithm.FWK, InitScheme.KHACHIYAN, 0))],
+        seed=7, output_dir=tmp_path / "out")
+
+
+def test_run_benchmark_computes_each_start_once(tmp_path, monkeypatch):
+    calls = {"kumar_yildirim": [], "khachiyan": []}
+    real_ky = mvee.solvers.init_kumar_yildirim
+    real_kh = mvee.solvers.init_khachiyan
+
+    def counting_ky(X, seed):
+        calls["kumar_yildirim"].append(seed)
+        return real_ky(X, seed)
+
+    def counting_kh(m):
+        calls["khachiyan"].append(m)
+        return real_kh(m)
+
+    monkeypatch.setattr(mvee.solvers, "init_kumar_yildirim", counting_ky)
+    monkeypatch.setattr(mvee.solvers, "init_khachiyan", counting_kh)
+    rows = run_benchmark(mixed_start_plan(tmp_path), parallelism=2)
+    assert [r.error for r in rows] == [None] * 8
+    # one start per (repetition, init, seed), not one per solve
+    assert sorted(calls["kumar_yildirim"]) == [0, 0, 1, 1]
+    assert len(calls["khachiyan"]) == 2
+
+
+def test_run_benchmark_seconds_include_the_shared_start(tmp_path,
+                                                        monkeypatch):
+    real = mvee.harness.initial_weights
+
+    def slow(X, cfg):
+        time.sleep(0.05)
+        return real(X, cfg)
+
+    monkeypatch.setattr(mvee.harness, "initial_weights", slow)
+    rows = run_benchmark(tiny_plan(tmp_path))
+    # cd_const and wa share each start, and both rows count it
+    assert all(r.seconds >= 0.05 for r in rows)
+
+
+def test_run_benchmark_failed_start_fails_only_the_rows_sharing_it(
+        tmp_path, monkeypatch):
+    real = mvee.solvers.init_kumar_yildirim
+    bad = lift(gen_sample(4, 30, 8)).points  # repetition 1's instance
+
+    def failing(X, seed):
+        if seed == 0 and np.array_equal(X.points, bad):
+            raise NotFullRank("no start for instance 8")
+        return real(X, seed)
+
+    monkeypatch.setattr(mvee.solvers, "init_kumar_yildirim", failing)
+    plan = mixed_start_plan(tmp_path)
+    rows = run_benchmark(plan)
+    assert [(r.rep, r.algorithm, r.error) for r in rows] == [
+        (0, "cd_const", None), (0, "wa", None), (0, "rcd", None),
+        (0, "fwk", None),
+        (1, "cd_const", "no start for instance 8"),
+        (1, "wa", "no start for instance 8"), (1, "rcd", None),
+        (1, "fwk", None)]
+    assert not rows[4].converged and rows[4].iterations == 0
+    assert (plan.output_dir / "tiny_cd_const_0.csv").exists()
+    assert not (plan.output_dir / "tiny_cd_const_1.csv").exists()
+    assert (plan.output_dir / "tiny_rcd_1.csv").exists()
 
 
 def test_run_benchmark_parallel_determinism(tmp_path):

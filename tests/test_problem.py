@@ -236,9 +236,14 @@ BAD_INPUTS = {
     "config_init": lambda tmp: SolverConfig(init="uniform"),
     "init_khachiyan_empty": lambda tmp: init_khachiyan(0),
     "solve_not_symmetric": lambda tmp: solve(INTERVAL, SolverConfig()),
+    "solve_start_length": lambda tmp: solve(
+        SQUARE, SolverConfig(), DualWeights(np.full(3, 1 / 3))),
     "regime_n": lambda tmp: Regime("r", 0, 5, 1),
     "regime_m": lambda tmp: Regime("r", 4, 4, 1),
     "regime_repetitions": lambda tmp: Regime("r", 4, 30, 0),
+    "regime_n_float": lambda tmp: Regime("r", 4.5, 30, 1),
+    "regime_m_float": lambda tmp: Regime("r", 3, 20.5, 1),
+    "regime_repetitions_float": lambda tmp: Regime("r", 3, 20, 1.5),
     "plan_no_regimes": lambda tmp: BenchmarkPlan([], [SolverConfig()], tmp),
     "plan_no_algorithms": lambda tmp: BenchmarkPlan(
         [Regime("r", 4, 30, 1)], [], tmp),
@@ -247,6 +252,8 @@ BAD_INPUTS = {
     "gen_sample_n": lambda tmp: gen_sample(0, 5, 0),
     "gen_sample_m": lambda tmp: gen_sample(3, 3, 0),
     "gen_sample_seed_negative": lambda tmp: gen_sample(3, 20, -1),
+    "gen_sample_n_float": lambda tmp: gen_sample(4.5, 30, 0),
+    "gen_sample_m_float": lambda tmp: gen_sample(3, 20.5, 0),
     "curves_no_dimensions": lambda tmp: emit_decrement_curves(
         [], tmp / "curves.csv"),
 }

@@ -39,6 +39,7 @@ from mvee.solvers import (
     exact_stepsize,
     init_khachiyan,
     init_kumar_yildirim,
+    initial_weights,
     rcd_pick,
     schedule_stepsize,
     select_axis_gauss_southwell,
@@ -1092,6 +1093,28 @@ def test_wall_time_includes_the_start(small_lifted, monkeypatch):
     monkeypatch.setattr(mvee.solvers, "init_kumar_yildirim", slow_init)
     rep = solve(small_lifted, SolverConfig(epsilon=1e-5))
     assert rep.wall_time >= 0.05
+
+
+@pytest.mark.parametrize("init", list(InitScheme))
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_solve_from_a_given_start_is_bit_identical(small_lifted, alg, init,
+                                                   monkeypatch):
+    cfg = SolverConfig(algorithm=alg, init=init, epsilon=1e-5, max_iter=2000)
+    start = initial_weights(small_lifted, cfg)
+    before = start.u.tobytes()
+    own = solve(small_lifted, cfg)
+
+    def no_init(*args):
+        raise AssertionError("solve computed a start it was given")
+
+    monkeypatch.setattr(mvee.solvers, "init_khachiyan", no_init)
+    monkeypatch.setattr(mvee.solvers, "init_kumar_yildirim", no_init)
+    given = solve(small_lifted, cfg, start)
+    assert given.trace == own.trace
+    assert (given.iterations, given.final_eps, given.final_h) == \
+        (own.iterations, own.final_eps, own.final_h)
+    assert given.u_final.u.tobytes() == own.u_final.u.tobytes()
+    assert start.u.tobytes() == before  # solve moved its own copy
 
 
 def test_khachiyan_init_supported():
