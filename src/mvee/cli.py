@@ -150,11 +150,7 @@ def _load_plan(path) -> tuple[list[Regime], list[SolverConfig], int]:
         for name in names:
             if name not in ALGORITHM_NAMES:
                 raise PlanError(f"unknown algorithm {name!r}")
-            alg = ALGORITHM_NAMES[name]
-            # one trace file and one row per (regime, algorithm, repetition)
-            if any(cfg.algorithm is alg for cfg in algorithms):
-                raise PlanError(f"algorithm {alg.value!r} is listed twice")
-            algorithms.append(SolverConfig(algorithm=alg,
+            algorithms.append(SolverConfig(algorithm=ALGORITHM_NAMES[name],
                                            epsilon=epsilon, max_iter=max_iter,
                                            init=init, seed=seed))
         regimes = []
@@ -176,7 +172,7 @@ def _cmd_bench(args) -> int:
     regimes, algorithms, seed = _load_plan(args.plan)
     plan = BenchmarkPlan(regimes=regimes, algorithms=algorithms, seed=seed,
                          output_dir=Path(args.output_dir))
-    rows = run_benchmark(plan, parallelism=max(1, args.parallelism))
+    rows = run_benchmark(plan, parallelism=args.parallelism)
     failed = [r for r in rows if r.error is not None]
     for r in failed:
         print(f"row ({r.regime}, {r.algorithm}, rep {r.rep}) failed: {r.error}",

@@ -2,9 +2,13 @@
 
 Input is checked where it enters: InvalidInput (also a ValueError),
 PointParseError and PlanError name a bad argument, point file or plan file,
-and the command line prints each as `error: ...` and exits 1.  The other
-classes report what a factorization or a line search found during a solve.
+and the command line prints each as `error: ...` and exits 1.  check_int is
+the one integer rule, an integer of at least a minimum, for every count,
+dimension and seed.  The other classes report what a factorization or a
+line search found during a solve.
 """
+
+from numbers import Integral
 
 
 class MveeError(Exception):
@@ -13,6 +17,12 @@ class MveeError(Exception):
 
 class InvalidInput(MveeError, ValueError):
     """An argument is out of range or malformed; still a ValueError."""
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise InvalidInput unless value is an integer of at least minimum."""
+    if not isinstance(value, Integral) or value < minimum:
+        raise InvalidInput(f"{name} must be an integer of at least {minimum}")
 
 
 class NotFullRank(MveeError):

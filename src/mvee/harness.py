@@ -12,13 +12,12 @@ aggregate table adds per-(regime, algorithm) arithmetic means.
 import csv
 import time
 from dataclasses import dataclass
-from numbers import Integral
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, MveeError
+from .errors import InvalidInput, MveeError, check_int
 from .problem import PointSet, lift
 from .solvers import SolverConfig, initial_weights, solve, write_trace
 
@@ -31,15 +30,9 @@ class Regime:
     repetitions: int
 
     def __post_init__(self):
-        if not all(isinstance(v, Integral)
-                   for v in (self.n, self.m, self.repetitions)):
-            raise InvalidInput("n, m and repetitions must be integers")
-        if self.n < 1:
-            raise InvalidInput("n must be at least 1")
-        if self.repetitions < 1:
-            raise InvalidInput("repetitions must be at least 1")
-        if self.m < self.n + 1:
-            raise InvalidInput("m must exceed n for a full-dimensional instance")
+        check_int("n", self.n, 1)
+        check_int("m", self.m, self.n + 1)  # a full-dimensional instance
+        check_int("repetitions", self.repetitions, 1)
 
 
 @dataclass
@@ -54,8 +47,14 @@ class BenchmarkPlan:
             raise InvalidInput("plan needs at least one regime")
         if not self.algorithms:
             raise InvalidInput("plan needs at least one algorithm")
-        if not isinstance(self.seed, Integral) or self.seed < 0:
-            raise InvalidInput("seed must be a non-negative integer")
+        check_int("seed", self.seed, 0)
+        # one trace file and one row per (regime, algorithm, repetition)
+        seen = set()
+        for cfg in self.algorithms:
+            if cfg.algorithm in seen:
+                raise InvalidInput(
+                    f"algorithm {cfg.algorithm.value!r} is listed twice")
+            seen.add(cfg.algorithm)
 
 
 @dataclass
@@ -68,7 +67,6 @@ class BenchmarkRow:
     iterations: int
     seconds: float
     final_eps: float
-    final_h: float
     converged: bool
     error: Optional[str] = None
 
@@ -84,14 +82,9 @@ def gen_sample(n: int, m: int, seed: int) -> PointSet:
     the iteration count of a solve from the Khachiyan start, which is
     affine-invariant.  Returns a non-symmetric PointSet.
     """
-    if not isinstance(n, Integral) or not isinstance(m, Integral):
-        raise InvalidInput("n and m must be integers")
-    if n < 1:
-        raise InvalidInput("n must be at least 1")
-    if m < n + 1:
-        raise InvalidInput("m must be at least n + 1")
-    if not isinstance(seed, Integral) or seed < 0:
-        raise InvalidInput("seed must be a non-negative integer")
+    check_int("n", n, 1)
+    check_int("m", m, n + 1)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, m))
     g /= np.linalg.norm(g, axis=0)
@@ -130,8 +123,10 @@ def delta_minus(kappa: np.ndarray, n: int):
 def emit_decrement_curves(n_values: Sequence[int], output) -> None:
     """Sample both decrement curves at 500 points per curve per dimension
     and write them as CSV rows (n, curve, kappa, delta)."""
-    if not n_values or any(n < 1 for n in n_values):
-        raise InvalidInput("need at least one dimension, each positive")
+    if not n_values:
+        raise InvalidInput("need at least one dimension")
+    for n in n_values:
+        check_int("n", n, 1)
     with open(output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "curve", "kappa", "delta"])
@@ -151,16 +146,18 @@ def run_benchmark(plan: BenchmarkPlan,
     result tables into plan.output_dir.
 
     One task per (regime, repetition) builds the instance, seeded
-    plan.seed + repetition, once, computes the start once per distinct
-    (init, seed) of the configs, solves the instance from it with every
-    algorithm and writes each solve's trace.  A row's seconds are its
-    start's time plus the solve's, the time to solve from scratch.  A
-    solver error marks its row failed, with no trace, and the plan goes on;
-    an instance or a start that cannot be built marks every row that needs
-    it.  Rows come back in plan order whatever the parallelism; only the
+    plan.seed + repetition, once, solves it with every algorithm and writes
+    each solve's trace.  A start is computed once per (init, seed) and
+    shared; a row's seconds are its start's time plus the solve's, the time
+    to solve from scratch.  An error in the start or the solve fails that
+    row, with no trace, and the plan goes on; a failed start is not kept,
+    so each algorithm that needs it tries again.  An instance that cannot
+    be built fails every row of its repetition.  Rows come back in plan
+    order whatever the parallelism (an integer of at least 1); only the
     seconds column depends on timing.
     """
     from concurrent.futures import ThreadPoolExecutor  # only mvee bench
+    check_int("parallelism", parallelism, 1)
     tasks = [(regime, rep) for regime in plan.regimes
              for rep in range(regime.repetitions)]
     outdir = Path(plan.output_dir)
@@ -169,7 +166,7 @@ def run_benchmark(plan: BenchmarkPlan,
     def _failed(regime, rep, cfg, exc):
         return BenchmarkRow(regime.label, regime.n, regime.m,
                             cfg.algorithm.value, rep, 0, 0.0, float("nan"),
-                            float("nan"), False, error=str(exc))
+                            False, error=str(exc))
 
     def _run(task):
         regime, rep = task
@@ -177,22 +174,16 @@ def run_benchmark(plan: BenchmarkPlan,
             X = lift(gen_sample(regime.n, regime.m, plan.seed + rep))
         except MveeError as exc:
             return [_failed(regime, rep, cfg, exc) for cfg in plan.algorithms]
-        starts = {}  # (init, seed) -> (weights or their error, seconds)
+        starts = {}  # (init, seed) -> (weights, seconds), successes only
         rows = []
         for cfg in plan.algorithms:
             key = (cfg.init, cfg.seed)
-            if key not in starts:
-                t0 = time.perf_counter()
-                try:
-                    start = initial_weights(X, cfg)
-                except MveeError as exc:
-                    start = exc
-                starts[key] = start, time.perf_counter() - t0
-            start, start_s = starts[key]
-            if isinstance(start, MveeError):
-                rows.append(_failed(regime, rep, cfg, start))
-                continue
             try:
+                if key not in starts:
+                    t0 = time.perf_counter()
+                    starts[key] = (initial_weights(X, cfg),
+                                   time.perf_counter() - t0)
+                start, start_s = starts[key]
                 report = solve(X, cfg, start)
             except MveeError as exc:
                 rows.append(_failed(regime, rep, cfg, exc))
@@ -202,8 +193,7 @@ def run_benchmark(plan: BenchmarkPlan,
             rows.append(BenchmarkRow(regime.label, regime.n, regime.m, alg,
                                      rep, report.iterations,
                                      start_s + report.wall_time,
-                                     report.final_eps, report.final_h,
-                                     report.converged))
+                                     report.final_eps, report.converged))
         return rows
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:

@@ -50,11 +50,11 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidInput, LineSearchStalled, NotFullRank, SingularUpdate
+from .errors import (InvalidInput, LineSearchStalled, NotFullRank,
+                     SingularUpdate, check_int)
 from .linalg import (
     PD_TOL,
     apply_inverse,
@@ -116,10 +116,8 @@ class SolverConfig:
         # NaN fails too: no eps_k <= NaN, so the solve could never stop
         if not self.epsilon > 0:
             raise InvalidInput("epsilon must be positive")
-        if not isinstance(self.max_iter, Integral) or self.max_iter < 1:
-            raise InvalidInput("max_iter must be an integer of at least 1")
-        if not isinstance(self.seed, Integral) or self.seed < 0:
-            raise InvalidInput("seed must be a non-negative integer")
+        check_int("max_iter", self.max_iter, 1)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass(slots=True)

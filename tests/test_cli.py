@@ -201,7 +201,7 @@ def test_gen_rejects_flat_instance(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "--n", "3", "--m", "3",
                        "--output", str(tmp_path / "x.txt"))
     assert code == 1
-    assert "m must be at least" in err
+    assert "m must be an integer of at least" in err
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
@@ -209,7 +209,7 @@ def test_gen_rejects_empty_dimension(tmp_path, capsys, n):
     code, _, err = run(capsys, "gen", "--n", n, "--m", "5",
                        "--output", str(tmp_path / "x.txt"))
     assert code == 1
-    assert err == "error: n must be at least 1\n"
+    assert err == "error: n must be an integer of at least 1\n"
     assert not (tmp_path / "x.txt").exists()
 
 
@@ -276,11 +276,11 @@ def test_default_plan_is_the_documented_one():
      "malformed plan: invalid literal for int()"),
     ("[plan]\nseed = 1\n", "at least one [regime.<label>] section"),
     ("[plan]\n\n[regime.r]\nn = 0\nm = 30\n",
-     "malformed plan: n must be at least 1"),
+     "malformed plan: n must be an integer of at least 1"),
     ("[plan]\nepsilon = nan\n\n[regime.r]\nn = 4\nm = 30\n",
      "malformed plan: epsilon must be positive"),
     ("[plan]\nseed = -3\n\n[regime.r]\nn = 4\nm = 30\n",
-     "malformed plan: seed must be a non-negative integer"),
+     "malformed plan: seed must be an integer of at least 0"),
     ("[plan]\nalgorithms = cd_const, cd\n\n[regime.r]\nn = 4\nm = 30\n",
      "algorithm 'cd_const' is listed twice"),
 ], ids=["broken_ini", "non_integer_n", "no_regime", "zero_n", "nan_epsilon",
@@ -292,6 +292,18 @@ def test_bench_bad_plan_is_an_input_error(tmp_path, capsys, text, message):
                        "--output-dir", str(tmp_path / "o"))
     assert code == 1
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("par", ["0", "-3"])
+def test_bench_bad_parallelism_is_an_input_error(tmp_path, capsys, par):
+    plan = tmp_path / "plan.ini"
+    plan.write_text(TINY_PLAN)
+    code, _, err = run(capsys, "bench", "--plan", str(plan),
+                       "--output-dir", str(tmp_path / "o"),
+                       "--parallelism", par)
+    assert code == 1
+    assert err == "error: parallelism must be an integer of at least 1\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -12,6 +12,9 @@
 - One home for factorizations: only linalg.py calls numpy's cholesky,
   solve, inv, slogdet or det, so every consumer of M^{-1} or ln det M
   reads it from the same factor.
+- One home for the integer rule: `Integral` appears only in errors.py,
+  whose check_int states "an integer of at least a minimum" for every
+  count, dimension and seed.
 - One home for the singular decision: `raise SingularUpdate` appears at
   exactly one site, so M^{-1}, ln det M and kappa fail the same test.
 """
@@ -89,6 +92,17 @@ def test_factorizations_only_in_linalg(path):
             found += [(node.lineno, alias.name) for alias in node.names
                       if alias.name in FACTORIZATIONS]
     assert not found, f"{path.name}: factorizations outside linalg.py {found}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_integral_only_in_errors(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id == "Integral")
+             or (isinstance(node, ast.Attribute) and node.attr == "Integral")
+             or (isinstance(node, ast.alias) and node.name == "Integral")]
+    assert not found, f"{path.name}: Integral on lines {found}; use check_int"
 
 
 def test_one_site_raises_singular_update():

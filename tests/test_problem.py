@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from mvee.errors import (DegenerateCovariance, InvalidInput, MveeError,
                          PointParseError, TooFewPoints)
-from mvee.harness import BenchmarkPlan, Regime, emit_decrement_curves, gen_sample
+from mvee.harness import (BenchmarkPlan, Regime, emit_decrement_curves,
+                          gen_sample, run_benchmark)
 from mvee.linalg import factor_from_weights
 from mvee.problem import (
     DualWeights,
@@ -23,7 +24,7 @@ from mvee.problem import (
     write_ellipsoid_json,
     write_points,
 )
-from mvee.solvers import SolverConfig, init_khachiyan, solve
+from mvee.solvers import Algorithm, SolverConfig, init_khachiyan, solve
 
 SQUARE = PointSet(np.array([[1.0, 1.0], [1.0, -1.0]]), symmetric=True)
 INTERVAL = PointSet(np.array([[0.0, 1.0]]))
@@ -249,6 +250,13 @@ BAD_INPUTS = {
         [Regime("r", 4, 30, 1)], [], tmp),
     "plan_seed_negative": lambda tmp: BenchmarkPlan(
         [Regime("r", 4, 30, 1)], [SolverConfig()], tmp, seed=-1),
+    "plan_repeated_algorithm": lambda tmp: BenchmarkPlan(
+        [Regime("r", 4, 30, 1)],
+        [SolverConfig(algorithm=Algorithm.CD_CONST, seed=seed)
+         for seed in (0, 1)], tmp),
+    "run_benchmark_parallelism_zero": lambda tmp: run_benchmark(
+        BenchmarkPlan([Regime("r", 4, 30, 1)], [SolverConfig()], tmp / "out"),
+        parallelism=0),
     "gen_sample_n": lambda tmp: gen_sample(0, 5, 0),
     "gen_sample_m": lambda tmp: gen_sample(3, 3, 0),
     "gen_sample_seed_negative": lambda tmp: gen_sample(3, 20, -1),
@@ -256,6 +264,8 @@ BAD_INPUTS = {
     "gen_sample_m_float": lambda tmp: gen_sample(3, 20.5, 0),
     "curves_no_dimensions": lambda tmp: emit_decrement_curves(
         [], tmp / "curves.csv"),
+    "curves_non_integer_dimension": lambda tmp: emit_decrement_curves(
+        [2.5], tmp / "curves.csv"),
 }
 
 
