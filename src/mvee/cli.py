@@ -7,6 +7,7 @@ ellipsoid is still emitted with "converged": false).
 import argparse
 import configparser
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import MveeError, PlanError
@@ -124,7 +125,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _load_plan(path) -> tuple[list[Regime], list[SolverConfig], int]:
+def _load_plan(path, output_dir) -> BenchmarkPlan:
     cp = configparser.ConfigParser()
     if path is None:
         cp.read_string(DEFAULT_PLAN)
@@ -138,41 +139,43 @@ def _load_plan(path) -> tuple[list[Regime], list[SolverConfig], int]:
             raise PlanError(f"malformed plan: {exc}") from None
     if "plan" not in cp:
         raise PlanError("plan file needs a [plan] section")
+    # the keys are the fields a plan file can set; [DEFAULT]'s join each
+    keys = {"plan": {f.name for f in fields(BenchmarkPlan)} - {"regimes",
+                                                              "output_dir"},
+            "regime": {f.name for f in fields(Regime)} - {"label"}}
+    for section in cp.sections():
+        kind = "regime" if section.startswith("regime.") else section
+        if kind not in keys:
+            raise PlanError(f"unknown section [{section}]")
+        for key in cp[section]:
+            if key not in keys[kind]:
+                raise PlanError(f"unknown key {key!r} in [{section}]")
+    sections = [s for s in cp.sections() if s.startswith("regime.")]
+    if not sections:
+        raise PlanError("plan file needs at least one [regime.<label>] section")
     try:
         sec = cp["plan"]
-        seed = sec.getint("seed", 1234)
-        epsilon = sec.getfloat("epsilon", _DEFAULTS.epsilon)
-        max_iter = sec.getint("max_iter", _DEFAULTS.max_iter)
-        init = InitScheme(sec.get("init", _DEFAULTS.init))
         names = [t.strip() for t in sec.get("algorithms", "cd_const,wa").split(",")
                  if t.strip()]
-        algorithms = []
         for name in names:
             if name not in ALGORITHM_NAMES:
                 raise PlanError(f"unknown algorithm {name!r}")
-            algorithms.append(SolverConfig(algorithm=ALGORITHM_NAMES[name],
-                                           epsilon=epsilon, max_iter=max_iter,
-                                           init=init, seed=seed))
-        regimes = []
-        for section in cp.sections():
-            if not section.startswith("regime."):
-                continue
-            rsec = cp[section]
-            regimes.append(Regime(section.split(".", 1)[1],
-                                  rsec.getint("n"), rsec.getint("m"),
-                                  rsec.getint("repetitions", 1)))
+        return BenchmarkPlan(
+            regimes=[Regime(s.split(".", 1)[1], cp[s].getint("n"),
+                            cp[s].getint("m"), cp[s].getint("repetitions", 1))
+                     for s in sections],
+            algorithms=[ALGORITHM_NAMES[name] for name in names],
+            output_dir=Path(output_dir), seed=sec.getint("seed", 1234),
+            epsilon=sec.getfloat("epsilon", _DEFAULTS.epsilon),
+            max_iter=sec.getint("max_iter", _DEFAULTS.max_iter),
+            init=sec.get("init", _DEFAULTS.init))
     except (ValueError, TypeError) as exc:
         raise PlanError(f"malformed plan: {exc}") from None
-    if not regimes:
-        raise PlanError("plan file needs at least one [regime.<label>] section")
-    return regimes, algorithms, seed
 
 
 def _cmd_bench(args) -> int:
-    regimes, algorithms, seed = _load_plan(args.plan)
-    plan = BenchmarkPlan(regimes=regimes, algorithms=algorithms, seed=seed,
-                         output_dir=Path(args.output_dir))
-    rows = run_benchmark(plan, parallelism=args.parallelism)
+    rows = run_benchmark(_load_plan(args.plan, args.output_dir),
+                         parallelism=args.parallelism)
     failed = [r for r in rows if r.error is not None]
     for r in failed:
         print(f"row ({r.regime}, {r.algorithm}, rep {r.rep}) failed: {r.error}",

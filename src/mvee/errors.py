@@ -20,8 +20,9 @@ class InvalidInput(MveeError, ValueError):
 
 
 def check_int(name: str, value, minimum: int) -> None:
-    """Raise InvalidInput unless value is an integer of at least minimum."""
-    if not isinstance(value, Integral) or value < minimum:
+    """Raise InvalidInput unless value is a non-bool integer >= minimum."""
+    whole = isinstance(value, Integral) and not isinstance(value, bool)
+    if not whole or value < minimum:
         raise InvalidInput(f"{name} must be an integer of at least {minimum}")
 
 

@@ -3,10 +3,11 @@
 Instances fill a ball uniformly, then are pushed through a random
 ill-conditioned linear map and shifted.  A uniform ball fill puts more of
 its points near the surface than a standard-normal sample does, and more
-so as n grows.  Benchmarks run a grid of (regime x repetition x
-algorithm), building each repetition's instance and start once and solving
-it with every algorithm; the task that solves a run writes its trace CSV.  An
-aggregate table adds per-(regime, algorithm) arithmetic means.
+so as n grows.  A benchmark plan is one solver setting (seed, epsilon,
+max_iter, init) and a list of algorithms; it runs a grid of (regime x
+repetition x algorithm), building each repetition's instance and start once
+and solving it with every algorithm; the task that solves a run writes its
+trace CSV.  An aggregate table adds per-(regime, algorithm) arithmetic means.
 """
 
 import csv
@@ -19,7 +20,8 @@ import numpy as np
 
 from .errors import InvalidInput, MveeError, check_int
 from .problem import PointSet, lift
-from .solvers import SolverConfig, initial_weights, solve, write_trace
+from .solvers import (Algorithm, InitScheme, SolverConfig, initial_weights,
+                      solve, write_trace)
 
 
 @dataclass
@@ -37,20 +39,27 @@ class Regime:
 
 @dataclass
 class BenchmarkPlan:
+    """Every algorithm runs under one setting, SolverConfig's by default;
+    repetition r's instance is seeded seed + r and its start seed."""
     regimes: Sequence[Regime]
-    algorithms: Sequence[SolverConfig]
+    algorithms: Sequence[Algorithm]
     output_dir: Path
-    seed: int = 0
+    seed: int = SolverConfig.seed
+    epsilon: float = SolverConfig.epsilon
+    max_iter: int = SolverConfig.max_iter
+    init: InitScheme = SolverConfig.init
 
     def __post_init__(self):
         if not self.regimes:
             raise InvalidInput("plan needs at least one regime")
         if not self.algorithms:
             raise InvalidInput("plan needs at least one algorithm")
-        check_int("seed", self.seed, 0)
+        self.configs = [SolverConfig(alg, self.epsilon, self.max_iter,
+                                     self.init, self.seed)
+                        for alg in self.algorithms]
         # one trace file and one row per (regime, algorithm, repetition)
         seen = set()
-        for cfg in self.algorithms:
+        for cfg in self.configs:
             if cfg.algorithm in seen:
                 raise InvalidInput(
                     f"algorithm {cfg.algorithm.value!r} is listed twice")
@@ -146,15 +155,13 @@ def run_benchmark(plan: BenchmarkPlan,
     result tables into plan.output_dir.
 
     One task per (regime, repetition) builds the instance, seeded
-    plan.seed + repetition, once, solves it with every algorithm and writes
-    each solve's trace.  A start is computed once per (init, seed) and
-    shared; a row's seconds are its start's time plus the solve's, the time
-    to solve from scratch.  An error in the start or the solve fails that
-    row, with no trace, and the plan goes on; a failed start is not kept,
-    so each algorithm that needs it tries again.  An instance that cannot
-    be built fails every row of its repetition.  Rows come back in plan
-    order whatever the parallelism (an integer of at least 1); only the
-    seconds column depends on timing.
+    plan.seed + repetition, and its one start, then solves it with every
+    algorithm and writes each solve's trace.  A row's seconds are the
+    start's time plus the solve's, the time to solve from scratch.  An
+    error in the instance or the start fails every row of its repetition;
+    an error in a solve fails that row alone, with no trace, and the plan
+    goes on.  Rows come back in plan order whatever the parallelism (an
+    integer of at least 1); only the seconds column depends on timing.
     """
     from concurrent.futures import ThreadPoolExecutor  # only mvee bench
     check_int("parallelism", parallelism, 1)
@@ -172,18 +179,14 @@ def run_benchmark(plan: BenchmarkPlan,
         regime, rep = task
         try:
             X = lift(gen_sample(regime.n, regime.m, plan.seed + rep))
+            t0 = time.perf_counter()
+            start = initial_weights(X, plan.configs[0])
+            start_s = time.perf_counter() - t0
         except MveeError as exc:
-            return [_failed(regime, rep, cfg, exc) for cfg in plan.algorithms]
-        starts = {}  # (init, seed) -> (weights, seconds), successes only
+            return [_failed(regime, rep, cfg, exc) for cfg in plan.configs]
         rows = []
-        for cfg in plan.algorithms:
-            key = (cfg.init, cfg.seed)
+        for cfg in plan.configs:
             try:
-                if key not in starts:
-                    t0 = time.perf_counter()
-                    starts[key] = (initial_weights(X, cfg),
-                                   time.perf_counter() - t0)
-                start, start_s = starts[key]
                 report = solve(X, cfg, start)
             except MveeError as exc:
                 rows.append(_failed(regime, rep, cfg, exc))

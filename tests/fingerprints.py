@@ -7,13 +7,13 @@ imports mvee from SRC_DIR (the `src` directory of a checkout) and prints
 one line per solve: a label and the SHA-256 of every trace row (iteration,
 step type, axis and the repr of each float column), the iteration count,
 the repr of the final eps and h, the convergence flag and the bytes of
-u_final.  Then come the `mvee bench` lines: run_benchmark on two small
-plans at parallelism 2, each with all six algorithms under starts of both
-inits and two seeds (some shared within a repetition, some not) and two
-repetitions of two regimes; one SHA-256 per output file, results.csv and
-results_means.csv without their timing columns.  The last line is the row
-total of the solves.  Two trees run the same trajectories exactly when
-their outputs do not differ:
+u_final.  Then come the `mvee bench` lines: `mvee bench --parallelism 2`
+through mvee.cli.main on four INI plans, one per init and seed 0 or 1,
+each with all six algorithms at eps 1e-5 and max_iter 2000 and two
+repetitions of the regimes (3, 40) and (5, 80); the exit code, then one
+SHA-256 per output file, results.csv and results_means.csv without their
+timing columns.  The last line is the row total of the solves.  Two trees
+run the same trajectories exactly when their outputs do not differ:
 
     python tests/fingerprints.py /path/to/parent/src > parent.txt
     python tests/fingerprints.py src > change.txt
@@ -78,49 +78,61 @@ def solves():
            dict(algorithm=Algorithm.CD_CONST, max_iter=200))
 
 
-# (algorithm, init, seed) of each bench plan; every algorithm meets both inits
-BENCH_PLANS = {
-    "A": (("fwk", "kumar_yildirim", 0), ("wa", "kumar_yildirim", 0),
-          ("cd_const", "kumar_yildirim", 1), ("cd_diminish", "khachiyan", 0),
-          ("cd_backtrack", "khachiyan", 1), ("rcd", "kumar_yildirim", 1)),
-    "B": (("fwk", "khachiyan", 1), ("wa", "khachiyan", 0),
-          ("cd_const", "khachiyan", 0), ("cd_diminish", "kumar_yildirim", 1),
-          ("cd_backtrack", "kumar_yildirim", 0), ("rcd", "khachiyan", 1)),
-}
+# one `mvee bench` plan per (init, seed): all six algorithms, two regimes
+BENCH_PLAN = """\
+[plan]
+seed = {seed}
+epsilon = 1e-5
+max_iter = 2000
+init = {init}
+algorithms = fwk, wa, cd_const, cd_diminish, cd_backtrack, rcd
+
+[regime.r3]
+n = 3
+m = 40
+repetitions = 2
+
+[regime.r5]
+n = 5
+m = 80
+repetitions = 2
+"""
 # timing columns of the two result tables
 TIMING = {"seconds", "mean_seconds"}
 
 
 def bench_fingerprints():
-    """Yield (label, SHA-256) for every file of each bench plan's output."""
+    """Yield (label, digest) for each bench plan's exit code and for every
+    file of its output."""
+    import contextlib
     import csv
+    import io
     import tempfile
     from pathlib import Path
-    from mvee.harness import BenchmarkPlan, Regime, run_benchmark
-    from mvee.solvers import SolverConfig
+    from mvee.cli import main
 
-    for name, configs in BENCH_PLANS.items():
-        with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp)
-            plan = BenchmarkPlan(
-                regimes=[Regime("r3", 3, 40, 2), Regime("r5", 5, 80, 2)],
-                algorithms=[SolverConfig(algorithm=alg, init=init, seed=seed,
-                                         epsilon=1e-5, max_iter=2000)
-                            for alg, init, seed in configs],
-                output_dir=out, seed=0)
-            run_benchmark(plan, parallelism=2)
-            for path in sorted(out.iterdir()):
-                if path.name.startswith("results"):
-                    with open(path, newline="") as fh:
-                        table = list(csv.reader(fh))
-                    keep = [i for i, col in enumerate(table[0])
-                            if col not in TIMING]
-                    data = "\n".join(",".join(row[i] for i in keep)
-                                      for row in table).encode()
-                else:
-                    data = path.read_bytes()
-                yield (f"bench {name} {path.name}",
-                       hashlib.sha256(data).hexdigest())
+    for init in ("kumar_yildirim", "khachiyan"):
+        for seed in (0, 1):
+            name = f"{init} {seed}"
+            with tempfile.TemporaryDirectory() as tmp:
+                plan, out = Path(tmp) / "plan.ini", Path(tmp) / "out"
+                plan.write_text(BENCH_PLAN.format(init=init, seed=seed))
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(["bench", "--plan", str(plan), "--output-dir",
+                                 str(out), "--parallelism", "2"])
+                yield f"bench {name} exit", code
+                for path in sorted(out.iterdir()):
+                    if path.name.startswith("results"):
+                        with open(path, newline="") as fh:
+                            table = list(csv.reader(fh))
+                        keep = [i for i, col in enumerate(table[0])
+                                if col not in TIMING]
+                        data = "\n".join(",".join(row[i] for i in keep)
+                                          for row in table).encode()
+                    else:
+                        data = path.read_bytes()
+                    yield (f"bench {name} {path.name}",
+                           hashlib.sha256(data).hexdigest())
 
 
 def main(argv):

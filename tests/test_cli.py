@@ -249,25 +249,23 @@ def test_bench_parallelism_keeps_iteration_columns(tmp_path, capsys):
 def test_plan_fallbacks_are_the_solver_defaults(tmp_path):
     plan = tmp_path / "plan.ini"
     plan.write_text("[plan]\nseed = 3\n\n[regime.r]\nn = 4\nm = 30\n")
-    _regimes, configs, seed = _load_plan(plan)
-    assert seed == 3 and configs
+    loaded = _load_plan(plan, tmp_path / "o")
     default = SolverConfig()
-    for cfg in configs:
-        assert (cfg.epsilon, cfg.max_iter, cfg.init) == \
-            (default.epsilon, default.max_iter, default.init)
+    assert loaded.seed == 3 and loaded.algorithms
+    assert (loaded.epsilon, loaded.max_iter, loaded.init) == \
+        (default.epsilon, default.max_iter, default.init)
 
 
-def test_default_plan_is_the_documented_one():
-    regimes, configs, seed = _load_plan(None)
-    assert seed == 1234
-    assert [(r.label, r.n, r.m, r.repetitions) for r in regimes] == [
+def test_default_plan_is_the_documented_one(tmp_path):
+    plan = _load_plan(None, tmp_path / "o")
+    assert plan.seed == 1234
+    assert [(r.label, r.n, r.m, r.repetitions) for r in plan.regimes] == [
         ("small", 10, 500, 10), ("moderate", 30, 1800, 10)]
-    assert [cfg.algorithm for cfg in configs] == [Algorithm.CD_CONST,
-                                                  Algorithm.WA]
+    assert plan.algorithms == [Algorithm.CD_CONST, Algorithm.WA]
     default = SolverConfig()
-    for cfg in configs:
-        assert (cfg.epsilon, cfg.max_iter, cfg.init, cfg.seed) == \
-            (default.epsilon, default.max_iter, default.init, 1234)
+    assert (plan.epsilon, plan.max_iter, plan.init) == \
+        (default.epsilon, default.max_iter, default.init)
+    assert plan.output_dir == tmp_path / "o"
 
 
 @pytest.mark.parametrize("text,message", [
@@ -283,8 +281,20 @@ def test_default_plan_is_the_documented_one():
      "malformed plan: seed must be an integer of at least 0"),
     ("[plan]\nalgorithms = cd_const, cd\n\n[regime.r]\nn = 4\nm = 30\n",
      "algorithm 'cd_const' is listed twice"),
+    ("[plan]\nalgorithm = rcd\n\n[regime.r]\nn = 4\nm = 30\n",
+     "unknown key 'algorithm' in [plan]"),
+    ("[plan]\nmax_iters = 50\n\n[regime.r]\nn = 4\nm = 30\n",
+     "unknown key 'max_iters' in [plan]"),
+    ("[plan]\n\n[regime.r]\nn = 4\nm = 30\nreps = 4\n",
+     "unknown key 'reps' in [regime.r]"),
+    ("[plan]\n\n[regime.r]\nn = 4\nm = 30\n\n[regim.b]\nn = 4\nm = 30\n",
+     "unknown section [regim.b]"),
+    ("[DEFAULT]\nseed = 3\n\n[plan]\n\n[regime.r]\nn = 4\nm = 30\n",
+     "unknown key 'seed' in [regime.r]"),
 ], ids=["broken_ini", "non_integer_n", "no_regime", "zero_n", "nan_epsilon",
-        "negative_seed", "repeated_algorithm"])
+        "negative_seed", "repeated_algorithm", "unknown_plan_key",
+        "misspelt_plan_key", "unknown_regime_key", "unknown_section",
+        "default_key_unknown_to_a_regime"])
 def test_bench_bad_plan_is_an_input_error(tmp_path, capsys, text, message):
     plan = tmp_path / "plan.ini"
     plan.write_text(text)

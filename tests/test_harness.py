@@ -17,21 +17,17 @@ from mvee.harness import (
     run_benchmark,
 )
 from mvee.problem import lift
-from mvee.solvers import (Algorithm, InitScheme, SolverConfig,
-                          init_kumar_yildirim)
+from mvee.solvers import Algorithm, init_kumar_yildirim
 
 LN2 = np.log(2.0)
 
 
-def tiny_plan(tmp_path, parallelism_dir="out"):
+def tiny_plan(tmp_path, parallelism_dir="out",
+              algorithms=(Algorithm.CD_CONST, Algorithm.WA)):
     return BenchmarkPlan(
         regimes=[Regime("tiny", 4, 30, 2)],
-        algorithms=[
-            SolverConfig(algorithm=Algorithm.CD_CONST, epsilon=1e-6,
-                         max_iter=5000),
-            SolverConfig(algorithm=Algorithm.WA, epsilon=1e-6, max_iter=5000),
-        ],
-        seed=7,
+        algorithms=list(algorithms),
+        seed=7, epsilon=1e-6, max_iter=5000,
         output_dir=tmp_path / parallelism_dir,
     )
 
@@ -199,7 +195,7 @@ def test_plan_validation(tmp_path):
     with pytest.raises(MveeError):
         Regime("bad", 4, 30, 0)
     with pytest.raises(MveeError):
-        BenchmarkPlan(regimes=[], algorithms=[SolverConfig()],
+        BenchmarkPlan(regimes=[], algorithms=[Algorithm.CD_CONST],
                       output_dir=tmp_path)
     with pytest.raises(MveeError):
         BenchmarkPlan(regimes=[Regime("r", 4, 30, 1)], algorithms=[],
@@ -282,41 +278,26 @@ def test_run_benchmark_unbuildable_instance_fails_every_algorithm(
     assert not (plan.output_dir / "tiny_wa_1.csv").exists()
 
 
-def mixed_start_plan(tmp_path):
-    """cd_const and wa share the Kumar-Yildirim start of seed 0, rcd draws
-    its own from seed 1, and fwk starts from the Khachiyan weights."""
-    ky = InitScheme.KUMAR_YILDIRIM
-    return BenchmarkPlan(
-        regimes=[Regime("tiny", 4, 30, 2)],
-        algorithms=[SolverConfig(algorithm=alg, init=init, seed=seed,
-                                 epsilon=1e-6, max_iter=5000)
-                    for alg, init, seed in (
-                        (Algorithm.CD_CONST, ky, 0), (Algorithm.WA, ky, 0),
-                        (Algorithm.RCD, ky, 1),
-                        (Algorithm.FWK, InitScheme.KHACHIYAN, 0))],
-        seed=7, output_dir=tmp_path / "out")
+# every algorithm of the plan, so a start shared by all of them shows
+EVERY_ALGORITHM = (Algorithm.CD_CONST, Algorithm.WA, Algorithm.RCD,
+                   Algorithm.FWK)
 
 
-def test_run_benchmark_computes_each_start_once(tmp_path, monkeypatch):
-    calls = {"kumar_yildirim": [], "khachiyan": []}
-    real_ky = mvee.solvers.init_kumar_yildirim
-    real_kh = mvee.solvers.init_khachiyan
+def test_run_benchmark_computes_one_start_per_repetition(tmp_path,
+                                                         monkeypatch):
+    seeds = []
+    real = mvee.solvers.init_kumar_yildirim
 
-    def counting_ky(X, seed):
-        calls["kumar_yildirim"].append(seed)
-        return real_ky(X, seed)
+    def counting(X, seed):
+        seeds.append(seed)
+        return real(X, seed)
 
-    def counting_kh(m):
-        calls["khachiyan"].append(m)
-        return real_kh(m)
-
-    monkeypatch.setattr(mvee.solvers, "init_kumar_yildirim", counting_ky)
-    monkeypatch.setattr(mvee.solvers, "init_khachiyan", counting_kh)
-    rows = run_benchmark(mixed_start_plan(tmp_path), parallelism=2)
+    monkeypatch.setattr(mvee.solvers, "init_kumar_yildirim", counting)
+    rows = run_benchmark(tiny_plan(tmp_path, algorithms=EVERY_ALGORITHM),
+                         parallelism=2)
     assert [r.error for r in rows] == [None] * 8
-    # one start per (repetition, init, seed), not one per solve
-    assert sorted(calls["kumar_yildirim"]) == [0, 0, 1, 1]
-    assert len(calls["khachiyan"]) == 2
+    # one start per repetition, drawn with the plan's seed, not one per solve
+    assert seeds == [7, 7]
 
 
 def test_run_benchmark_seconds_include_the_shared_start(tmp_path,
@@ -333,29 +314,29 @@ def test_run_benchmark_seconds_include_the_shared_start(tmp_path,
     assert all(r.seconds >= 0.05 for r in rows)
 
 
-def test_run_benchmark_failed_start_fails_only_the_rows_sharing_it(
-        tmp_path, monkeypatch):
+def test_run_benchmark_failed_start_fails_its_repetition(tmp_path,
+                                                         monkeypatch):
+    calls = []
     real = mvee.solvers.init_kumar_yildirim
     bad = lift(gen_sample(4, 30, 8)).points  # repetition 1's instance
 
     def failing(X, seed):
-        if seed == 0 and np.array_equal(X.points, bad):
+        calls.append(seed)
+        if np.array_equal(X.points, bad):
             raise NotFullRank("no start for instance 8")
         return real(X, seed)
 
     monkeypatch.setattr(mvee.solvers, "init_kumar_yildirim", failing)
-    plan = mixed_start_plan(tmp_path)
+    plan = tiny_plan(tmp_path, algorithms=EVERY_ALGORITHM)
     rows = run_benchmark(plan)
+    assert len(calls) == 2  # the failed start is not tried again
     assert [(r.rep, r.algorithm, r.error) for r in rows] == [
-        (0, "cd_const", None), (0, "wa", None), (0, "rcd", None),
-        (0, "fwk", None),
-        (1, "cd_const", "no start for instance 8"),
-        (1, "wa", "no start for instance 8"), (1, "rcd", None),
-        (1, "fwk", None)]
-    assert not rows[4].converged and rows[4].iterations == 0
-    assert (plan.output_dir / "tiny_cd_const_0.csv").exists()
-    assert not (plan.output_dir / "tiny_cd_const_1.csv").exists()
-    assert (plan.output_dir / "tiny_rcd_1.csv").exists()
+        (0, alg.value, None) for alg in EVERY_ALGORITHM] + [
+        (1, alg.value, "no start for instance 8") for alg in EVERY_ALGORITHM]
+    assert not any(r.converged or r.iterations for r in rows[4:])
+    for alg in EVERY_ALGORITHM:
+        assert (plan.output_dir / f"tiny_{alg.value}_0.csv").exists()
+        assert not (plan.output_dir / f"tiny_{alg.value}_1.csv").exists()
 
 
 def test_run_benchmark_parallel_determinism(tmp_path):

@@ -233,6 +233,7 @@ BAD_INPUTS = {
     "config_max_iter_float": lambda tmp: SolverConfig(max_iter=2.5),
     "config_seed_negative": lambda tmp: SolverConfig(seed=-1),
     "config_seed_float": lambda tmp: SolverConfig(seed=1.5),
+    "config_max_iter_bool": lambda tmp: SolverConfig(max_iter=True),
     "config_algorithm": lambda tmp: SolverConfig(algorithm="newton"),
     "config_init": lambda tmp: SolverConfig(init="uniform"),
     "init_khachiyan_empty": lambda tmp: init_khachiyan(0),
@@ -245,17 +246,21 @@ BAD_INPUTS = {
     "regime_n_float": lambda tmp: Regime("r", 4.5, 30, 1),
     "regime_m_float": lambda tmp: Regime("r", 3, 20.5, 1),
     "regime_repetitions_float": lambda tmp: Regime("r", 3, 20, 1.5),
-    "plan_no_regimes": lambda tmp: BenchmarkPlan([], [SolverConfig()], tmp),
+    "regime_bool": lambda tmp: Regime("r", True, 3, True),
+    "plan_no_regimes": lambda tmp: BenchmarkPlan(
+        [], [Algorithm.CD_CONST], tmp),
     "plan_no_algorithms": lambda tmp: BenchmarkPlan(
         [Regime("r", 4, 30, 1)], [], tmp),
     "plan_seed_negative": lambda tmp: BenchmarkPlan(
-        [Regime("r", 4, 30, 1)], [SolverConfig()], tmp, seed=-1),
+        [Regime("r", 4, 30, 1)], [Algorithm.CD_CONST], tmp, seed=-1),
+    "plan_epsilon_nan": lambda tmp: BenchmarkPlan(
+        [Regime("r", 4, 30, 1)], [Algorithm.CD_CONST], tmp,
+        epsilon=float("nan")),
     "plan_repeated_algorithm": lambda tmp: BenchmarkPlan(
-        [Regime("r", 4, 30, 1)],
-        [SolverConfig(algorithm=Algorithm.CD_CONST, seed=seed)
-         for seed in (0, 1)], tmp),
+        [Regime("r", 4, 30, 1)], [Algorithm.CD_CONST, "cd_const"], tmp),
     "run_benchmark_parallelism_zero": lambda tmp: run_benchmark(
-        BenchmarkPlan([Regime("r", 4, 30, 1)], [SolverConfig()], tmp / "out"),
+        BenchmarkPlan([Regime("r", 4, 30, 1)], [Algorithm.CD_CONST],
+                      tmp / "out"),
         parallelism=0),
     "gen_sample_n": lambda tmp: gen_sample(0, 5, 0),
     "gen_sample_m": lambda tmp: gen_sample(3, 3, 0),
