@@ -10,7 +10,11 @@ same layout (y y^T as one BLAS product, each y_i y_j rounded once, as the
 broadcast product rounds it), scales it once and subtracts it once, which
 is a Sherman-Morrison step on M^{-1}, O(n^2), and on kappa, O(m) from the
 caller's O(m n) pass w = X^T M^{-1} x, plus a determinant-lemma step on
-ln det M.  A full rebuild from the current weights is an orthogonal
+ln det M.  The state owns the update's vectors too: apply_inverse writes
+y = M^{-1} x into state.y, whose column and row views feed the BLAS
+product, and the head of the scratch buffer is the pass buffer state.w,
+so a caller that writes the pass there has it squared in place, with no
+m-length copy.  A full rebuild from the current weights is an orthogonal
 factorization, O(m n^2).  When to rebuild (at initialization, on a schedule
 that bounds floating-point drift, and after a numerically singular update)
 is decided by solvers.solve, not here.  numpy is the only dependency, so
@@ -37,9 +41,12 @@ class FactorState:
 
     kappa and Minv are views of one contiguous buffer of m + n^2 floats, and
     a scratch buffer of the same layout holds the rank-one change, so an
-    update is one scale and one subtract over both.  FactorState(m, n)
-    allocates both for m points in R^n; factor_from_weights fills Minv and
-    log_det, and kappa holds no values until gradient_refresh writes it.
+    update is one scale and one subtract over both.  The scratch buffer's
+    first m floats are w, where the caller may write the gradient pass
+    X^T M^{-1} x_j; rank_one_modify overwrites them.  y holds
+    M^{-1} x_j from apply_inverse.  FactorState(m, n) allocates the buffers
+    for m points in R^n; factor_from_weights fills Minv and log_det, and
+    kappa holds no values until gradient_refresh writes it.
 
     Attributes
     ----------
@@ -51,10 +58,15 @@ class FactorState:
         Symmetric positive definite inverse of M, the view buf[m:].
     log_det : float
         ln det M.
+    w : ndarray, shape (m,)
+        Pass buffer, the head of the scratch buffer; its values are not
+        kept across rank_one_modify.
+    y : ndarray, shape (n,)
+        apply_inverse's result, overwritten by its next call.
     """
 
-    __slots__ = ("buf", "kappa", "Minv", "log_det", "_change",
-                 "_change_kappa", "_change_Minv")
+    __slots__ = ("buf", "kappa", "Minv", "log_det", "w", "y", "_change",
+                 "_change_Minv", "_y_col", "_y_row")
 
     def __init__(self, m, n):
         self.buf = np.empty(m + n * n)
@@ -62,8 +74,11 @@ class FactorState:
         self.Minv = self.buf[m:].reshape(n, n)
         self.log_det = 0.0
         self._change = np.empty(m + n * n)
-        self._change_kappa = self._change[:m]
+        self.w = self._change[:m]
         self._change_Minv = self._change[m:].reshape(n, n)
+        self.y = np.empty(n)
+        self._y_col = self.y[:, None]
+        self._y_row = self.y[None, :]
 
 
 def factor_from_weights(X, u):
@@ -118,10 +133,13 @@ def rank_one_modify(state, j, y, w, theta):
     would scale.  With s = theta / (1 + theta kappa_j):
     kappa_i <- kappa_i - s w_i^2, M'^{-1} = M^{-1} - s y y^T and
     ln det M' = ln det M + ln(1 + theta kappa_j).  O(n^2 + m) in four numpy
-    calls and no allocation; y and w are left unchanged.  y y^T is one BLAS
-    product of an n x 1 and a 1 x n matrix, which rounds each y_i y_j once,
-    the same roundings as the broadcast y[:, None] * y at under half its
-    cost.
+    calls and no allocation.  w * w is formed in state.w: when w is
+    state.w, as solve() passes it, it is squared in place and its values
+    are lost; any other w is left unchanged.  y y^T is one BLAS product of
+    the n x 1 and 1 x n views of state.y, made once per state, which
+    rounds each y_i y_j once, the same roundings as the broadcast
+    y[:, None] * y at under half its cost; a y other than state.y, the
+    array apply_inverse returns, is copied there first and left unchanged.
 
     Raises
     ------
@@ -136,8 +154,10 @@ def rank_one_modify(state, j, y, w, theta):
     # w * w and y y^T are rounded, then scaled, then subtracted: the
     # roundings of kappa - s (w * w) and M^{-1} - s (y y^T) taken one
     # operation at a time
-    np.multiply(w, w, out=state._change_kappa)
-    np.dot(y[:, None], y[None, :], out=state._change_Minv)
+    np.square(w, out=state.w)
+    if y is not state.y:
+        state.y[...] = y
+    np.dot(state._y_col, state._y_row, out=state._change_Minv)
     change = state._change
     change *= theta / denom
     state.buf -= change
@@ -145,8 +165,9 @@ def rank_one_modify(state, j, y, w, theta):
 
 
 def apply_inverse(state, x):
-    """M^{-1} x, one matrix-vector product.  O(n^2)."""
-    return state.Minv.dot(x)
+    """M^{-1} x, one matrix-vector product into state.y, which it returns.
+    O(n^2)."""
+    return state.Minv.dot(x, out=state.y)
 
 
 def gradient_refresh(state, X):

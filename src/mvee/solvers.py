@@ -37,13 +37,14 @@ and ln det M live in one linalg.FactorState, which solve() holds between
 rebuilds and moves in place by one Sherman-Morrison step per iteration on
 the vector y = M^{-1} x_j that the O(m n) gradient pass needs anyway;
 solve() also decides when to rebuild it from the weights.  An incremental
-update is six numpy calls: y = M^{-1} x_j, the pass w = X^T y into one
-buffer per solve, and rank_one_modify's four (w * w and y y^T into the
-state's scratch buffer, one scale of it and one subtract from kappa and
-M^{-1} together).  Besides these, an iteration makes one O(m) sweep
-(argmax kappa) and one O(s) scan of the s support indices for the decrease
-axis; every step writes one weight, and the objective is O(1) from the
-running weight sum.
+update is six numpy calls, all into buffers the state owns:
+y = M^{-1} x_j into state.y, the pass w = X^T y into state.w, the head of
+the state's scratch buffer, and rank_one_modify's four (w * w squared in
+place there and y y^T beside it, one scale of the scratch buffer and one
+subtract from kappa and M^{-1} together).  Besides these, an iteration
+makes one O(m) sweep (argmax kappa) and one O(s) scan of the s support
+indices for the decrease axis; every step writes one weight, and the
+objective is O(1) from the running weight sum.
 """
 
 import math
@@ -392,11 +393,10 @@ def solve(X: PointSet, config: SolverConfig,
     else:
         u = DualWeights(start.u)  # a copy
 
-    pts = X.points
-    pts_t = pts.T
-    w = np.empty(m)  # the gradient pass w = X^T M^{-1} x_j, reused each step
+    pts_t = X.points.T  # row j is x_j
     fwk, rcd = alg is Algorithm.FWK, alg is Algorithm.RCD
-    rng = np.random.default_rng(config.seed)
+    # only rcd draws; the other algorithms are deterministic
+    rng = np.random.default_rng(config.seed) if rcd else None
     trace: list[IterationRecord] = []
     rebuild = True
     c = 1.0  # u = c v; kappa(v) = c kappa(u) is read against n c
@@ -413,8 +413,11 @@ def solve(X: PointSet, config: SolverConfig,
             total = float(u.u.sum())  # e^T v, then moved by each step
             updates = 0
         choice = select_axis_gauss_southwell(kappa, support, n * c)
-        eps_k = max(choice.eps_plus, choice.eps_minus)
-        stop_eps = choice.eps_plus if fwk else eps_k
+        # max(eps_plus, eps_minus) and AxisChoice.increase, read once
+        eps_plus, eps_minus = choice.eps_plus, choice.eps_minus
+        increase = eps_plus >= eps_minus
+        eps_k = eps_minus if eps_minus > eps_plus else eps_plus
+        stop_eps = eps_plus if fwk else eps_k
         if stop_eps <= config.epsilon or k == config.max_iter:
             break
         h_k = objective_h(total, state, c)
@@ -425,7 +428,7 @@ def solve(X: PointSet, config: SolverConfig,
         if rcd:
             j = rcd_pick(n - kappa, rng)
         else:
-            j = choice.j_plus if fwk or choice.increase else choice.j_minus
+            j = choice.j_plus if fwk or increase else choice.j_minus
         vj = u.u.item(j)
         # the rule sees u_j = c v_j and kappa_j(u) = kappa_j(v) / c; with
         # c = 1 (the coordinate algorithms) both are exact
@@ -464,8 +467,10 @@ def solve(X: PointSet, config: SolverConfig,
         # period-th update rebuild instead
         rebuild = False
         if theta_rel != 0.0:
-            y = apply_inverse(state, pts[:, j])
-            pts_t.dot(y, out=w)
+            # y and the pass land in the state's buffers, where the
+            # update forms its change without a copy
+            y = apply_inverse(state, pts_t[j])
+            w = pts_t.dot(y, out=state.w)
             try:
                 # moves kappa, M^{-1} and ln det M in place
                 rank_one_modify(state, j, y, w, theta_rel)

@@ -7,9 +7,12 @@ imports mvee from SRC_DIR (the `src` directory of a checkout) and prints
 one line per solve: a label and the SHA-256 of every trace row (iteration,
 step type, axis and the repr of each float column), the iteration count,
 the repr of the final eps and h, the convergence flag and the bytes of
-u_final.  Then come the `mvee bench` lines: `mvee bench --parallelism 2`
-through mvee.cli.main on four INI plans, one per init and seed 0 or 1,
-each with all six algorithms at eps 1e-5 and max_iter 2000 and two
+u_final.  Before the first solve of each distinct instance comes an
+`instance` line: the SHA-256 of its shape, symmetric flag and point bytes,
+so a change to gen_sample or lift shows apart from the solves.  Then come
+the `mvee bench` lines: `mvee bench --parallelism 2` through
+mvee.cli.main on four INI plans, one per init and seed 0 or 1, each
+with all six algorithms at eps 1e-5 and max_iter 2000 and two
 repetitions of the regimes (3, 40) and (5, 80); the exit code, then one
 SHA-256 per output file, results.csv and results_means.csv without their
 timing columns.  The last line is the row total of the solves.  Two trees
@@ -32,7 +35,8 @@ import sys
 
 
 def solves():
-    """Yield (label, instance, config keywords) for each fingerprint solve."""
+    """Yield (instance name, instance, label, config keywords) for each
+    fingerprint solve; one name is one instance, however often built."""
     import numpy as np
     from mvee.harness import gen_sample
     from mvee.problem import PointSet, lift
@@ -40,41 +44,47 @@ def solves():
 
     algs = list(Algorithm)
     inits = list(InitScheme)
-    base = lift(gen_sample(3, 40, 0))
+
+    def gen(n, m, seed):
+        return f"gen({n},{m},{seed})", lift(gen_sample(n, m, seed))
+
+    def normal(n, m, seed):
+        return f"normal({n},{m},{seed})", PointSet(
+            np.random.default_rng(seed).standard_normal((n, m)),
+            symmetric=True)
+
+    base = gen(3, 40, 0)
     for alg in algs:
         for init in inits:
-            yield (f"pinned {alg.value} {init.value}", base,
+            yield (*base, f"pinned {alg.value} {init.value}",
                    dict(algorithm=alg, init=init, epsilon=1e-5,
                         max_iter=2000))
     for (n, m, seed), cap in (((3, 40, 0), 4000), ((5, 80, 5), 4000),
                               ((10, 500, 1234), 20_000)):
-        X = lift(gen_sample(n, m, seed))
+        inst = gen(n, m, seed)
         for alg in algs:
             for init in inits:
-                yield (f"gen({n},{m},{seed}) {alg.value} {init.value}", X,
+                yield (*inst, f"gen({n},{m},{seed}) {alg.value} {init.value}",
                        dict(algorithm=alg, init=init, epsilon=1e-7,
                             max_iter=cap))
     for seed in (1234, 1235, 1236):
-        yield (f"small-cd {seed}", lift(gen_sample(10, 500, seed)),
+        yield (*gen(10, 500, seed), f"small-cd {seed}",
                dict(algorithm=Algorithm.CD_CONST, epsilon=1e-7,
                     max_iter=400_000))
-    X = PointSet(np.random.default_rng(3550).standard_normal((4, 12)),
-                 symmetric=True)
-    yield ("normal 3550 cd_diminish", X,
+    yield (*normal(4, 12, 3550), "normal 3550 cd_diminish",
            dict(algorithm=Algorithm.CD_DIMINISH, epsilon=1e-12, max_iter=50,
                 seed=3550))
-    yield ("moderate-wa 1234", lift(gen_sample(30, 1800, 1234)),
+    yield (*gen(30, 1800, 1234), "moderate-wa 1234",
            dict(algorithm=Algorithm.WA, epsilon=1e-4, max_iter=200_000))
-    X = PointSet(np.random.default_rng(0).standard_normal((1, 7)),
-                 symmetric=True)
+    inst = normal(1, 7, 0)
     for alg in (Algorithm.FWK, Algorithm.WA):
-        yield (f"n=1 {alg.value} khachiyan", X,
+        yield (*inst, f"n=1 {alg.value} khachiyan",
                dict(algorithm=alg, init=InitScheme.KHACHIYAN))
-    X = lift(gen_sample(20, 20_000, 1234))
+    inst = gen(20, 20_000, 1234)
     for alg in (Algorithm.CD_CONST, Algorithm.WA):
-        yield (f"batch-bench 1234 {alg.value}", X,
+        yield (*inst, f"batch-bench 1234 {alg.value}",
                dict(algorithm=alg, epsilon=1e-1, max_iter=10_000))
-    yield ("stress-cd 1234", lift(gen_sample(100, 30_000, 1234)),
+    yield (*gen(100, 30_000, 1234), "stress-cd 1234",
            dict(algorithm=Algorithm.CD_CONST, max_iter=200))
 
 
@@ -142,7 +152,14 @@ def main(argv):
     from mvee.solvers import SolverConfig, solve
 
     rows = 0
-    for label, X, kw in solves():
+    seen = set()
+    for name, X, label, kw in solves():
+        if name not in seen:
+            seen.add(name)
+            digest = hashlib.sha256(
+                f"{X.points.shape},{X.symmetric}\n".encode())
+            digest.update(X.points.tobytes())
+            print(f"instance {name}: {digest.hexdigest()}", flush=True)
         rep = solve(X, SolverConfig(**kw))
         digest = hashlib.sha256()
         for r in rep.trace:

@@ -227,8 +227,10 @@ def test_apply_inverse_matches_solve():
     M = A @ A.T + 5 * np.eye(5)
     x = rng.standard_normal(5)
     st_ = state_from_matrix(M)
-    assert np.allclose(apply_inverse(st_, x), np.linalg.solve(M, x),
-                       atol=1e-12)
+    y = apply_inverse(st_, x)
+    assert np.allclose(y, np.linalg.solve(M, x), atol=1e-12)
+    # the result lands in the state's buffer, which rank_one_modify reads
+    assert y is st_.y
 
 
 # --- logdet ---------------------------------------------------------------------
@@ -385,14 +387,25 @@ def cyclic_update(k, u, kappa, d):
     return j, u[j] if k // u.size % 2 == 0 else -u[j] / 2
 
 
-@pytest.mark.parametrize("X, update, drops, zero_ys", [
+UPDATE_CASES = [
     *(pytest.param(lift(gen_sample(n, 3 * n + 20, n)), greedy_update, 20, 0,
                    id=str(n)) for n in (1, 10, 30, 100)),
     # y = M^{-1} x_j is exact zeros at the zero column, every fourth update
     pytest.param(PointSet([[1, 0, 0, 2], [0, 1, 0, 1]], symmetric=True),
                  cyclic_update, 0, 15, id="zero_column"),
+]
+
+
+# each case with the pass in a buffer of the caller's, which the update
+# leaves as it was, and in state.w, as solve() writes it, which the update
+# squares in place
+@pytest.mark.parametrize("X, update, drops, zero_ys, in_state", [
+    *(pytest.param(*case.values, False, id=case.id) for case in UPDATE_CASES),
+    *(pytest.param(*case.values, True, id=f"{case.id}-state_w")
+      for case in UPDATE_CASES),
 ])
-def test_rank_one_bit_identical_to_out_of_place(X, update, drops, zero_ys):
+def test_rank_one_bit_identical_to_out_of_place(X, update, drops, zero_ys,
+                                                in_state):
     # the shared-buffer kernel (y y^T one BLAS product) and solve's pass
     # rounding for rounding as the out-of-place update (y y^T broadcast) and
     # np.dot, and M^{-1} exactly symmetric, after each of 60 updates;
@@ -404,7 +417,7 @@ def test_rank_one_bit_identical_to_out_of_place(X, update, drops, zero_ys):
     kappa = gradient_refresh(state, X)
     Minv_ref, log_det_ref, kappa_ref = (state.Minv.copy(), state.log_det,
                                         kappa.copy())
-    w, w_ref = np.empty(m), np.empty(m)
+    own_w, w_ref = np.empty(m), np.empty(m)
     seen_drops = seen_zero_ys = 0
     for k in range(60):
         j, theta = update(k, u, kappa, d)
@@ -412,11 +425,14 @@ def test_rank_one_bit_identical_to_out_of_place(X, update, drops, zero_ys):
         seen_drops += u[j] == 0.0
         y = apply_inverse(state, pts[:, j])
         seen_zero_ys += not y.any()
+        w = state.w if in_state else own_w
         pts_t.dot(y, out=w)
         y_ref = Minv_ref.dot(pts[:, j])
         np.dot(pts_t, y_ref, out=w_ref)
         assert np.array_equal(y, y_ref) and np.array_equal(w, w_ref), k
         rank_one_modify(state, j, y, w, theta)
+        if not in_state:
+            assert np.array_equal(own_w, w_ref), k
         Minv_ref, log_det_ref = out_of_place_modify(
             Minv_ref, log_det_ref, kappa_ref, y_ref, w_ref, theta,
             w_ref.item(j))
