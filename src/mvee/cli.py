@@ -1,18 +1,16 @@
 """Command-line entry point: solve, gen, bench, and curves subcommands.
 
 Exit codes: 0 success, 1 usage or input error, 2 non-convergence (the
-ellipsoid is still emitted with "converged": false).
+ellipsoid is still emitted with "converged": false).  Only the subcommands
+that use the bench harness and configparser import them.
 """
 
 import argparse
-import configparser
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .errors import MveeError, PlanError
-from .harness import (BenchmarkPlan, Regime, emit_decrement_curves,
-                      gen_sample, run_benchmark)
 from .problem import (
     PointSet,
     lift,
@@ -120,12 +118,15 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .harness import gen_sample
     instance = gen_sample(args.n, args.m, args.seed)
     write_points(args.output, instance.points.T)
     return 0
 
 
-def _load_plan(path, output_dir) -> BenchmarkPlan:
+def _load_plan(path, output_dir):
+    import configparser
+    from .harness import BenchmarkPlan, Regime
     cp = configparser.ConfigParser()
     if path is None:
         cp.read_string(DEFAULT_PLAN)
@@ -174,6 +175,7 @@ def _load_plan(path, output_dir) -> BenchmarkPlan:
 
 
 def _cmd_bench(args) -> int:
+    from .harness import run_benchmark
     rows = run_benchmark(_load_plan(args.plan, args.output_dir),
                          parallelism=args.parallelism)
     failed = [r for r in rows if r.error is not None]
@@ -185,6 +187,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_curves(args) -> int:
+    from .harness import emit_decrement_curves
     try:
         n_values = [int(t) for t in args.n_values.split(",") if t.strip()]
     except ValueError:

@@ -26,6 +26,7 @@ from .solvers import (Algorithm, InitScheme, SolverConfig, initial_weights,
 
 @dataclass
 class Regime:
+    """`repetitions` instances of m points in R^n, named `label` in outputs."""
     label: str
     n: int
     m: int
@@ -68,6 +69,8 @@ class BenchmarkPlan:
 
 @dataclass
 class BenchmarkRow:
+    """One solve of a plan: its iterations, seconds (start plus solve),
+    final eps and convergence, or the error that failed it."""
     regime: str
     n: int
     m: int

@@ -2,23 +2,15 @@
 
 Every solver iteration goes through this module.  The step rules need only
 M^{-1} x_j, the quadratic forms kappa_i = x_i^T M^{-1} x_i and ln det M, so
-the state holds M^{-1}, kappa and ln det M rather than a factor of M, and
-kappa and M^{-1} are two views of one buffer.  A rank-one change
-M -> M + theta x x^T is one in-place call with one denominator
-1 + theta kappa_j: it writes w * w and y y^T into a scratch buffer of the
-same layout (y y^T as one BLAS product, each y_i y_j rounded once, as the
-broadcast product rounds it), scales it once and subtracts it once, which
-is a Sherman-Morrison step on M^{-1}, O(n^2), and on kappa, O(m) from the
-caller's O(m n) pass w = X^T M^{-1} x, plus a determinant-lemma step on
-ln det M.  The state owns the update's vectors too: apply_inverse writes
-y = M^{-1} x into state.y, whose column and row views feed the BLAS
-product, and the head of the scratch buffer is the pass buffer state.w,
-so a caller that writes the pass there has it squared in place, with no
-m-length copy.  A full rebuild from the current weights is an orthogonal
-factorization, O(m n^2).  When to rebuild (at initialization, on a schedule
-that bounds floating-point drift, and after a numerically singular update)
-is decided by solvers.solve, not here.  numpy is the only dependency, so
-importing the package stays cheap.
+the state holds M^{-1}, kappa and ln det M rather than a factor of M.  A
+rank-one change M -> M + theta x x^T is one in-place call (see
+FactorState for its buffers): a Sherman-Morrison step on M^{-1}, O(n^2),
+and on kappa, O(m) from the caller's O(m n) pass w = X^T M^{-1} x, plus a
+determinant-lemma step on ln det M.  A full rebuild from the current
+weights is an orthogonal factorization, O(m n^2).  When to rebuild (at
+initialization, on a schedule that bounds floating-point drift, and after
+a numerically singular update) is decided by solvers.solve, not here.
+numpy is the only dependency, so importing the package stays cheap.
 """
 
 import math

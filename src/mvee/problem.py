@@ -62,6 +62,8 @@ class DualWeights:
         self.u = np.asarray(self.u, dtype=float).copy()
         if self.u.ndim != 1:
             raise InvalidInput("u must be a vector")
+        if not np.isfinite(self.u).all():
+            raise InvalidInput("weights contain non-finite entries")
         if (self.u < 0).any():
             raise InvalidInput("weights must be nonnegative")
 
@@ -80,21 +82,12 @@ class Ellipsoid:
     logdet: float
 
 
-@dataclass(slots=True)
-class AxisChoice:
-    j_plus: int
-    j_minus: int
-    eps_plus: float
-    eps_minus: float
-
-    @property
-    def increase(self) -> bool:
-        """Direction of the Gauss-Southwell step; ties go to the increase."""
-        return self.eps_plus >= self.eps_minus
-
-
 @dataclass
 class CertificateReport:
+    """certificate()'s reading of kappa: eps_plus = max kappa/n - 1 and
+    eps_minus = 1 - (min kappa over the support)/n, each checked against
+    eps, and the certified objective gap max(0, n ln(1 + eps_plus))."""
+
     eps_plus: float
     eps_minus: float
     eps_primal_feasible: bool
@@ -161,21 +154,18 @@ def objective_h(total: float, state, c: float = 1.0) -> float:
     return -(state.log_det + n * math.log(c)) + n * (c * total - 1.0)
 
 
-def select_axis_gauss_southwell(kappa: np.ndarray, support: np.ndarray,
-                                n: float) -> AxisChoice:
-    """Largest-|gradient| axes: argmax kappa overall, argmin over the support.
-
-    `support` holds the indices of the positive weights in increasing order,
-    so the decrease axis costs O(s) for s support points on top of the O(m)
-    argmax.  Ties break to the lowest index.  eps_plus = kappa_max/n - 1 and
-    eps_minus = 1 - kappa_min_support/n are the two certificate quantities.
-    """
+def select_axis_gauss_southwell(kappa: np.ndarray, support: np.ndarray
+                                ) -> tuple[int, int, float, float]:
+    """Largest-|gradient| axes (j_plus, j_minus, kappa[j_plus],
+    kappa[j_minus]): the argmax of kappa and its argmin over the support,
+    ties to the lowest index.  `support` holds the indices of the positive
+    weights in increasing order, so the decrease axis costs O(s) on top of
+    the O(m) argmax.  eps_plus = kappa_plus/n - 1 and
+    eps_minus = 1 - kappa_minus/n are the certificate quantities."""
     j_plus = int(kappa.argmax())
     on_support = kappa[support]
     i = int(on_support.argmin())
-    return AxisChoice(j_plus, support.item(i),
-                      kappa.item(j_plus) / n - 1.0,
-                      1.0 - on_support.item(i) / n)
+    return j_plus, support.item(i), kappa.item(j_plus), on_support.item(i)
 
 
 def certificate(u: DualWeights, kappa: np.ndarray, n: int,
@@ -190,8 +180,9 @@ def certificate(u: DualWeights, kappa: np.ndarray, n: int,
     support = np.flatnonzero(u.u)
     if not support.size:
         raise InvalidInput("empty support")
-    choice = select_axis_gauss_southwell(np.asarray(kappa), support, n)
-    eps_plus, eps_minus = choice.eps_plus, choice.eps_minus
+    _, _, kappa_plus, kappa_minus = select_axis_gauss_southwell(
+        np.asarray(kappa), support)
+    eps_plus, eps_minus = kappa_plus / n - 1.0, 1.0 - kappa_minus / n
     feasible = eps_plus <= eps
     optimal = feasible and eps_minus <= eps
     gap = max(0.0, n * np.log1p(eps_plus))

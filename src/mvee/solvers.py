@@ -33,18 +33,13 @@ axis either rule picks has grad h_j = n - kappa_j != 0: no stepsize rule or
 sampler meets a zero gradient or an axis without a descent direction.
 
 Each iteration is O(m n) after an O(m n^2) initialization: kappa, M^{-1}
-and ln det M live in one linalg.FactorState, which solve() holds between
-rebuilds and moves in place by one Sherman-Morrison step per iteration on
-the vector y = M^{-1} x_j that the O(m n) gradient pass needs anyway;
-solve() also decides when to rebuild it from the weights.  An incremental
-update is six numpy calls, all into buffers the state owns:
-y = M^{-1} x_j into state.y, the pass w = X^T y into state.w, the head of
-the state's scratch buffer, and rank_one_modify's four (w * w squared in
-place there and y y^T beside it, one scale of the scratch buffer and one
-subtract from kappa and M^{-1} together).  Besides these, an iteration
-makes one O(m) sweep (argmax kappa) and one O(s) scan of the s support
-indices for the decrease axis; every step writes one weight, and the
-objective is O(1) from the running weight sum.
+and ln det M live in one linalg.FactorState, which solve() moves in place
+by one Sherman-Morrison step per iteration and rebuilds from the weights
+when it decides to.  An update is six numpy calls into the state's
+buffers: y = M^{-1} x_j, the pass w = X^T y and rank_one_modify's four.
+Besides these, the axis rule makes one O(m) argmax and one O(s) scan of
+the s support indices, and the objective is O(1) from the running weight
+sum.
 """
 
 import math
@@ -100,8 +95,16 @@ class StepType(str, Enum):
     DROP = "drop"
 
 
+# cd_step's step types as module globals, which read faster than the members
+_ADD, _INCREASE, _DECREASE, _DROP = StepType
+
+
 @dataclass
 class SolverConfig:
+    """One solve's setting: the algorithm, the tolerance epsilon > 0 its
+    certificate must reach, the iteration cap, the start, and the seed of
+    the Kumar-Yildirim start and of rcd's sampler."""
+
     algorithm: Algorithm = Algorithm.CD_CONST
     epsilon: float = 1e-7
     max_iter: int = 100_000
@@ -123,6 +126,12 @@ class SolverConfig:
 
 @dataclass(slots=True)
 class IterationRecord:
+    """One trace row, read before iteration `iter` steps on `axis`:
+    kappa_max and kappa_min_support are kappa(u) (not kappa(v) of the held
+    weights), eps_k is max(eps_plus, eps_minus) for every algorithm (fwk
+    stops on eps_plus alone), h_value is h(u), and theta_or_lambda is the
+    step's lambda for fwk and wa and theta otherwise."""
+
     iter: int
     step_type: StepType
     axis: int
@@ -233,13 +242,13 @@ def cd_step(u: DualWeights, j: int, theta: float) -> StepOutcome:
     """
     uj = u.u.item(j)
     if theta > 0.0:
-        step_type = StepType.ADD if uj == 0.0 else StepType.INCREASE
+        step_type = _ADD if uj == 0.0 else _INCREASE
         u.u[j] = uj + theta
     elif uj + theta > 0.0:
-        step_type = StepType.DECREASE
+        step_type = _DECREASE
         u.u[j] = uj + theta
     else:
-        step_type = StepType.DROP
+        step_type = _DROP
         theta = -uj
         u.u[j] = 0.0
     return StepOutcome(step_type, 1.0, theta)
@@ -350,8 +359,7 @@ def solve(X: PointSet, config: SolverConfig,
     fwk and wa read c = 1 / e^T v from that sum after each step.  Every
     rebuild first folds c into the weights (v <- c v, c <- 1), and u_final
     is returned normalised.  Each increase multiplies c by 1 - t > 1 - 1/n,
-    so between rebuilds c >= (1 - 1/n)^(50 n), about e^-50.  The trace
-    records lambda = |t| for their steps and theta for the others.
+    so between rebuilds c >= (1 - 1/n)^(50 n), about e^-50.
 
     Parameters
     ----------
@@ -400,9 +408,10 @@ def solve(X: PointSet, config: SolverConfig,
     trace: list[IterationRecord] = []
     rebuild = True
     c = 1.0  # u = c v; kappa(v) = c kappa(u) is read against n c
+    epsilon, max_iter, inf = config.epsilon, config.max_iter, math.inf
 
     # the last pass only evaluates the stopping rule at max_iter
-    for k in range(config.max_iter + 1):
+    for k in range(max_iter + 1):
         if rebuild:
             if c != 1.0:
                 u.u *= c
@@ -412,38 +421,40 @@ def solve(X: PointSet, config: SolverConfig,
             support = np.flatnonzero(u.u)
             total = float(u.u.sum())  # e^T v, then moved by each step
             updates = 0
-        choice = select_axis_gauss_southwell(kappa, support, n * c)
-        # max(eps_plus, eps_minus) and AxisChoice.increase, read once
-        eps_plus, eps_minus = choice.eps_plus, choice.eps_minus
-        increase = eps_plus >= eps_minus
+        j_plus, j_minus, kappa_plus, kappa_minus = \
+            select_axis_gauss_southwell(kappa, support)
+        nc = n * c
+        eps_plus = kappa_plus / nc - 1.0
+        eps_minus = 1.0 - kappa_minus / nc
+        increase = eps_plus >= eps_minus  # ties go to the increase
         eps_k = eps_minus if eps_minus > eps_plus else eps_plus
         stop_eps = eps_plus if fwk else eps_k
-        if stop_eps <= config.epsilon or k == config.max_iter:
+        if stop_eps <= epsilon or k == max_iter:
             break
         h_k = objective_h(total, state, c)
-        # the trace records kappa(u)
-        kappa_max = kappa.item(choice.j_plus) / c
-        kappa_min = kappa.item(choice.j_minus) / c
+        kappa_max, kappa_min = kappa_plus / c, kappa_minus / c  # kappa(u)
 
+        # the rule sees u_j = c v_j and kappa_j(u), exact at c = 1
         if rcd:
             j = rcd_pick(n - kappa, rng)
+            kappa_j = kappa.item(j)
+        elif fwk or increase:
+            j, kappa_j = j_plus, kappa_max
         else:
-            j = choice.j_plus if fwk or increase else choice.j_minus
+            j, kappa_j = j_minus, kappa_min
         vj = u.u.item(j)
-        # the rule sees u_j = c v_j and kappa_j(u) = kappa_j(v) / c; with
-        # c = 1 (the coordinate algorithms) both are exact
-        theta = stepsize(c * vj, kappa.item(j) / c, n, k)
+        theta = stepsize(c * vj, kappa_j, n, k)
         outcome = cd_step(u, j, theta / c)
         theta_rel = outcome.theta_rel
         if simplex:
             # lambda = |t| of u' = (1 - t) u + t e_j; 1 for the full jump
             step = c * theta_rel
-            recorded = abs(step / (1.0 + step)) if theta < math.inf else 1.0
+            recorded = abs(step / (1.0 + step)) if theta < inf else 1.0
         else:
             recorded = theta_rel
         trace.append(IterationRecord(k, outcome.step_type, j, kappa_max,
                                      kappa_min, eps_k, h_k, recorded))
-        if theta == math.inf:
+        if theta == inf:
             # the full jump u' = e_j (n = 1): rebuild from the new weights
             u.u.fill(0.0)
             u.u[j] = 1.0
@@ -485,7 +496,7 @@ def solve(X: PointSet, config: SolverConfig,
     final_h = objective_h(total, state, c)
     if c != 1.0:
         u.u *= c
-    return SolveReport(converged=final_eps <= config.epsilon,
+    return SolveReport(converged=final_eps <= epsilon,
                        iterations=len(trace), final_eps=final_eps,
                        final_h=final_h, trace=trace,
                        wall_time=time.perf_counter() - t0, u_final=u)

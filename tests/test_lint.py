@@ -6,6 +6,8 @@
 - No scipy imports: the package runs on numpy alone, and scipy would
   multiply the start-up time of every `mvee` command.  A fresh-interpreter
   check also catches scipy pulled in through another module.
+- `import mvee.cli` leaves the bench harness, configparser and csv
+  unloaded, since `mvee solve` uses none of them.
 - No public name that only tests use: every public module-level name in
   the package is referenced from another statement of the package or from
   the benchmark under perfbench/.
@@ -144,6 +146,16 @@ def test_cli_import_leaves_random_and_futures_unloaded():
     by_numpy, random, futures = (s == "True" for s in out.split())
     assert not futures, "import mvee.cli loads concurrent.futures"
     assert by_numpy or not random, "import mvee.cli loads numpy.random"
+
+
+def test_cli_import_leaves_the_bench_harness_unloaded():
+    # mvee solve needs neither the harness nor the plan parser; the
+    # subcommands that use them import them when they run
+    out = _fresh_interpreter(
+        "import sys, mvee.cli; "
+        "print(*(m in sys.modules for m in "
+        "('mvee.harness', 'configparser', 'csv')))")
+    assert out.split() == ["False"] * 3, out
 
 
 def _public_names(stmt):

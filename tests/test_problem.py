@@ -224,6 +224,8 @@ BAD_INPUTS = {
                                                          symmetric=True),
     "weights_not_1d": lambda tmp: DualWeights(np.ones((2, 2))),
     "weights_negative": lambda tmp: DualWeights(np.array([1.0, -1.0])),
+    "weights_nan": lambda tmp: DualWeights(np.array([0.5, np.nan])),
+    "weights_inf": lambda tmp: DualWeights(np.array([np.inf, 0.5])),
     "lift_symmetric": lambda tmp: lift(SQUARE),
     "certificate_no_support": lambda tmp: certificate(
         DualWeights(np.zeros(2)), np.array([2.0, 2.0]), 2, 1e-7),

@@ -20,7 +20,6 @@ from mvee.linalg import (
     rank_one_modify,
 )
 from mvee.problem import (
-    AxisChoice,
     DualWeights,
     PointSet,
     certificate,
@@ -53,19 +52,29 @@ from conftest import singular_on_call
 CROSS = PointSet(np.eye(2), symmetric=True)  # {+-e1, +-e2} via implicit mirror
 
 
-def axis_choice(kappa, u, n):
+def axis_choice(kappa, u):
     return select_axis_gauss_southwell(np.asarray(kappa, float),
-                                       np.flatnonzero(u.u), n)
+                                       np.flatnonzero(u.u))
 
 
-def gs_axis(choice):
-    """The axis solve() takes from a Gauss-Southwell choice."""
-    return choice.j_plus if choice.increase else choice.j_minus
+def gs_eps(choice, n):
+    """eps_plus and eps_minus of a Gauss-Southwell choice
+    (j_plus, j_minus, kappa_plus, kappa_minus), as solve() reads them at
+    c = 1."""
+    _, _, kappa_plus, kappa_minus = choice
+    return kappa_plus / n - 1.0, 1.0 - kappa_minus / n
+
+
+def gs_axis(choice, n):
+    """The axis solve() takes from a Gauss-Southwell choice; ties go to the
+    increase."""
+    eps_plus, eps_minus = gs_eps(choice, n)
+    return choice[0] if eps_plus >= eps_minus else choice[1]
 
 
 def gs_cd_step(u, kappa, choice, n, stepsize=exact_stepsize, k=0):
     """One coordinate step on the Gauss-Southwell axis, as solve() makes it."""
-    j = gs_axis(choice)
+    j = gs_axis(choice, n)
     return cd_step(u, j, stepsize(float(u.u[j]), float(kappa[j]), n, k))
 
 
@@ -133,28 +142,50 @@ def test_kumar_yildirim_starts_on_rescaled_rows(seed, decades):
 
 def test_axis_selection_basic():
     u = DualWeights(np.full(3, 1 / 3))
-    c = axis_choice([2.4, 2.0, 1.6], u, 2)
-    assert (c.j_plus, c.j_minus) == (0, 2)
-    assert c.eps_plus == pytest.approx(0.2)
-    assert c.eps_minus == pytest.approx(0.2)
+    c = axis_choice([2.4, 2.0, 1.6], u)
+    assert c == (0, 2, 2.4, 1.6)
+    eps_plus, eps_minus = gs_eps(c, 2)
+    assert eps_plus == pytest.approx(0.2)
+    assert eps_minus == pytest.approx(0.2)
 
 
 def test_axis_selection_at_optimum():
     u = DualWeights(np.array([0.5, 0.5]))
-    c = axis_choice([2.0, 2.0], u, 2)
-    assert c.eps_plus == 0.0 and c.eps_minus == 0.0
+    c = axis_choice([2.0, 2.0], u)
+    assert gs_eps(c, 2) == (0.0, 0.0)
 
 
 def test_axis_selection_respects_support():
     u = DualWeights(np.array([0.5, 0.5, 0.0]))
-    c = axis_choice([2.4, 2.0, 1.6], u, 2)
-    assert c.j_minus == 1
+    c = axis_choice([2.4, 2.0, 1.6], u)
+    assert c[1] == 1
 
 
 def test_axis_selection_lowest_index_ties():
     u = DualWeights(np.full(4, 0.25))
-    c = axis_choice([3.0, 3.0, 1.0, 1.0], u, 2)
-    assert (c.j_plus, c.j_minus) == (0, 2)
+    c = axis_choice([3.0, 3.0, 1.0, 1.0], u)
+    assert c[:2] == (0, 2)
+
+
+@given(st.integers(0, 5_000))
+def test_axis_selection_ties_on_a_support_and_exact_values(seed):
+    # kappa takes four values, so both extremes tie often, and the support
+    # is a proper subset: j_plus is the lowest index of the largest kappa,
+    # j_minus the lowest support index of the smallest kappa on the support,
+    # both Python ints, and the two kappa are the array's entries bit for bit
+    rng = np.random.default_rng(seed)
+    kappa = rng.choice([0.1, 1.0 / 3.0, 2.0 / 3.0, 7.1], 12)
+    support = np.flatnonzero(rng.uniform(size=12) < 0.5)
+    if not support.size:
+        support = np.array([11])
+    j_plus, j_minus, kappa_plus, kappa_minus = \
+        select_axis_gauss_southwell(kappa, support)
+    assert j_plus == min(i for i in range(12) if kappa[i] == kappa.max())
+    low = kappa[support].min()
+    assert j_minus == min(i for i in support if kappa[i] == low)
+    assert type(j_plus) is int and type(j_minus) is int
+    assert kappa_plus.hex() == float(kappa[j_plus]).hex()
+    assert kappa_minus.hex() == float(kappa[j_minus]).hex()
 
 
 # --- Frank-Wolfe step -------------------------------------------------------------
@@ -213,9 +244,10 @@ def test_fwk_add_vs_increase():
 
 def test_wa_tie_takes_increase_branch():
     u = DualWeights(np.full(3, 1 / 3))
-    choice = axis_choice([2.4, 2.0, 1.6], u, 2)
-    assert choice.increase
-    j = gs_axis(choice)
+    choice = axis_choice([2.4, 2.0, 1.6], u)
+    eps_plus, eps_minus = gs_eps(choice, 2)
+    assert eps_plus >= eps_minus
+    j = gs_axis(choice, 2)
     out, _, _ = simplex_step(u, [2.4, 2.0, 1.6], j, 2)
     assert out.step_type in (StepType.ADD, StepType.INCREASE)
     assert j == 0
@@ -225,8 +257,8 @@ def test_wa_decrease_formula():
     # candidate stepsizes 0.5 and 2/3; the smaller wins, no drop
     u = DualWeights(np.array([0.3, 0.3, 0.4]))
     kappa = np.array([2.1, 2.05, 1.5])
-    choice = AxisChoice(0, 2, 0.05, 0.25)
-    out, lam, after = simplex_step(u, kappa, gs_axis(choice), 2)
+    choice = (0, 2, 2.1, 1.5)
+    out, lam, after = simplex_step(u, kappa, gs_axis(choice, 2), 2)
     assert out.step_type is StepType.DECREASE
     assert lam == pytest.approx(0.5)
     assert after[2] == pytest.approx(0.4 * 1.5 - 0.5)
@@ -236,8 +268,8 @@ def test_wa_decrease_formula():
 def test_wa_drop_lands_on_zero():
     u = DualWeights(np.array([0.65, 0.30, 0.05]))
     kappa = np.array([2.1, 2.05, 1.2])
-    choice = AxisChoice(0, 2, 0.05, 0.4)
-    out, lam, after = simplex_step(u, kappa, gs_axis(choice), 2)
+    choice = (0, 2, 2.1, 1.2)
+    out, lam, after = simplex_step(u, kappa, gs_axis(choice, 2), 2)
     assert out.step_type is StepType.DROP
     assert lam == pytest.approx(0.05 / 0.95)
     assert after[2] == 0.0 and not u.support[2]
@@ -248,8 +280,8 @@ def test_wa_small_kappa_only_drop_bound():
     # kappa <= 1 leaves the decrease candidate unbounded
     u = DualWeights(np.array([0.4, 0.3, 0.3]))
     kappa = np.array([2.2, 2.0, 0.9])
-    choice = AxisChoice(0, 2, 0.1, 0.55)
-    out, _, after = simplex_step(u, kappa, gs_axis(choice), 2)
+    choice = (0, 2, 2.2, 0.9)
+    out, _, after = simplex_step(u, kappa, gs_axis(choice, 2), 2)
     assert out.step_type is StepType.DROP
     assert after[2] == 0.0
 
@@ -296,7 +328,7 @@ def test_simplex_stepsize_is_the_convex_combination_line_search(n, kappa_j,
 def test_cd_add_step_and_decrement_value():
     u = DualWeights(np.array([0.5, 0.5, 0.0]))
     kappa = np.array([1.9, 1.8, 4.0])
-    out = gs_cd_step(u, kappa, AxisChoice(2, 1, 1.0, 0.1), 2)
+    out = gs_cd_step(u, kappa, (2, 1, 4.0, 1.8), 2)
     assert out.step_type is StepType.ADD
     assert out.theta_rel == pytest.approx(0.125)
     dec = np.log1p(out.theta_rel * 4.0) - 2 * out.theta_rel
@@ -306,7 +338,7 @@ def test_cd_add_step_and_decrement_value():
 
 def test_cd_decrease_step():
     u = DualWeights(np.array([0.2, 0.8]))
-    out = gs_cd_step(u, np.array([3.0, 1.0]), AxisChoice(0, 1, 0.1, 0.5), 2)
+    out = gs_cd_step(u, np.array([2.2, 1.0]), (0, 1, 2.2, 1.0), 2)
     assert out.step_type is StepType.DECREASE
     assert out.theta_rel == pytest.approx(-0.5)
     assert u.u[1] == pytest.approx(0.3)
@@ -314,7 +346,7 @@ def test_cd_decrease_step():
 
 def test_cd_projected_drop():
     u = DualWeights(np.array([0.8, 0.2]))
-    out = gs_cd_step(u, np.array([3.0, 1.0]), AxisChoice(0, 1, 0.1, 0.5), 2)
+    out = gs_cd_step(u, np.array([2.2, 1.0]), (0, 1, 2.2, 1.0), 2)
     assert out.step_type is StepType.DROP
     assert out.theta_rel == pytest.approx(-0.2)
     assert u.u[1] == 0.0 and not u.support[1]
@@ -325,7 +357,7 @@ def test_cd_decrease_landing_on_zero_is_a_drop():
     # leaves the support, so support still means u_i > 0
     u = DualWeights(np.array([0.5, 0.5]))
     kappa = np.array([2.2, 1.0])
-    out = gs_cd_step(u, kappa, axis_choice(kappa, u, 2), 2)
+    out = gs_cd_step(u, kappa, axis_choice(kappa, u), 2)
     assert out.step_type is StepType.DROP
     assert out.theta_rel == pytest.approx(-0.5)
     assert np.array_equal(u.u, [0.5, 0.0])
@@ -336,14 +368,14 @@ def test_cd_decrease_landing_on_zero_is_a_drop():
 
 def test_diminishing_first_step_is_full():
     u = DualWeights(np.array([0.5, 0.5]))
-    out = gs_cd_step(u, np.array([3.0, 1.5]), AxisChoice(0, 1, 0.5, 0.25), 2,
+    out = gs_cd_step(u, np.array([3.0, 1.5]), (0, 1, 3.0, 1.5), 2,
                      schedule_stepsize, 0)
     assert out.theta_rel == pytest.approx(1.0)
 
 
 def test_diminishing_clamps_to_drop():
     u = DualWeights(np.array([0.95, 0.05]))
-    out = gs_cd_step(u, np.array([2.5, 1.4]), AxisChoice(0, 1, 0.25, 0.3), 2,
+    out = gs_cd_step(u, np.array([2.5, 1.4]), (0, 1, 2.5, 1.4), 2,
                      schedule_stepsize, 8)
     assert out.step_type is StepType.DROP
     assert out.theta_rel == pytest.approx(-0.05)
@@ -352,7 +384,7 @@ def test_diminishing_clamps_to_drop():
 
 def test_diminishing_vanishes():
     u = DualWeights(np.array([0.5, 0.5]))
-    out = gs_cd_step(u, np.array([2.5, 1.4]), AxisChoice(0, 1, 0.25, 0.3), 2,
+    out = gs_cd_step(u, np.array([2.5, 1.4]), (0, 1, 2.5, 1.4), 2,
                      schedule_stepsize, 10 ** 6)
     assert abs(out.theta_rel) <= 2e-6
 
@@ -384,7 +416,7 @@ def test_armijo_drops_weights_below_floor():
     # a decrease on a weight at the drop floor removes it outright; above the
     # floor, and on increases, the rule is the Armijo search
     u = DualWeights(np.array([1.0, 1e-14]))
-    out = gs_cd_step(u, np.array([3.0, 1.0]), AxisChoice(0, 1, 0.1, 0.5), 2,
+    out = gs_cd_step(u, np.array([2.2, 1.0]), (0, 1, 2.2, 1.0), 2,
                      armijo_stepsize)
     assert out.step_type is StepType.DROP and out.theta_rel == -1e-14
     assert u.u[1] == 0.0 and not u.support[1]
@@ -445,7 +477,7 @@ def test_branch_choice_matches_gradient_rule(seed):
     if not w.any():
         w[0] = 1.0
     u = DualWeights(w / w.sum())
-    c = axis_choice(kappa, u, n)
+    wa_axis = gs_axis(axis_choice(kappa, u), n)
 
     grad = n - kappa
     admissible = (kappa > n) | u.support
@@ -457,7 +489,6 @@ def test_branch_choice_matches_gradient_rule(seed):
         g = abs(grad[i])
         if g > best + 1e-15:
             best, pick = g, i
-    wa_axis = c.j_plus if c.eps_plus >= c.eps_minus else c.j_minus
     if abs(abs(grad[wa_axis]) - best) > 1e-12:
         assert wa_axis == pick
 
@@ -523,10 +554,10 @@ def test_fwk_stops_on_primal_feasibility_only():
     assert rep.converged
     state = factor_from_weights(X, rep.u_final)
     kappa = gradient_refresh(state, X)
-    c = select_axis_gauss_southwell(kappa, np.flatnonzero(rep.u_final.u),
-                                    X.dim)
-    assert c.eps_plus <= 1e-4
-    assert c.eps_minus > 1e-4
+    c = select_axis_gauss_southwell(kappa, np.flatnonzero(rep.u_final.u))
+    eps_plus, eps_minus = gs_eps(c, X.dim)
+    assert eps_plus <= 1e-4
+    assert eps_minus > 1e-4
 
 
 def test_nonconvergence_report_is_well_formed():
@@ -710,7 +741,7 @@ def test_maintained_state_matches_dense_every_step(alg, seed, n, extra, init,
         Minv = np.linalg.inv(M)
         return M, Minv, np.einsum("ij,ij->j", X.points, Minv @ X.points)
 
-    def select(kappa, support, dim):
+    def select(kappa, support):
         u = weights[-1]
         assert np.array_equal(support, np.flatnonzero(u.u)), (
             len(checked), support, u.u)
@@ -718,7 +749,7 @@ def test_maintained_state_matches_dense_every_step(alg, seed, n, extra, init,
         tol = 1e-13 * np.linalg.cond(M)
         assert _close(kappa, kappa_dense, tol), (len(checked), kappa,
                                                  kappa_dense)
-        return real_select(kappa, support, dim)
+        return real_select(kappa, support)
 
     def objective(total, state, c):
         # fwk and wa hold u = c v: the state is that of M(v), v the weights
@@ -1046,17 +1077,24 @@ def test_step_goes_up_exactly_when_the_axis_rule_chose_the_increase(
     # the stepsize rules read the direction from kappa_j > n alone; on every
     # step it agrees with the one the loop chose: the Gauss-Southwell argmax
     # (always for fwk), or a negative gradient at rcd's sampled axis.  fwk
-    # and wa read kappa_j / c against n while the axis rule reads kappa_j
-    # against n c, and they agree too
-    choices, descents, steps = [], [], []
+    # and wa read kappa_j / c against n while the Gauss-Southwell direction
+    # reads kappa_j against n c, with c that of the objective_h call that
+    # follows each selection, and they agree too
+    X = AXIS_RULE_INSTANCES[name]
+    choices, scales, descents, steps = [], [], [], []
     real_select = mvee.solvers.select_axis_gauss_southwell
+    real_objective = mvee.solvers.objective_h
     real_pick = mvee.solvers.rcd_pick
     real_step = mvee.solvers.cd_step
     fwk = alg is Algorithm.FWK
 
-    def select(kappa, support, dim):
-        choices.append(real_select(kappa, support, dim))
+    def select(kappa, support):
+        choices.append(real_select(kappa, support))
         return choices[-1]
+
+    def objective(total, state, c):
+        scales.append(c)
+        return real_objective(total, state, c)
 
     def pick(grad, rng):
         j = real_pick(grad, rng)
@@ -1068,18 +1106,19 @@ def test_step_goes_up_exactly_when_the_axis_rule_chose_the_increase(
         if alg is Algorithm.RCD:
             up = descents[-1]
         else:
-            up = fwk or chosen.eps_plus >= chosen.eps_minus
-            assert j == (chosen.j_plus if up else chosen.j_minus), (
-                len(steps), j, chosen)
+            j_plus, j_minus, kappa_plus, kappa_minus = chosen
+            nc = X.dim * scales[-1]
+            up = fwk or kappa_plus / nc - 1.0 >= 1.0 - kappa_minus / nc
+            assert j == (j_plus if up else j_minus), (len(steps), j, chosen)
         assert (theta > 0.0) == up, (len(steps), j, theta, chosen)
         steps.append(up)
         return real_step(u, j, theta)
 
     monkeypatch.setattr(mvee.solvers, "select_axis_gauss_southwell", select)
+    monkeypatch.setattr(mvee.solvers, "objective_h", objective)
     monkeypatch.setattr(mvee.solvers, "rcd_pick", pick)
     monkeypatch.setattr(mvee.solvers, "cd_step", step)
-    rep = solve(AXIS_RULE_INSTANCES[name],
-                SolverConfig(algorithm=alg, init=init, max_iter=2000))
+    rep = solve(X, SolverConfig(algorithm=alg, init=init, max_iter=2000))
     assert len(steps) == rep.iterations
 
 
