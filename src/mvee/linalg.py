@@ -3,14 +3,15 @@
 Every solver iteration goes through this module.  The step rules need only
 M^{-1} x_j, the quadratic forms kappa_i = x_i^T M^{-1} x_i and ln det M, so
 the state holds M^{-1}, kappa and ln det M rather than a factor of M.  A
-rank-one change M -> M + theta x x^T is one in-place call (see
-FactorState for its buffers): a Sherman-Morrison step on M^{-1}, O(n^2),
-and on kappa, O(m) from the caller's O(m n) pass w = X^T M^{-1} x, plus a
-determinant-lemma step on ln det M.  A full rebuild from the current
-weights is an orthogonal factorization, O(m n^2).  When to rebuild (at
-initialization, on a schedule that bounds floating-point drift, and after
-a numerically singular update) is decided by solvers.solve, not here.
-numpy is the only dependency, so importing the package stays cheap.
+rank-one change M -> M + theta x x^T is one in-place call that reads
+vectors the state owns (see FactorState): a Sherman-Morrison step on
+M^{-1}, O(n^2), and on kappa, O(m) from the O(m n) pass w = X^T M^{-1} x
+the caller writes into state.w, plus a determinant-lemma step on ln det M.
+A full rebuild from the current weights is an orthogonal factorization,
+O(m n^2).  When to rebuild (at initialization, on a schedule that bounds
+floating-point drift, and after a numerically singular update) is decided
+by solvers.solve, not here.  numpy is the only dependency, so importing
+the package stays cheap.
 """
 
 import math
@@ -33,10 +34,10 @@ class FactorState:
 
     kappa and Minv are views of one contiguous buffer of m + n^2 floats, and
     a scratch buffer of the same layout holds the rank-one change, so an
-    update is one scale and one subtract over both.  The scratch buffer's
-    first m floats are w, where the caller may write the gradient pass
-    X^T M^{-1} x_j; rank_one_modify overwrites them.  y holds
-    M^{-1} x_j from apply_inverse.  FactorState(m, n) allocates the buffers
+    update is one scale and one subtract over both.  The state owns the two
+    vectors rank_one_modify reads: y = M^{-1} x_j, which apply_inverse
+    writes, and w, the scratch buffer's first m floats, where the caller
+    writes the gradient pass X^T y.  FactorState(m, n) allocates the buffers
     for m points in R^n; factor_from_weights fills Minv and log_det, and
     kappa holds no values until gradient_refresh writes it.
 
@@ -51,10 +52,10 @@ class FactorState:
     log_det : float
         ln det M.
     w : ndarray, shape (m,)
-        Pass buffer, the head of the scratch buffer; its values are not
-        kept across rank_one_modify.
+        The pass X^T y, the head of the scratch buffer; rank_one_modify
+        overwrites it.
     y : ndarray, shape (n,)
-        apply_inverse's result, overwritten by its next call.
+        M^{-1} x_j, apply_inverse's result.
     """
 
     __slots__ = ("buf", "kappa", "Minv", "log_det", "w", "y", "_change",
@@ -116,22 +117,20 @@ def factor_from_weights(X, u):
     return state
 
 
-def rank_one_modify(state, j, y, w, theta):
+def rank_one_modify(state, j, theta):
     """Move the state to M' = M + theta * x_j x_j^T in place.
 
-    Takes y = M^{-1} x_j and the pass w = X^T y rather than x_j, since the
-    caller forms both for its gradient pass.  kappa_j = w_j is read from the
-    pass, not from the maintained kappa, whose error 1 / (1 + theta kappa_j)
-    would scale.  With s = theta / (1 + theta kappa_j):
-    kappa_i <- kappa_i - s w_i^2, M'^{-1} = M^{-1} - s y y^T and
-    ln det M' = ln det M + ln(1 + theta kappa_j).  O(n^2 + m) in four numpy
-    calls and no allocation.  w * w is formed in state.w: when w is
-    state.w, as solve() passes it, it is squared in place and its values
-    are lost; any other w is left unchanged.  y y^T is one BLAS product of
-    the n x 1 and 1 x n views of state.y, made once per state, which
-    rounds each y_i y_j once, the same roundings as the broadcast
-    y[:, None] * y at under half its cost; a y other than state.y, the
-    array apply_inverse returns, is copied there first and left unchanged.
+    Reads y = M^{-1} x_j from state.y, where apply_inverse leaves it, and
+    the pass w = X^T y from state.w, where the caller writes it, rather
+    than x_j.  kappa_j = w_j is read from the pass, not from the maintained
+    kappa, whose error 1 / (1 + theta kappa_j) would scale.  With
+    s = theta / (1 + theta kappa_j): kappa_i <- kappa_i - s w_i^2,
+    M'^{-1} = M^{-1} - s y y^T and ln det M' = ln det M + ln(1 + theta
+    kappa_j).  O(n^2 + m) in four numpy calls and no allocation; w * w is
+    formed and scaled in state.w, so the pass is lost.  y y^T is one BLAS
+    product of the n x 1 and 1 x n views of state.y, made once per state,
+    which rounds each y_i y_j once, the same roundings as the broadcast
+    y[:, None] * y at under half its cost.
 
     Raises
     ------
@@ -140,15 +139,14 @@ def rank_one_modify(state, j, y, w, theta):
         singular and the caller should rebuild from (X, u) instead; the
         state is not touched.
     """
+    w = state.w
     denom = 1.0 + theta * w.item(j)
     if denom <= PD_TOL:
         raise SingularUpdate(f"update denominator {denom:.3e}")
     # w * w and y y^T are rounded, then scaled, then subtracted: the
     # roundings of kappa - s (w * w) and M^{-1} - s (y y^T) taken one
     # operation at a time
-    np.square(w, out=state.w)
-    if y is not state.y:
-        state.y[...] = y
+    np.square(w, out=w)
     np.dot(state._y_col, state._y_row, out=state._change_Minv)
     change = state._change
     change *= theta / denom

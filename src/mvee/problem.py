@@ -28,9 +28,10 @@ class PointSet:
     symmetric: bool = False
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
-        if pts.ndim != 2:
-            raise InvalidInput("points must be a 2-D array (columns are points)")
+        pts = np.asarray(self.points)
+        if pts.ndim != 2 or pts.dtype.kind not in "biuf":
+            raise InvalidInput("points must be a real 2-D array of columns")
+        pts = np.ascontiguousarray(pts, dtype=float)
         if not np.isfinite(pts).all():
             raise InvalidInput("points contain non-finite entries")
         n, m = pts.shape
@@ -59,9 +60,10 @@ class DualWeights:
     u: np.ndarray
 
     def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float).copy()
-        if self.u.ndim != 1:
-            raise InvalidInput("u must be a vector")
+        u = np.asarray(self.u)
+        if u.ndim != 1 or u.dtype.kind not in "biuf":
+            raise InvalidInput("u must be a real vector")
+        self.u = u.astype(float)
         if not np.isfinite(self.u).all():
             raise InvalidInput("weights contain non-finite entries")
         if (self.u < 0).any():

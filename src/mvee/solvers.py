@@ -46,6 +46,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -117,8 +118,9 @@ class SolverConfig:
             self.init = InitScheme(self.init)
         except ValueError as exc:
             raise InvalidInput(str(exc)) from None
-        # NaN fails too: no eps_k <= NaN, so the solve could never stop
-        if not self.epsilon > 0:
+        # a bool fails, and NaN too: no eps_k <= NaN could stop the solve
+        eps = self.epsilon
+        if isinstance(eps, bool) or not isinstance(eps, Real) or not eps > 0:
             raise InvalidInput("epsilon must be positive")
         check_int("max_iter", self.max_iter, 1)
         check_int("seed", self.seed, 0)
@@ -126,13 +128,12 @@ class SolverConfig:
 
 @dataclass(slots=True)
 class IterationRecord:
-    """One trace row, read before iteration `iter` steps on `axis`:
-    kappa_max and kappa_min_support are kappa(u) (not kappa(v) of the held
-    weights), eps_k is max(eps_plus, eps_minus) for every algorithm (fwk
-    stops on eps_plus alone), h_value is h(u), and theta_or_lambda is the
-    step's lambda for fwk and wa and theta otherwise."""
+    """One trace row, read before the iteration at its position steps on
+    `axis`: kappa_max and kappa_min_support are kappa(u) (not kappa(v) of
+    the held weights), eps_k is max(eps_plus, eps_minus) for every
+    algorithm (fwk stops on eps_plus alone), h_value is h(u), and
+    theta_or_lambda is the step's lambda for fwk and wa and theta otherwise."""
 
-    iter: int
     step_type: StepType
     axis: int
     kappa_max: float
@@ -452,7 +453,7 @@ def solve(X: PointSet, config: SolverConfig,
             recorded = abs(step / (1.0 + step)) if theta < inf else 1.0
         else:
             recorded = theta_rel
-        trace.append(IterationRecord(k, outcome.step_type, j, kappa_max,
+        trace.append(IterationRecord(outcome.step_type, j, kappa_max,
                                      kappa_min, eps_k, h_k, recorded))
         if theta == inf:
             # the full jump u' = e_j (n = 1): rebuild from the new weights
@@ -479,12 +480,11 @@ def solve(X: PointSet, config: SolverConfig,
         rebuild = False
         if theta_rel != 0.0:
             # y and the pass land in the state's buffers, where the
-            # update forms its change without a copy
-            y = apply_inverse(state, pts_t[j])
-            w = pts_t.dot(y, out=state.w)
+            # update reads them
+            pts_t.dot(apply_inverse(state, pts_t[j]), out=state.w)
             try:
                 # moves kappa, M^{-1} and ln det M in place
-                rank_one_modify(state, j, y, w, theta_rel)
+                rank_one_modify(state, j, theta_rel)
             except SingularUpdate:
                 # exact drop of a geometrically loaded point; rebuild
                 rebuild = True
@@ -506,10 +506,10 @@ TRACE_HEADER = "iter,step_type,axis,kappa_max,kappa_min_support,eps,h,theta"
 
 
 def write_trace(trace, path) -> None:
-    """Write one CSV row per iteration in the fixed trace format."""
+    """Write one CSV row per iteration, numbered from 0, under TRACE_HEADER."""
     with open(path, "w") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for r in trace:
-            fh.write(f"{r.iter},{r.step_type.value},{r.axis},{r.kappa_max!r},"
+        for k, r in enumerate(trace):
+            fh.write(f"{k},{r.step_type.value},{r.axis},{r.kappa_max!r},"
                      f"{r.kappa_min_support!r},{r.eps_k!r},{r.h_value!r},"
                      f"{r.theta_or_lambda!r}\n")

@@ -4,15 +4,16 @@ bit-identical.
     python tests/fingerprints.py SRC_DIR > fingerprints.txt
 
 imports mvee from SRC_DIR (the `src` directory of a checkout) and prints
-one line per solve: a label and the SHA-256 of every trace row (iteration,
-step type, axis and the repr of each float column), the iteration count,
-the repr of the final eps and h, the convergence flag and the bytes of
-u_final.  Before the first solve of each distinct instance comes an
-`instance` line: the SHA-256 of its shape, symmetric flag and point bytes,
-so a change to gen_sample or lift shows apart from the solves.  Then come
-the `mvee bench` lines: `mvee bench --parallelism 2` through
-mvee.cli.main on four INI plans, one per init and seed 0 or 1, each
-with all six algorithms at eps 1e-5 and max_iter 2000 and two
+one line per solve: a label and the SHA-256 of the bytes write_trace
+writes for its trace (the header and one row per iteration: its
+position, step type, axis and the repr of each float column), the
+iteration count, the repr of the final eps and h, the convergence flag
+and the bytes of u_final.  Before the first solve of each distinct
+instance comes an `instance` line: the SHA-256 of its shape, symmetric
+flag and point bytes, so a change to gen_sample or lift shows apart from
+the solves.  Then come the `mvee bench` lines: `mvee bench --parallelism
+2` through mvee.cli.main on four INI plans, one per init and seed 0 or
+1, each with all six algorithms at eps 1e-5 and max_iter 2000 and two
 repetitions of the regimes (3, 40) and (5, 80); the exit code, then one
 SHA-256 per output file, results.csv and results_means.csv without their
 timing columns.  The last line is the row total of the solves.  Two trees
@@ -26,12 +27,18 @@ The 58 solves cover every algorithm from both starts; an instance of each
 benchmark workload (small-cd, moderate-wa, batch-bench with both of its
 algorithms, and the first 200 iterations of stress-cd); the cd_diminish
 solve that declines a singular decrease; and the full jump of a simplex
-step at n = 1.  Needs numpy and mvee only; pytest does not collect this
-file.
+step at n = 1.  BLAS runs on one thread, as in perfbench/run.py: at
+n = 100 the instances and the factors round differently under more
+threads.  Needs numpy and mvee only; pytest does not collect this file.
 """
 
 import hashlib
+import os
 import sys
+
+# before numpy loads, whatever the caller's environment sets
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 
 def solves():
@@ -149,29 +156,29 @@ def main(argv):
     if len(argv) != 2:
         sys.exit(f"usage: {argv[0]} SRC_DIR")
     sys.path.insert(0, argv[1])
-    from mvee.solvers import SolverConfig, solve
+    import tempfile
+    from pathlib import Path
+    from mvee.solvers import SolverConfig, solve, write_trace
 
     rows = 0
     seen = set()
-    for name, X, label, kw in solves():
-        if name not in seen:
-            seen.add(name)
-            digest = hashlib.sha256(
-                f"{X.points.shape},{X.symmetric}\n".encode())
-            digest.update(X.points.tobytes())
-            print(f"instance {name}: {digest.hexdigest()}", flush=True)
-        rep = solve(X, SolverConfig(**kw))
-        digest = hashlib.sha256()
-        for r in rep.trace:
-            digest.update(
-                f"{r.iter},{r.step_type.value},{r.axis},{r.kappa_max!r},"
-                f"{r.kappa_min_support!r},{r.eps_k!r},{r.h_value!r},"
-                f"{r.theta_or_lambda!r}\n".encode())
-        digest.update(f"{rep.iterations},{rep.final_eps!r},{rep.final_h!r},"
-                      f"{rep.converged}\n".encode())
-        digest.update(rep.u_final.u.tobytes())
-        rows += len(rep.trace)
-        print(f"{label}: {digest.hexdigest()}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        trace_path = Path(tmp) / "trace.csv"
+        for name, X, label, kw in solves():
+            if name not in seen:
+                seen.add(name)
+                digest = hashlib.sha256(
+                    f"{X.points.shape},{X.symmetric}\n".encode())
+                digest.update(X.points.tobytes())
+                print(f"instance {name}: {digest.hexdigest()}", flush=True)
+            rep = solve(X, SolverConfig(**kw))
+            write_trace(rep.trace, trace_path)
+            digest = hashlib.sha256(trace_path.read_bytes())
+            digest.update(f"{rep.iterations},{rep.final_eps!r},"
+                          f"{rep.final_h!r},{rep.converged}\n".encode())
+            digest.update(rep.u_final.u.tobytes())
+            rows += len(rep.trace)
+            print(f"{label}: {digest.hexdigest()}", flush=True)
     for label, digest in bench_fingerprints():
         print(f"{label}: {digest}", flush=True)
     print(f"rows: {rows}")

@@ -362,19 +362,17 @@ def test_criterion_08_factor_oracle_and_drift():
         theta = float(rng.uniform(0.1, 0.6))
         j = int(rng.integers(m))
         xj = X.points[:, j]
-        y = apply_inverse(state, xj)
-        wvec = X.points.T @ y
+        np.dot(X.points.T, apply_inverse(state, xj), out=state.w)
         # the update moves the state, kappa included, in place
-        rank_one_modify(state, j, y, wvec, theta)
+        rank_one_modify(state, j, theta)
         Mup = M + theta * np.outer(xj, xj)
         assert np.abs(state.Minv - np.linalg.inv(Mup)).max() < 1e-10
         assert abs(state.log_det - np.linalg.slogdet(Mup)[1]) < 1e-10
         dense_up = np.einsum("ij,ij->j", X.points,
                              np.linalg.solve(Mup, X.points))
         assert np.abs(state.kappa - dense_up).max() < 1e-10
-        y_up = apply_inverse(state, xj)
-        w_up = X.points.T @ y_up
-        rank_one_modify(state, j, y_up, w_up, -theta)
+        np.dot(X.points.T, apply_inverse(state, xj), out=state.w)
+        rank_one_modify(state, j, -theta)
         assert np.abs(state.Minv - np.linalg.inv(M)).max() < 1e-10
         assert abs(state.log_det - np.linalg.slogdet(M)[1]) < 1e-10
 
@@ -394,10 +392,9 @@ def test_criterion_08_factor_oracle_and_drift():
         kj = float(kappa[j])
         if 1.0 + theta * kj <= 0.05:
             continue
-        xj = X.points[:, j]
-        y = apply_inverse(state, xj)
-        wvec = X.points.T @ y
-        rank_one_modify(state, j, y, wvec, theta)
+        np.dot(X.points.T, apply_inverse(state, X.points[:, j]),
+               out=state.w)
+        rank_one_modify(state, j, theta)
         w[j] += theta
         updates += 1
         if updates % (50 * n) == 0:

@@ -41,10 +41,8 @@ def factor_of(M):
 def modify(state, x, theta):
     """Move the state to M + theta x x^T in place, fed as solve() feeds it,
     with x as the column of kappa slot 0."""
-    y = apply_inverse(state, x)
-    w = np.array([x @ y])
-    state.kappa[0] = w.item(0)
-    rank_one_modify(state, 0, y, w, theta)
+    state.w[0] = state.kappa[0] = x @ apply_inverse(state, x)
+    rank_one_modify(state, 0, theta)
 
 
 def random_state(rng, n):
@@ -139,22 +137,21 @@ def test_rank_one_downdate_to_singular_raises():
 
 def test_rank_one_moves_the_state_in_place():
     # solve() holds one state between rebuilds and its kappa view: the update
-    # writes into the state's buffer, whose views stay, and leaves y and w
+    # writes into the state's buffer, whose views stay, and leaves y
     st_ = state_from_matrix(np.eye(2), m=3)
     buf, kappa, Minv = st_.buf, st_.kappa, st_.Minv
     kappa[:] = [1.0, 2.0, 3.0]
     y = np.array([0.3, 0.4])
     w = np.array([0.5, -1.0, 0.25])
-    y_before, w_before = y.copy(), w.copy()
-    rank_one_modify(st_, 2, y, w, 1.0)
+    st_.y[:], st_.w[:] = y, w
+    rank_one_modify(st_, 2, 1.0)
     assert st_.buf is buf and st_.kappa is kappa and st_.Minv is Minv
     assert np.shares_memory(kappa, buf) and np.shares_memory(Minv, buf)
     s = 1.0 / (1.0 + 0.25)
     assert np.array_equal(Minv, np.eye(2) - s * (y[:, None] * y))
     assert np.array_equal(kappa, [1.0, 2.0, 3.0] - s * (w * w))
     assert st_.log_det == math.log(1.25)
-    assert np.array_equal(y, y_before)
-    assert np.array_equal(w, w_before)
+    assert np.array_equal(st_.y, y)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 6),
@@ -292,24 +289,23 @@ def test_gradient_refresh_matches_dense():
 def test_rank_one_zero_theta_is_identity():
     st_ = state_from_matrix(np.eye(2), m=3)
     st_.kappa[:] = [1.0, 2.0, 3.0]
-    rank_one_modify(st_, 1, np.array([0.5, 0.5]), np.array([0.5, 0.5, 0.5]),
-                    0.0)
+    st_.y[:], st_.w[:] = 0.5, 0.5
+    rank_one_modify(st_, 1, 0.0)
     assert np.array_equal(st_.kappa, [1.0, 2.0, 3.0])
     assert np.array_equal(st_.Minv, np.eye(2))
     assert st_.log_det == 0.0
 
 
-def test_rank_one_updates_kappa_in_place_and_keeps_w():
-    # kappa_j is read from the pass w, which the caller keeps as it was
+def test_rank_one_updates_kappa_in_place_from_the_pass():
+    # kappa_j is read from the pass w, not from the maintained kappa
     st_ = state_from_matrix(np.eye(2), m=3)
     kappa = st_.kappa
     kappa[:] = [1.0, 2.0, 3.0]
     w = np.array([0.5, -1.0, 2.0])
-    w_before = w.copy()
     want = np.array([1.0, 2.0, 3.0]) - (0.5 / (1.0 + 0.5 * 2.0)) * (w * w)
-    rank_one_modify(st_, 2, np.array([1.0, 1.0]), w, 0.5)
+    st_.y[:], st_.w[:] = 1.0, w
+    rank_one_modify(st_, 2, 0.5)
     assert np.array_equal(kappa, want)
-    assert np.array_equal(w, w_before)
 
 
 def test_rank_one_singular_pivot_raises():
@@ -317,9 +313,10 @@ def test_rank_one_singular_pivot_raises():
     # as they were, to the byte
     st_ = state_from_matrix(np.eye(1))
     st_.kappa[0] = 2.0
+    st_.y[0], st_.w[0] = 1.0, 2.0
     before = st_.buf.tobytes()
     with pytest.raises(SingularUpdate):
-        rank_one_modify(st_, 0, np.array([1.0]), np.array([2.0]), -0.5)
+        rank_one_modify(st_, 0, -0.5)
     assert st_.buf.tobytes() == before
     assert np.array_equal(st_.kappa, [2.0])
     assert np.array_equal(st_.Minv, np.eye(1))
@@ -342,10 +339,9 @@ def test_rank_one_sequence_matches_refresh():
         kj = float(kappa[j])
         if 1.0 + theta * kj <= 0.05:
             continue
-        xj = X.points[:, j]
-        y = apply_inverse(state, xj)
-        wvec = X.points.T @ y
-        rank_one_modify(state, j, y, wvec, theta)
+        np.dot(X.points.T, apply_inverse(state, X.points[:, j]),
+               out=state.w)
+        rank_one_modify(state, j, theta)
         w[j] += theta
     # a refresh overwrites the state's kappa, so compare a copy
     maintained = kappa.copy()
@@ -396,16 +392,12 @@ UPDATE_CASES = [
 ]
 
 
-# each case with the pass in a buffer of the caller's, which the update
-# leaves as it was, and in state.w, as solve() writes it, which the update
-# squares in place
-@pytest.mark.parametrize("X, update, drops, zero_ys, in_state", [
-    *(pytest.param(*case.values, False, id=case.id) for case in UPDATE_CASES),
-    *(pytest.param(*case.values, True, id=f"{case.id}-state_w")
-      for case in UPDATE_CASES),
+# each case with the pass in state.w, as solve() writes it
+@pytest.mark.parametrize("X, update, drops, zero_ys", [
+    pytest.param(*case.values, id=f"{case.id}-state_w")
+    for case in UPDATE_CASES
 ])
-def test_rank_one_bit_identical_to_out_of_place(X, update, drops, zero_ys,
-                                                in_state):
+def test_rank_one_bit_identical_to_out_of_place(X, update, drops, zero_ys):
     # the shared-buffer kernel (y y^T one BLAS product) and solve's pass
     # rounding for rounding as the out-of-place update (y y^T broadcast) and
     # np.dot, and M^{-1} exactly symmetric, after each of 60 updates;
@@ -417,7 +409,7 @@ def test_rank_one_bit_identical_to_out_of_place(X, update, drops, zero_ys,
     kappa = gradient_refresh(state, X)
     Minv_ref, log_det_ref, kappa_ref = (state.Minv.copy(), state.log_det,
                                         kappa.copy())
-    own_w, w_ref = np.empty(m), np.empty(m)
+    w_ref = np.empty(m)
     seen_drops = seen_zero_ys = 0
     for k in range(60):
         j, theta = update(k, u, kappa, d)
@@ -425,14 +417,11 @@ def test_rank_one_bit_identical_to_out_of_place(X, update, drops, zero_ys,
         seen_drops += u[j] == 0.0
         y = apply_inverse(state, pts[:, j])
         seen_zero_ys += not y.any()
-        w = state.w if in_state else own_w
-        pts_t.dot(y, out=w)
+        w = pts_t.dot(y, out=state.w)
         y_ref = Minv_ref.dot(pts[:, j])
         np.dot(pts_t, y_ref, out=w_ref)
         assert np.array_equal(y, y_ref) and np.array_equal(w, w_ref), k
-        rank_one_modify(state, j, y, w, theta)
-        if not in_state:
-            assert np.array_equal(own_w, w_ref), k
+        rank_one_modify(state, j, theta)
         Minv_ref, log_det_ref = out_of_place_modify(
             Minv_ref, log_det_ref, kappa_ref, y_ref, w_ref, theta,
             w_ref.item(j))

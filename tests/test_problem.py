@@ -226,11 +226,21 @@ BAD_INPUTS = {
     "weights_negative": lambda tmp: DualWeights(np.array([1.0, -1.0])),
     "weights_nan": lambda tmp: DualWeights(np.array([0.5, np.nan])),
     "weights_inf": lambda tmp: DualWeights(np.array([np.inf, 0.5])),
+    "pointset_complex": lambda tmp: PointSet(
+        np.array([[1 + 1j, 2, 3], [0, 1, 2]]), symmetric=True),
+    "weights_complex": lambda tmp: DualWeights(np.array([0.5 + 1j, 0.5])),
+    "pointset_str": lambda tmp: PointSet(
+        np.array([["1", "2", "3"], ["0", "1", "2"]]), symmetric=True),
+    "weights_str": lambda tmp: DualWeights(["x", "1"]),
     "lift_symmetric": lambda tmp: lift(SQUARE),
     "certificate_no_support": lambda tmp: certificate(
         DualWeights(np.zeros(2)), np.array([2.0, 2.0]), 2, 1e-7),
     "config_epsilon": lambda tmp: SolverConfig(epsilon=-1.0),
     "config_epsilon_nan": lambda tmp: SolverConfig(epsilon=float("nan")),
+    "config_epsilon_str": lambda tmp: SolverConfig(epsilon="1e-3"),
+    "config_epsilon_none": lambda tmp: SolverConfig(epsilon=None),
+    "config_epsilon_complex": lambda tmp: SolverConfig(epsilon=1 + 0j),
+    "config_epsilon_bool": lambda tmp: SolverConfig(epsilon=True),
     "config_max_iter": lambda tmp: SolverConfig(max_iter=0),
     "config_max_iter_float": lambda tmp: SolverConfig(max_iter=2.5),
     "config_seed_negative": lambda tmp: SolverConfig(seed=-1),

@@ -897,10 +897,10 @@ def test_simplex_weights_match_normalised_reference(alg, seed, n, extra,
         if not math.isfinite(theta_rel):
             stale = True
             continue
-        y = state.Minv @ X.points[:, row.axis]
-        w = X.points.T @ y
+        np.matmul(state.Minv, X.points[:, row.axis], out=state.y)
+        np.matmul(X.points.T, state.y, out=state.w)
         try:
-            rank_one_modify(state, row.axis, y, w, theta_rel)
+            rank_one_modify(state, row.axis, theta_rel)
         except SingularUpdate:
             stale = True
             continue
@@ -1195,10 +1195,9 @@ def test_trace_csv_format(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == TRACE_HEADER
     assert len(lines) == rep.iterations + 1
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    for line in lines[1:]:
+    for k, line in enumerate(lines[1:]):
         cols = line.split(",")
+        assert cols[0] == str(k)  # a row's iteration is its position
         assert cols[1] in {s.value for s in StepType}
         for col in cols[:1] + cols[2:]:
             float(col)  # every numeric column parses
