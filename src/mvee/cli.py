@@ -11,15 +11,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from .errors import MveeError, PlanError
-from .problem import (
-    PointSet,
-    lift,
-    read_points,
-    recover_ellipsoid,
-    write_ellipsoid_json,
-    write_points,
-)
-from .solvers import Algorithm, InitScheme, SolverConfig, solve, write_trace
+from .problem import PointSet, read_points, write_ellipsoid_json, write_points
+from .solvers import Algorithm, InitScheme, SolverConfig, enclose, write_trace
 
 # accepted names on the command line and in plan files: every algorithm's
 # value, plus "cd" for cd_const
@@ -96,14 +89,11 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_solve(args) -> int:
-    rows = read_points(args.input)
-    original = PointSet(rows.T, symmetric=args.symmetric)
-    lifted = original if original.symmetric else lift(original)
+    points = PointSet(read_points(args.input).T, symmetric=args.symmetric)
     config = SolverConfig(algorithm=ALGORITHM_NAMES[args.algorithm],
                           epsilon=args.epsilon, max_iter=args.max_iter,
                           init=InitScheme(args.init), seed=args.seed)
-    report = solve(lifted, config)
-    ellipsoid = recover_ellipsoid(report.u_final, original, lifted)
+    ellipsoid, report = enclose(points, config)
     extra = {"converged": report.converged,
              "iterations": report.iterations,
              "final_eps": report.final_eps}

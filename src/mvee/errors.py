@@ -42,11 +42,6 @@ class TooFewPoints(InvalidInput):
     """Not enough points for a full-dimensional enclosing ellipsoid."""
 
 
-class DegenerateCovariance(MveeError):
-    """recover_ellipsoid cannot factor M(w): the weights are all zero or
-    their support spans a lower-dimensional affine set."""
-
-
 class LineSearchStalled(MveeError):
     """Backtracking reduced the trial step below 1e-16 without acceptance."""
 

@@ -99,8 +99,8 @@ def gen_sample(n: int, m: int, seed: int) -> PointSet:
     check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, m))
-    # the column norms without the full-size copy np.linalg.norm makes
-    g /= np.sqrt(np.add.reduce(np.square(g), axis=0))
+    # the column norms without a full-size temporary
+    g /= np.sqrt(np.einsum("ij,ij->j", g, g))
     radii = rng.uniform(0.0, 1.0, m) ** (1.0 / n)
     g *= radii
     cond = 10.0 ** rng.uniform(0.0, 2.0)

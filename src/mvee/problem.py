@@ -1,4 +1,4 @@
-"""Problem data model: point sets, dual weights, lifting, ellipsoid recovery,
+"""Problem data model: point sets, dual weights, lifting, the ellipsoid,
 objectives, and the optimality certificate with the Gauss-Southwell axis
 rule that reads it.
 
@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateCovariance, InvalidInput, NotFullRank,
-                     PointParseError, TooFewPoints)
-from .linalg import factor_from_weights
+from .errors import InvalidInput, PointParseError, TooFewPoints
 
 
 @dataclass
@@ -104,41 +102,6 @@ def lift(X: PointSet) -> PointSet:
         raise InvalidInput("instance is already symmetric")
     Y = np.vstack([X.points, np.ones((1, X.count))])
     return PointSet(Y, symmetric=True)
-
-
-def recover_ellipsoid(u: DualWeights, X_original: PointSet,
-                      X_lifted: PointSet) -> Ellipsoid:
-    """Turn (near-)optimal lifted weights into the enclosing ellipsoid.
-
-    Weights are rescaled to sum to one first: the optimum satisfies
-    e^T u = 1 exactly, so this is a no-op there and a normalization at
-    solver tolerance.  With w = u / e^T u and c = P w, the lifted points
-    (p_i, 1) give M(w) = [[P W P^T, c], [c^T, 1]], so the top-left n x n
-    block of M(w)^{-1} is the inverse of the Schur complement
-    P W P^T - c c^T, whose determinant is det M(w): H and ln det H =
-    -ln det M(w) come from the factor the solver uses.  For a symmetric
-    instance passed through unlifted (X_lifted is X_original) the center
-    is the origin and H is all of M(w)^{-1}.
-
-    Raises
-    ------
-    DegenerateCovariance
-        If the support's affine hull is lower-dimensional.
-    """
-    total = u.u.sum()
-    if total <= 0.0:
-        raise DegenerateCovariance("weights sum to zero")
-    w = DualWeights(u.u / total)
-    try:
-        state = factor_from_weights(X_lifted, w)
-    except NotFullRank:
-        raise DegenerateCovariance(
-            "support points span a lower-dimensional affine set") from None
-    n = X_original.dim
-    c = X_original.points @ w.u if X_lifted.dim > n else np.zeros(n)
-    # a copy, so the ellipsoid does not keep the state's m + n^2 buffer
-    return Ellipsoid(center=c, shape=state.Minv[:n, :n].copy(),
-                     level=float(n), logdet=-state.log_det)
 
 
 def volume(E: Ellipsoid) -> float:

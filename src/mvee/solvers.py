@@ -7,7 +7,9 @@ grad h(u)_i = n - kappa_i.  They are one coordinate-wise method: an axis
 rule picks a point j, a stepsize rule gives theta in the descent direction
 (up when kappa_j > n, down otherwise), and cd_step takes the projected
 coordinate step u_j <- max(u_j + theta, 0).  The algorithms differ only in
-those two rules.
+those two rules.  enclose() is the path from points to their ellipsoid:
+it lifts an arbitrary set, solves, and reads the ellipsoid from the final
+weights.
 
 fwk and wa renormalise after the step, u' = (u + theta e_j) / (1 + theta),
 which is the simplex step (1 - t) u + t e_j with t = theta / (1 + theta).
@@ -59,7 +61,7 @@ from .linalg import (
     gradient_refresh,
     rank_one_modify,
 )
-from .problem import (DualWeights, PointSet, objective_h,
+from .problem import (DualWeights, Ellipsoid, PointSet, lift, objective_h,
                       select_axis_gauss_southwell)
 
 # weights below this are dropped outright by the backtracking variant rather
@@ -118,9 +120,11 @@ class SolverConfig:
             self.init = InitScheme(self.init)
         except ValueError as exc:
             raise InvalidInput(str(exc)) from None
-        # a bool fails, and NaN too: no eps_k <= NaN could stop the solve
         eps = self.epsilon
-        if isinstance(eps, bool) or not isinstance(eps, Real) or not eps > 0:
+        if isinstance(eps, bool) or not isinstance(eps, Real):
+            raise InvalidInput("epsilon must be a real number")
+        # NaN fails too: no eps_k <= NaN could stop the solve
+        if not eps > 0:
             raise InvalidInput("epsilon must be positive")
         check_int("max_iter", self.max_iter, 1)
         check_int("seed", self.seed, 0)
@@ -365,7 +369,7 @@ def solve(X: PointSet, config: SolverConfig,
     Parameters
     ----------
     X : PointSet
-        Must be symmetric; lift(...) arbitrary instances first.
+        Must be symmetric; enclose() lifts arbitrary instances.
     config : SolverConfig
     start : DualWeights, optional
         Weights to start from, one per point, as initial_weights(X, config)
@@ -500,6 +504,39 @@ def solve(X: PointSet, config: SolverConfig,
                        iterations=len(trace), final_eps=final_eps,
                        final_h=final_h, trace=trace,
                        wall_time=time.perf_counter() - t0, u_final=u)
+
+
+def enclose(X: PointSet, config: SolverConfig
+            ) -> tuple[Ellipsoid, SolveReport]:
+    """The enclosing ellipsoid of X found by solve(), and solve()'s report.
+
+    An arbitrary set is solved lifted, x_i -> (x_i, 1); a symmetric one
+    as it is.  The final weights are rescaled to sum to one: the optimum
+    satisfies e^T u = 1 exactly, so this is a no-op there and a
+    normalization at solver tolerance.  With w = u / e^T u and c = P w,
+    the lifted points (p_i, 1) give M(w) = [[P W P^T, c], [c^T, 1]], so
+    the top-left n x n block of M(w)^{-1} is the inverse of the Schur
+    complement P W P^T - c c^T, whose determinant is det M(w): H and
+    ln det H = -ln det M(w) come from one factor_from_weights of M(w).
+    A symmetric set has center 0 and H = M(w)^{-1}.  The ellipsoid carries
+    ln det H as logdet, which volume() and the JSON's logdet_H read.
+
+    Raises
+    ------
+    NotFullRank
+        If the points, or the support of the final weights, span a
+        lower-dimensional affine set.
+    """
+    lifted = X if X.symmetric else lift(X)
+    report = solve(lifted, config)
+    u = report.u_final.u
+    w = DualWeights(u / u.sum())
+    state = factor_from_weights(lifted, w)
+    n = X.dim
+    c = np.zeros(n) if X.symmetric else X.points @ w.u
+    # a copy, so the ellipsoid does not keep the state's m + n^2 buffer
+    return Ellipsoid(center=c, shape=state.Minv[:n, :n].copy(),
+                     level=float(n), logdet=-state.log_det), report
 
 
 TRACE_HEADER = "iter,step_type,axis,kappa_max,kappa_min_support,eps,h,theta"

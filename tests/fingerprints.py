@@ -16,8 +16,13 @@ the solves.  Then come the `mvee bench` lines: `mvee bench --parallelism
 1, each with all six algorithms at eps 1e-5 and max_iter 2000 and two
 repetitions of the regimes (3, 40) and (5, 80); the exit code, then one
 SHA-256 per output file, results.csv and results_means.csv without their
-timing columns.  The last line is the row total of the solves.  Two trees
-run the same trajectories exactly when their outputs do not differ:
+timing columns.  Then come the `mvee solve` lines: `mvee solve` through
+mvee.cli.main with cd, wa and fwk at eps 1e-3 on written point files,
+lifted and `--symmetric`, plus a capped solve (exit 2) and a flat set
+(exit 1); the exit code and the SHA-256 of what the command prints, the
+ellipsoid JSON on stdout and any error on stderr.  The last line is the
+row total of the solves.  Two trees run the same trajectories exactly when their outputs
+do not differ:
 
     python tests/fingerprints.py /path/to/parent/src > parent.txt
     python tests/fingerprints.py src > change.txt
@@ -152,6 +157,43 @@ def bench_fingerprints():
                            hashlib.sha256(data).hexdigest())
 
 
+def solve_fingerprints():
+    """Yield (label, "exit code digest") for each `mvee solve` run."""
+    import contextlib
+    import io
+    import tempfile
+    from pathlib import Path
+    import numpy as np
+    from mvee.cli import main
+    from mvee.harness import gen_sample
+    from mvee.problem import write_points
+
+    points = {"gen(3,40,0)": gen_sample(3, 40, 0).points.T,
+              "gen(5,80,5)": gen_sample(5, 80, 5).points.T,
+              "normal(4,30,7)": np.random.default_rng(7).standard_normal(
+                  (30, 4)),
+              "flat": np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 5.0],
+                                [3.0, 7.0]])}
+    # fwk, without away steps, stops at its 100,000-iteration cap short
+    # of eps 1e-5 on these sets
+    runs = [(name, [alg, "--epsilon", "1e-3", *flags])
+            for name, flags in (("gen(3,40,0)", []), ("gen(5,80,5)", []),
+                                ("normal(4,30,7)", ["--symmetric"]))
+            for alg in ("cd", "wa", "fwk")]
+    runs += [("gen(5,80,5)", ["cd", "--max-iter", "5"]), ("flat", ["cd"])]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, rows in points.items():
+            write_points(Path(tmp) / f"{name}.txt", rows)
+        for name, args in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["solve", str(Path(tmp) / f"{name}.txt"),
+                             "--algorithm", *args])
+            digest = hashlib.sha256((out.getvalue() + err.getvalue()).encode())
+            yield f"solve {name} {' '.join(args)}", f"{code} {digest.hexdigest()}"
+
+
 def main(argv):
     if len(argv) != 2:
         sys.exit(f"usage: {argv[0]} SRC_DIR")
@@ -180,6 +222,8 @@ def main(argv):
             rows += len(rep.trace)
             print(f"{label}: {digest.hexdigest()}", flush=True)
     for label, digest in bench_fingerprints():
+        print(f"{label}: {digest}", flush=True)
+    for label, digest in solve_fingerprints():
         print(f"{label}: {digest}", flush=True)
     print(f"rows: {rows}")
 

@@ -45,8 +45,8 @@ from mvee.linalg import (
     gradient_refresh,
     rank_one_modify,
 )
-from mvee.problem import DualWeights, PointSet, lift, recover_ellipsoid, volume
-from mvee.solvers import Algorithm, SolverConfig, StepType, solve
+from mvee.problem import DualWeights, PointSet, lift, volume
+from mvee.solvers import Algorithm, SolverConfig, StepType, enclose, solve
 
 from conftest import (
     MODERATE_CAP_CD,
@@ -61,9 +61,8 @@ INTERVAL = PointSet(np.array([[0.0, 1.0]]))
 
 
 def run_lifted(ps, **kwargs):
-    lifted = lift(ps)
-    rep = solve(lifted, SolverConfig(**kwargs))
-    return rep, recover_ellipsoid(rep.u_final, ps, lifted)
+    E, rep = enclose(ps, SolverConfig(**kwargs))
+    return rep, E
 
 
 def square_errors(E):
@@ -182,13 +181,12 @@ def test_criterion_02_cross_solver_uniqueness():
         ps = PointSet(rng.standard_normal((10, 500)))
         lifted = lift(ps)
         for alg, cap in budgets.items():
-            rep = solve(lifted, SolverConfig(algorithm=alg, epsilon=1e-7,
-                                             max_iter=cap))
+            E, rep = enclose(ps, SolverConfig(algorithm=alg, epsilon=1e-7,
+                                              max_iter=cap))
             w = rep.u_final.u / rep.u_final.u.sum()
             M = (lifted.points * w) @ lifted.points.T
             objective[(seed, alg)] = -np.linalg.slogdet(M)[1]
-            shapes[(seed, alg)] = recover_ellipsoid(rep.u_final, ps,
-                                                    lifted).shape
+            shapes[(seed, alg)] = E.shape
     elapsed = time.perf_counter() - t0
 
     pairs = [(Algorithm.CD_CONST, Algorithm.WA),

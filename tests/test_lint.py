@@ -19,6 +19,8 @@
   count, dimension and seed.
 - One home for the singular decision: `raise SingularUpdate` appears at
   exactly one site, so M^{-1}, ln det M and kappa fail the same test.
+- Every exception class defined in errors.py is raised somewhere in the
+  package, so no error names a failure the program cannot report.
 """
 
 import ast
@@ -107,17 +109,31 @@ def test_integral_only_in_errors(path):
     assert not found, f"{path.name}: Integral on lines {found}; use check_int"
 
 
-def test_one_site_raises_singular_update():
-    found = []
+def _raise_sites():
+    """(exception name, "file:line") for each `raise Name` or
+    `raise Name(...)` in the package."""
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if isinstance(exc, ast.Name) and exc.id == "SingularUpdate":
-                found.append(f"{path.name}:{node.lineno}")
+            if isinstance(exc, ast.Name):
+                yield exc.id, f"{path.name}:{node.lineno}"
+
+
+def test_one_site_raises_singular_update():
+    found = [site for name, site in _raise_sites() if name == "SingularUpdate"]
     assert len(found) == 1, f"raise SingularUpdate at {found}"
+
+
+def test_every_error_class_is_raised():
+    # classes only: DowndateBreaksPD is an alias of SingularUpdate
+    errors = Path(mvee.__file__).parent / "errors.py"
+    defined = {stmt.name for stmt in ast.parse(errors.read_text()).body
+               if isinstance(stmt, ast.ClassDef)}
+    raised = {name for name, _ in _raise_sites()}
+    assert defined <= raised, f"never raised: {sorted(defined - raised)}"
 
 
 def _fresh_interpreter(probe):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mvee.errors import (DegenerateCovariance, InvalidInput, MveeError,
+from mvee.errors import (InvalidInput, MveeError, NotFullRank,
                          PointParseError, TooFewPoints)
 from mvee.harness import (BenchmarkPlan, Regime, emit_decrement_curves,
                           gen_sample, run_benchmark)
@@ -19,12 +19,12 @@ from mvee.problem import (
     lift,
     objective_h,
     read_points,
-    recover_ellipsoid,
     volume,
     write_ellipsoid_json,
     write_points,
 )
-from mvee.solvers import Algorithm, SolverConfig, init_khachiyan, solve
+from mvee.solvers import (Algorithm, InitScheme, SolverConfig, enclose,
+                          init_khachiyan, solve)
 
 SQUARE = PointSet(np.array([[1.0, 1.0], [1.0, -1.0]]), symmetric=True)
 INTERVAL = PointSet(np.array([[0.0, 1.0]]))
@@ -83,47 +83,46 @@ def test_lift_rejects_symmetric_input():
         lift(SQUARE)
 
 
-# --- ellipsoid recovery ----------------------------------------------------------
+# --- the enclosing ellipsoid ------------------------------------------------------
 
-def test_recover_interval():
-    u = DualWeights(np.array([0.5, 0.5]))
-    E = recover_ellipsoid(u, INTERVAL, lift(INTERVAL))
+@pytest.mark.parametrize("init", list(InitScheme))
+def test_enclose_interval(init):
+    # both starts weight each end 1/2, the optimum: no step is taken
+    E, rep = enclose(INTERVAL, SolverConfig(init=init))
+    assert rep.iterations == 0
     assert E.center[0] == pytest.approx(0.5, abs=1e-14)
     assert E.shape[0, 0] == pytest.approx(4.0, abs=1e-12)
     # the recovered set {x : 4 (x - 1/2)^2 <= 1} is exactly [0, 1]
     assert volume(E) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_recover_symmetric_passthrough():
-    u = DualWeights(np.array([0.5, 0.5]))
-    E = recover_ellipsoid(u, SQUARE, SQUARE)
+@pytest.mark.parametrize("init", list(InitScheme))
+def test_enclose_symmetric_passthrough(init):
+    E, rep = enclose(SQUARE, SolverConfig(init=init))
+    assert rep.iterations == 0
     assert np.allclose(E.center, 0.0)
     assert np.allclose(E.shape, np.eye(2), atol=1e-12)
     assert E.level == 2.0
 
 
-def test_recover_normalizes_weights():
-    u = DualWeights(np.array([2.0, 2.0]))
-    E = recover_ellipsoid(u, SQUARE, SQUARE)
-    assert np.allclose(E.shape, np.eye(2), atol=1e-12)
-
-
-def test_recover_degenerate_support():
+@pytest.mark.parametrize("init", list(InitScheme))
+def test_enclose_degenerate_support(init):
     pts = PointSet(np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]]))
-    u = DualWeights(np.full(3, 1 / 3))
-    with pytest.raises(DegenerateCovariance):
-        recover_ellipsoid(u, pts, lift(pts))
+    with pytest.raises(NotFullRank):
+        enclose(pts, SolverConfig(init=init))
 
 
 @pytest.mark.parametrize("lifted", [True, False], ids=["lifted", "unlifted"])
 @pytest.mark.parametrize("n", [1, 3, 11])
-def test_recover_shape_is_the_inverse_covariance(n, lifted):
+def test_enclose_shape_is_the_inverse_covariance(n, lifted):
     rng = np.random.default_rng(n)
     m = 3 * n + 4
     P = rng.standard_normal((n, m))
     X = PointSet(P, symmetric=not lifted)
-    u = DualWeights(rng.uniform(0.1, 1.0, m))
-    E = recover_ellipsoid(u, X, lift(X) if lifted else X)
+    E, rep = enclose(X, SolverConfig())
+    # the weights enclose used, normalised: at n = 3 and 11 cd_const ends
+    # with e^T u 1e-8 off 1, which the 1e-12 bound would see unnormalised
+    u = rep.u_final
     w = u.u / u.u.sum()
     c = P @ w if lifted else np.zeros(n)
     want = np.linalg.inv((P * w) @ P.T - np.outer(c, c))
@@ -295,15 +294,31 @@ def test_bad_input_raises_invalid_input(make, tmp_path):
     assert isinstance(info.value, ValueError)
 
 
+# the rule each rejected epsilon breaks
+EPSILON_MESSAGES = {
+    "config_epsilon": "epsilon must be positive",
+    "config_epsilon_nan": "epsilon must be positive",
+    "config_epsilon_str": "epsilon must be a real number",
+    "config_epsilon_none": "epsilon must be a real number",
+    "config_epsilon_complex": "epsilon must be a real number",
+    "config_epsilon_bool": "epsilon must be a real number",
+}
+
+
+@pytest.mark.parametrize("case", EPSILON_MESSAGES)
+def test_rejected_epsilon_names_its_rule(case, tmp_path):
+    with pytest.raises(InvalidInput) as info:
+        BAD_INPUTS[case](tmp_path)
+    assert str(info.value) == EPSILON_MESSAGES[case]
+
+
 # --- solver-facing invariants ---------------------------------------------------------
 
 def test_containment_after_solve():
     rng = np.random.default_rng(8)
     ps = PointSet(rng.standard_normal((3, 40)))
-    lifted = lift(ps)
-    rep = solve(lifted, SolverConfig(epsilon=1e-9, max_iter=50_000))
+    E, rep = enclose(ps, SolverConfig(epsilon=1e-9, max_iter=50_000))
     assert rep.converged
-    E = recover_ellipsoid(rep.u_final, ps, lifted)
     r = np.einsum("ij,ij->j", ps.points - E.center[:, None],
                   E.shape @ (ps.points - E.center[:, None]))
     assert r.max() <= 3 * (1 + 1e-7)
@@ -317,9 +332,8 @@ def test_affine_equivariance():
     mapped = PointSet(A @ ps.points + b[:, None])
 
     cfg = SolverConfig(epsilon=1e-10, max_iter=50_000)
-    E1 = recover_ellipsoid(solve(lift(ps), cfg).u_final, ps, lift(ps))
-    E2 = recover_ellipsoid(solve(lift(mapped), cfg).u_final, mapped,
-                           lift(mapped))
+    E1, _ = enclose(ps, cfg)
+    E2, _ = enclose(mapped, cfg)
 
     Ainv = np.linalg.inv(A)
     assert np.allclose(E2.center, A @ E1.center + b, rtol=1e-5, atol=1e-7)

@@ -24,7 +24,6 @@ from mvee.problem import (
     PointSet,
     certificate,
     lift,
-    recover_ellipsoid,
 )
 from mvee.solvers import (
     Algorithm,
@@ -35,6 +34,7 @@ from mvee.solvers import (
     TRACE_HEADER,
     armijo_stepsize,
     cd_step,
+    enclose,
     exact_stepsize,
     init_khachiyan,
     init_kumar_yildirim,
@@ -624,11 +624,10 @@ def test_duplicated_points_give_the_same_ellipsoid(alg, init):
     tripled = PointSet(np.tile(P.points, 3)[:, perm])
     ellipsoids = []
     for X in (P, tripled):
-        lifted = lift(X)
-        rep = solve(lifted, SolverConfig(algorithm=alg, init=init,
+        E, rep = enclose(X, SolverConfig(algorithm=alg, init=init,
                                          epsilon=1e-8, max_iter=100_000))
         assert rep.converged
-        ellipsoids.append(recover_ellipsoid(rep.u_final, X, lifted))
+        ellipsoids.append(E)
     a, b = ellipsoids
     assert np.allclose(a.center, b.center, rtol=0, atol=1e-6)
     assert np.allclose(a.shape, b.shape, rtol=0,
