@@ -10,7 +10,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import MveeError, PlanError
+from .errors import InvalidInput, MveeError
 from .problem import PointSet, read_points, write_ellipsoid_json, write_points
 from .solvers import Algorithm, InitScheme, SolverConfig, enclose, write_trace
 
@@ -125,11 +125,11 @@ def _load_plan(path, output_dir):
             with open(path) as fh:
                 cp.read_file(fh)
         except OSError as exc:
-            raise PlanError(f"cannot read plan: {exc}") from None
+            raise InvalidInput(f"cannot read plan: {exc}") from None
         except configparser.Error as exc:
-            raise PlanError(f"malformed plan: {exc}") from None
+            raise InvalidInput(f"malformed plan: {exc}") from None
     if "plan" not in cp:
-        raise PlanError("plan file needs a [plan] section")
+        raise InvalidInput("plan file needs a [plan] section")
     # the keys are the fields a plan file can set; [DEFAULT]'s join each
     keys = {"plan": {f.name for f in fields(BenchmarkPlan)} - {"regimes",
                                                               "output_dir"},
@@ -137,20 +137,20 @@ def _load_plan(path, output_dir):
     for section in cp.sections():
         kind = "regime" if section.startswith("regime.") else section
         if kind not in keys:
-            raise PlanError(f"unknown section [{section}]")
+            raise InvalidInput(f"unknown section [{section}]")
         for key in cp[section]:
             if key not in keys[kind]:
-                raise PlanError(f"unknown key {key!r} in [{section}]")
+                raise InvalidInput(f"unknown key {key!r} in [{section}]")
     sections = [s for s in cp.sections() if s.startswith("regime.")]
     if not sections:
-        raise PlanError("plan file needs at least one [regime.<label>] section")
+        raise InvalidInput("plan file needs at least one [regime.<label>] section")
+    sec = cp["plan"]
+    names = [t.strip() for t in sec.get("algorithms", "cd_const,wa").split(",")
+             if t.strip()]
+    for name in names:
+        if name not in ALGORITHM_NAMES:
+            raise InvalidInput(f"unknown algorithm {name!r}")
     try:
-        sec = cp["plan"]
-        names = [t.strip() for t in sec.get("algorithms", "cd_const,wa").split(",")
-                 if t.strip()]
-        for name in names:
-            if name not in ALGORITHM_NAMES:
-                raise PlanError(f"unknown algorithm {name!r}")
         return BenchmarkPlan(
             regimes=[Regime(s.split(".", 1)[1], cp[s].getint("n"),
                             cp[s].getint("m"), cp[s].getint("repetitions", 1))
@@ -161,7 +161,7 @@ def _load_plan(path, output_dir):
             max_iter=sec.getint("max_iter", _DEFAULTS.max_iter),
             init=sec.get("init", _DEFAULTS.init))
     except (ValueError, TypeError) as exc:
-        raise PlanError(f"malformed plan: {exc}") from None
+        raise InvalidInput(f"malformed plan: {exc}") from None
 
 
 def _cmd_bench(args) -> int:
@@ -181,7 +181,7 @@ def _cmd_curves(args) -> int:
     try:
         n_values = [int(t) for t in args.n_values.split(",") if t.strip()]
     except ValueError:
-        raise MveeError(f"bad dimension list {args.n_values!r}") from None
+        raise InvalidInput(f"bad dimension list {args.n_values!r}") from None
     emit_decrement_curves(n_values, args.output)
     print(f"wrote curves for n in {n_values} to {args.output}")
     return 0

@@ -1,11 +1,11 @@
 """Exception hierarchy shared across the package.
 
-Input is checked where it enters: InvalidInput (also a ValueError),
-PointParseError and PlanError name a bad argument, point file or plan file,
-and the command line prints each as `error: ...` and exits 1.  check_int is
-the one integer rule, an integer of at least a minimum, for every count,
-dimension and seed.  The other classes report what a factorization or a
-line search found during a solve.
+Input is checked where it enters: one InvalidInput (also a ValueError)
+names a bad argument, point file or plan file, and the command line prints
+it as `error: ...` and exits 1.  check_int is the one integer rule, an
+integer of at least a minimum, for every count, dimension and seed.  The
+other classes report what a factorization or a line search found during a
+solve.
 """
 
 from numbers import Integral
@@ -38,17 +38,6 @@ class SingularUpdate(MveeError):
 DowndateBreaksPD = SingularUpdate
 
 
-class TooFewPoints(InvalidInput):
-    """Not enough points for a full-dimensional enclosing ellipsoid."""
-
-
 class LineSearchStalled(MveeError):
     """Backtracking reduced the trial step below 1e-16 without acceptance."""
 
-
-class PointParseError(MveeError):
-    """A point file could not be parsed; the message carries the line number."""
-
-
-class PlanError(MveeError):
-    """A benchmark plan file is missing, malformed, or names unknown options."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, PointParseError, TooFewPoints
+from .errors import InvalidInput
 
 
 @dataclass
@@ -39,7 +39,7 @@ class PointSet:
         # n + 1 otherwise (affine hull requirement)
         needed = n if self.symmetric else n + 1
         if m < needed:
-            raise TooFewPoints(f"have {m} points, need at least {needed}")
+            raise InvalidInput(f"have {m} points, need at least {needed}")
         self.points = pts
 
     @property
@@ -186,15 +186,15 @@ def read_points(path) -> np.ndarray:
                 try:
                     vals.append(float(t))
                 except ValueError:
-                    raise PointParseError(
+                    raise InvalidInput(
                         f"{path}: line {lineno}: non-numeric value {t.strip()!r}") from None
             if rows and len(vals) != len(rows[0]):
-                raise PointParseError(
+                raise InvalidInput(
                     f"{path}: line {lineno}: expected {len(rows[0])} columns, "
                     f"got {len(vals)}")
             rows.append(vals)
     if not rows:
-        raise PointParseError(f"{path}: no points found")
+        raise InvalidInput(f"{path}: no points found")
     return np.array(rows, dtype=float)
 
 
@@ -206,20 +206,16 @@ def write_points(path, rows: np.ndarray) -> None:
             fh.write("\n")
 
 
-def ellipsoid_to_dict(E: Ellipsoid) -> dict:
-    return {
+def write_ellipsoid_json(E: Ellipsoid, fh, extra: dict | None = None) -> None:
+    """Write E as the ellipsoid JSON, `extra`'s keys after its own."""
+    doc = {
         "n": int(E.center.size),
         "center": [float(v) for v in E.center],
         "shape": [[float(v) for v in row] for row in E.shape],
         "level": float(E.level),
         "logdet_H": float(E.logdet),
         "volume": volume(E),
+        **(extra or {}),
     }
-
-
-def write_ellipsoid_json(E: Ellipsoid, fh, extra: dict | None = None) -> None:
-    doc = ellipsoid_to_dict(E)
-    if extra:
-        doc.update(extra)
     json.dump(doc, fh, indent=2)
     fh.write("\n")

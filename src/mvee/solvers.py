@@ -177,8 +177,7 @@ class StepOutcome:
 
 def init_khachiyan(m: int) -> DualWeights:
     """Uniform weights 1/m on every point."""
-    if m < 1:
-        raise InvalidInput("need at least one point")
+    check_int("m", m, 1)
     return DualWeights(np.full(m, 1.0 / m))
 
 

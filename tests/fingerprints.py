@@ -20,8 +20,14 @@ timing columns.  Then come the `mvee solve` lines: `mvee solve` through
 mvee.cli.main with cd, wa and fwk at eps 1e-3 on written point files,
 lifted and `--symmetric`, plus a capped solve (exit 2) and a flat set
 (exit 1); the exit code and the SHA-256 of what the command prints, the
-ellipsoid JSON on stdout and any error on stderr.  The last line is the
-row total of the solves.  Two trees run the same trajectories exactly when their outputs
+ellipsoid JSON on stdout and any error on stderr.  Then come the `error`
+lines: `mvee bench`, `mvee solve` and `mvee curves` through mvee.cli.main
+on eight bad inputs (an unknown or repeated algorithm, a broken INI file,
+an unknown plan key and a missing file in a plan; a bad token or too few
+points in a point file; a bad `--n-values` list), each the exit code and
+the SHA-256 of stderr, run from inside a temporary directory on relative
+paths so that the messages, which name the file, do not vary.  The last
+line is the row total of the solves.  Two trees run the same trajectories exactly when their outputs
 do not differ:
 
     python tests/fingerprints.py /path/to/parent/src > parent.txt
@@ -194,6 +200,55 @@ def solve_fingerprints():
             yield f"solve {name} {' '.join(args)}", f"{code} {digest.hexdigest()}"
 
 
+# (label, files to write, command line) for each error path
+ERRORS = [
+    ("bench unknown algorithm",
+     {"plan.ini": "[plan]\nalgorithms = simplex\n\n[regime.r]\nn = 4\nm = 30\n"},
+     ["bench", "--plan", "plan.ini", "--output-dir", "out"]),
+    ("bench repeated algorithm",
+     {"plan.ini": "[plan]\nalgorithms = cd_const, cd\n\n[regime.r]\nn = 4\n"
+                  "m = 30\n"},
+     ["bench", "--plan", "plan.ini", "--output-dir", "out"]),
+    ("bench broken ini", {"plan.ini": "[plan\nseed = 1\n"},
+     ["bench", "--plan", "plan.ini", "--output-dir", "out"]),
+    ("bench unknown plan key",
+     {"plan.ini": "[plan]\nmax_iters = 50\n\n[regime.r]\nn = 4\nm = 30\n"},
+     ["bench", "--plan", "plan.ini", "--output-dir", "out"]),
+    ("bench missing plan", {},
+     ["bench", "--plan", "nope.ini", "--output-dir", "out"]),
+    ("solve bad token", {"pts.txt": "1 2\n3 oops\n5 6\n"},
+     ["solve", "pts.txt"]),
+    ("solve too few points", {"pts.txt": "1 2\n3 4\n"}, ["solve", "pts.txt"]),
+    ("curves bad n-values", {},
+     ["curves", "--n-values", "1,x", "--output", "curves.csv"]),
+]
+
+
+def error_fingerprints():
+    """Yield (label, "exit code digest") for each error path."""
+    import contextlib
+    import io
+    import tempfile
+    from pathlib import Path
+    from mvee.cli import main
+
+    cwd = os.getcwd()
+    for label, files, argv in ERRORS:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                (Path(tmp) / name).write_text(text)
+            err = io.StringIO()
+            os.chdir(tmp)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    code = main(argv)
+            finally:
+                os.chdir(cwd)
+            digest = hashlib.sha256(err.getvalue().encode()).hexdigest()
+            yield f"error {label}", f"{code} {digest}"
+
+
 def main(argv):
     if len(argv) != 2:
         sys.exit(f"usage: {argv[0]} SRC_DIR")
@@ -224,6 +279,8 @@ def main(argv):
     for label, digest in bench_fingerprints():
         print(f"{label}: {digest}", flush=True)
     for label, digest in solve_fingerprints():
+        print(f"{label}: {digest}", flush=True)
+    for label, digest in error_fingerprints():
         print(f"{label}: {digest}", flush=True)
     print(f"rows: {rows}")
 

@@ -19,8 +19,11 @@
   count, dimension and seed.
 - One home for the singular decision: `raise SingularUpdate` appears at
   exactly one site, so M^{-1}, ln det M and kappa fail the same test.
-- Every exception class defined in errors.py is raised somewhere in the
-  package, so no error names a failure the program cannot report.
+- Every exception class defined in errors.py, but the base class, is
+  raised somewhere in the package, so no error names a failure the program
+  cannot report.
+- The base class MveeError is never raised bare: each failure raises the
+  subclass that names it, and MveeError is only caught.
 """
 
 import ast
@@ -128,12 +131,18 @@ def test_one_site_raises_singular_update():
 
 
 def test_every_error_class_is_raised():
-    # classes only: DowndateBreaksPD is an alias of SingularUpdate
+    # classes only: DowndateBreaksPD is an alias of SingularUpdate; the base
+    # class is only caught (test_base_error_is_never_raised_bare)
     errors = Path(mvee.__file__).parent / "errors.py"
     defined = {stmt.name for stmt in ast.parse(errors.read_text()).body
-               if isinstance(stmt, ast.ClassDef)}
+               if isinstance(stmt, ast.ClassDef)} - {"MveeError"}
     raised = {name for name, _ in _raise_sites()}
     assert defined <= raised, f"never raised: {sorted(defined - raised)}"
+
+
+def test_base_error_is_never_raised_bare():
+    found = [site for name, site in _raise_sites() if name == "MveeError"]
+    assert not found, f"raise MveeError at {found}; raise the subclass"
 
 
 def _fresh_interpreter(probe):

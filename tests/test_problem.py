@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mvee.errors import (InvalidInput, MveeError, NotFullRank,
-                         PointParseError, TooFewPoints)
+from mvee.cli import _load_plan
+from mvee.errors import InvalidInput, MveeError, NotFullRank
 from mvee.harness import (BenchmarkPlan, Regime, emit_decrement_curves,
                           gen_sample, run_benchmark)
 from mvee.linalg import factor_from_weights
@@ -15,7 +15,6 @@ from mvee.problem import (
     Ellipsoid,
     PointSet,
     certificate,
-    ellipsoid_to_dict,
     lift,
     objective_h,
     read_points,
@@ -44,7 +43,7 @@ def test_pointset_rejects_nonfinite():
 
 
 def test_pointset_too_few_points():
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(InvalidInput):
         PointSet(np.eye(3)[:, :2] * 0 + np.array([[1.0, 2.0]] * 3))
     # symmetric storage only needs n columns
     assert PointSet(np.eye(2), symmetric=True).count == 2
@@ -73,7 +72,7 @@ def test_lift_appends_ones_row():
 
 
 def test_lift_requires_interior():
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(InvalidInput):
         lift(PointSet(np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0],
                                 [0.0, 1.0, 2.0]])))
 
@@ -214,6 +213,12 @@ def test_certificate_requires_support():
         certificate(DualWeights(np.zeros(2)), np.array([2.0, 2.0]), 2, 1e-7)
 
 
+def _file(tmp, name, text):
+    path = tmp / name
+    path.write_text(text)
+    return path
+
+
 BAD_INPUTS = {
     "pointset_not_2d": lambda tmp: PointSet(np.zeros(3)),
     "pointset_nonfinite": lambda tmp: PointSet(np.array([[1.0, np.inf]])),
@@ -248,6 +253,8 @@ BAD_INPUTS = {
     "config_algorithm": lambda tmp: SolverConfig(algorithm="newton"),
     "config_init": lambda tmp: SolverConfig(init="uniform"),
     "init_khachiyan_empty": lambda tmp: init_khachiyan(0),
+    "init_khachiyan_bool": lambda tmp: init_khachiyan(True),
+    "init_khachiyan_float": lambda tmp: init_khachiyan(2.0),
     "solve_not_symmetric": lambda tmp: solve(INTERVAL, SolverConfig()),
     "solve_start_length": lambda tmp: solve(
         SQUARE, SolverConfig(), DualWeights(np.full(3, 1 / 3))),
@@ -282,6 +289,26 @@ BAD_INPUTS = {
         [], tmp / "curves.csv"),
     "curves_non_integer_dimension": lambda tmp: emit_decrement_curves(
         [2.5], tmp / "curves.csv"),
+    "points_non_numeric": lambda tmp: read_points(
+        _file(tmp, "pts.txt", "1 2\n3 oops\n")),
+    "points_ragged": lambda tmp: read_points(
+        _file(tmp, "pts.txt", "1 2\n3\n")),
+    "points_empty_field": lambda tmp: read_points(
+        _file(tmp, "pts.csv", "1,2\n3,,4\n")),
+    "points_comment_only": lambda tmp: read_points(
+        _file(tmp, "pts.txt", "# nothing\n")),
+    "plan_broken_ini": lambda tmp: _load_plan(
+        _file(tmp, "plan.ini", "[plan\nseed = 1\n"), tmp / "out"),
+    "plan_unknown_key": lambda tmp: _load_plan(
+        _file(tmp, "plan.ini", "[plan]\nmax_iters = 5\n\n[regime.r]\nn = 4\n"
+              "m = 30\n"), tmp / "out"),
+    "plan_unknown_section": lambda tmp: _load_plan(
+        _file(tmp, "plan.ini", "[plan]\n\n[regim.r]\nn = 4\nm = 30\n"),
+        tmp / "out"),
+    "plan_unknown_algorithm": lambda tmp: _load_plan(
+        _file(tmp, "plan.ini", "[plan]\nalgorithms = simplex\n\n[regime.r]\n"
+              "n = 4\nm = 30\n"), tmp / "out"),
+    "plan_missing_file": lambda tmp: _load_plan(tmp / "nope.ini", tmp / "out"),
 }
 
 
@@ -390,21 +417,21 @@ def test_read_points_ignores_comments(tmp_path, text, rows):
 def test_read_points_comment_only_file_has_no_points(tmp_path):
     path = tmp_path / "pts.txt"
     path.write_text("# nothing\n\n  # here\n")
-    with pytest.raises(PointParseError, match="no points found"):
+    with pytest.raises(InvalidInput, match="no points found"):
         read_points(path)
 
 
 def test_read_points_comments_keep_line_numbers(tmp_path):
     path = tmp_path / "pts.txt"
     path.write_text("# a\n1 2\n3 oops # c\n")
-    with pytest.raises(PointParseError, match="line 3"):
+    with pytest.raises(InvalidInput, match="line 3"):
         read_points(path)
 
 
 def test_read_points_reports_bad_token_line(tmp_path):
     path = tmp_path / "pts.txt"
     path.write_text("1.0 2.0\n3.0 oops\n")
-    with pytest.raises(PointParseError, match="line 2"):
+    with pytest.raises(InvalidInput, match="line 2"):
         read_points(path)
 
 
@@ -412,14 +439,14 @@ def test_read_points_rejects_empty_field(tmp_path):
     # an empty CSV field is a missing value, not a separator to skip
     path = tmp_path / "pts.csv"
     path.write_text("1,2\n3,,4\n5,6\n")
-    with pytest.raises(PointParseError, match="line 2"):
+    with pytest.raises(InvalidInput, match="line 2"):
         read_points(path)
 
 
 def test_read_points_rejects_ragged_rows(tmp_path):
     path = tmp_path / "pts.txt"
     path.write_text("1.0 2.0\n3.0\n")
-    with pytest.raises(PointParseError, match="line 2"):
+    with pytest.raises(InvalidInput, match="line 2"):
         read_points(path)
 
 
@@ -427,7 +454,9 @@ def test_read_points_rejects_ragged_rows(tmp_path):
 
 def test_ellipsoid_dict_fields():
     E = Ellipsoid(np.array([0.5]), np.array([[4.0]]), 1.0, np.log(4.0))
-    d = ellipsoid_to_dict(E)
+    buf = io.StringIO()
+    write_ellipsoid_json(E, buf)
+    d = json.loads(buf.getvalue())
     assert d["n"] == 1
     assert d["center"] == [0.5]
     assert d["shape"] == [[4.0]]
