@@ -117,7 +117,7 @@ def _cmd_gen(args) -> int:
 def _load_plan(path, output_dir):
     import configparser
     from .harness import BenchmarkPlan, Regime
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     if path is None:
         cp.read_string(DEFAULT_PLAN)
     else:

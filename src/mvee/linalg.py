@@ -38,8 +38,7 @@ class FactorState:
     vectors rank_one_modify reads: y = M^{-1} x_j, which apply_inverse
     writes, and w, the scratch buffer's first m floats, where the caller
     writes the gradient pass X^T y.  FactorState(m, n) allocates the buffers
-    for m points in R^n; factor_from_weights fills Minv and log_det, and
-    kappa holds no values until gradient_refresh writes it.
+    for m points in R^n; factor_from_weights fills kappa, Minv and log_det.
 
     Attributes
     ----------
@@ -80,9 +79,10 @@ def factor_from_weights(X, u):
     Forms B = X_support * sqrt(u_support) and takes the triangular factor R
     of an orthogonal factorization of B^T, so M = R^T R without forming M,
     which is numerically safer; then M^{-1} = R^{-1} R^{-T} and
-    ln det M = 2 sum_i ln |R_ii|.  O(m n^2).  numpy only: the LU solve for
-    R^{-1} is a triangular solve, as R is upper triangular (partial pivoting
-    swaps no rows) and the rank check rules out a zero pivot.
+    ln det M = 2 sum_i ln |R_ii|, and gradient_refresh gives kappa.
+    O(m n^2).  numpy only: the LU solve for R^{-1} is a triangular solve, as
+    R is upper triangular (partial pivoting swaps no rows) and the rank
+    check rules out a zero pivot.
 
     Parameters
     ----------
@@ -92,7 +92,7 @@ def factor_from_weights(X, u):
     Returns
     -------
     FactorState
-        With Minv and log_det set; kappa is left for gradient_refresh.
+        With kappa, Minv and log_det set.
 
     Raises
     ------
@@ -114,6 +114,7 @@ def factor_from_weights(X, u):
     state = FactorState(X.count, n)
     np.matmul(Rinv, Rinv.T, out=state.Minv)
     state.log_det = 2.0 * float(np.log(d).sum())
+    gradient_refresh(state, X)
     return state
 
 
@@ -129,8 +130,7 @@ def rank_one_modify(state, j, theta):
     kappa_j).  O(n^2 + m) in four numpy calls and no allocation; w * w is
     formed and scaled in state.w, so the pass is lost.  y y^T is one BLAS
     product of the n x 1 and 1 x n views of state.y, made once per state,
-    which rounds each y_i y_j once, the same roundings as the broadcast
-    y[:, None] * y at under half its cost.
+    which rounds each y_i y_j once.
 
     Raises
     ------

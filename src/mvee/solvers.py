@@ -58,7 +58,6 @@ from .linalg import (
     PD_TOL,
     apply_inverse,
     factor_from_weights,
-    gradient_refresh,
     rank_one_modify,
 )
 from .problem import (DualWeights, Ellipsoid, PointSet, lift, objective_h,
@@ -184,16 +183,16 @@ def init_khachiyan(m: int) -> DualWeights:
 def init_kumar_yildirim(X: PointSet, seed: int) -> DualWeights:
     """Pick n points along n independent directions, weight 1/n each.
 
-    The first direction is random; each later direction is a fresh random
-    vector projected orthogonally to the span of the points already chosen
-    (retried up to n times if the projection norm falls below 1e-10).  Along
-    each direction the point with the largest |d . x| is taken.  The
-    resulting X U X^T is positive definite.
+    The first direction is random; each later direction is one fresh
+    standard-normal draw projected orthogonally to the span of the points
+    already chosen, with no retry: a draw within rounding of that span has
+    probability near zero.  Along each direction the point with the largest
+    |d . x| is taken.  The resulting X U X^T is positive definite.
 
     Raises
     ------
     NotFullRank
-        If fewer than n independent directions can be found.
+        If the points do not span R^n.
     """
     pts = X.points
     n, m = pts.shape
@@ -202,16 +201,9 @@ def init_kumar_yildirim(X: PointSet, seed: int) -> DualWeights:
     p = np.empty(m)  # |d . x_i| for each direction, reused
     chosen = []
     for _ in range(n):
-        d = None
-        for _attempt in range(n):
-            cand = rng.standard_normal(n)
-            cand = cand - Q @ (Q.T @ cand)
-            norm = np.linalg.norm(cand)
-            if norm >= 1e-10:
-                d = cand / norm
-                break
-        if d is None:
-            raise NotFullRank("cannot find a direction outside the chosen span")
+        d = rng.standard_normal(n)
+        d = d - Q @ (Q.T @ d)
+        d /= np.linalg.norm(d)
         np.dot(d, pts, out=p)
         np.abs(p, out=p)
         # a chosen point lies in the span, up to the basis' rounding
@@ -421,7 +413,7 @@ def solve(X: PointSet, config: SolverConfig,
                 u.u *= c
                 c = 1.0
             state = factor_from_weights(X, u)
-            kappa = gradient_refresh(state, X)
+            kappa = state.kappa
             support = np.flatnonzero(u.u)
             total = float(u.u.sum())  # e^T v, then moved by each step
             updates = 0

@@ -22,9 +22,10 @@ lifted and `--symmetric`, plus a capped solve (exit 2) and a flat set
 (exit 1); the exit code and the SHA-256 of what the command prints, the
 ellipsoid JSON on stdout and any error on stderr.  Then come the `error`
 lines: `mvee bench`, `mvee solve` and `mvee curves` through mvee.cli.main
-on eight bad inputs (an unknown or repeated algorithm, a broken INI file,
-an unknown plan key and a missing file in a plan; a bad token or too few
-points in a point file; a bad `--n-values` list), each the exit code and
+on nine bad inputs (an unknown or repeated algorithm, a broken INI file,
+an unknown plan key, a missing file and a `%` in a value in a plan; a bad
+token or too few points in a point file; a bad `--n-values` list), each
+the exit code, or the class name of an exception that escapes main, and
 the SHA-256 of stderr, run from inside a temporary directory on relative
 paths so that the messages, which name the file, do not vary.  The last
 line is the row total of the solves.  Two trees run the same trajectories exactly when their outputs
@@ -216,6 +217,9 @@ ERRORS = [
      ["bench", "--plan", "plan.ini", "--output-dir", "out"]),
     ("bench missing plan", {},
      ["bench", "--plan", "nope.ini", "--output-dir", "out"]),
+    ("bench percent in plan",
+     {"plan.ini": "[plan]\nseed = 1%\n\n[regime.r]\nn = 4\nm = 30\n"},
+     ["bench", "--plan", "plan.ini", "--output-dir", "out"]),
     ("solve bad token", {"pts.txt": "1 2\n3 oops\n5 6\n"},
      ["solve", "pts.txt"]),
     ("solve too few points", {"pts.txt": "1 2\n3 4\n"}, ["solve", "pts.txt"]),
@@ -225,7 +229,9 @@ ERRORS = [
 
 
 def error_fingerprints():
-    """Yield (label, "exit code digest") for each error path."""
+    """Yield (label, "exit code digest") for each error path; an
+    exception that escapes main() stands in for the exit code by its class
+    name."""
     import contextlib
     import io
     import tempfile
@@ -243,6 +249,8 @@ def error_fingerprints():
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(err):
                     code = main(argv)
+            except Exception as exc:
+                code = type(exc).__name__
             finally:
                 os.chdir(cwd)
             digest = hashlib.sha256(err.getvalue().encode()).hexdigest()

@@ -93,6 +93,21 @@ def test_factor_inverts_random_weighted_sets(n):
     M = (X.points * u.u) @ X.points.T
     assert np.allclose(st_.Minv @ M, np.eye(n), rtol=0.0, atol=1e-12)
     assert st_.log_det == pytest.approx(np.linalg.slogdet(M)[1], rel=1e-12)
+    dense = np.einsum("ij,ij->j", X.points, np.linalg.solve(M, X.points))
+    assert np.allclose(st_.kappa, dense, rtol=1e-10, atol=0.0)
+
+
+def test_factor_kappa_is_zero_at_a_zero_column():
+    # the state comes whole: kappa_i = x_i^T M^{-1} x_i for every column,
+    # exactly 0 at x_i = 0
+    X = PointSet(np.array([[1.0, 0.0, 0.0, 2.0], [0.0, 1.0, 0.0, 1.0]]),
+                 symmetric=True)
+    u = DualWeights(np.full(4, 0.25))
+    st_ = factor_from_weights(X, u)
+    M = (X.points * u.u) @ X.points.T
+    dense = np.einsum("ij,ij->j", X.points, np.linalg.solve(M, X.points))
+    assert st_.kappa[2] == 0.0
+    assert np.allclose(st_.kappa, dense, rtol=1e-12, atol=0.0)
 
 
 def test_factor_rejects_rank_deficiency():
@@ -330,7 +345,7 @@ def test_rank_one_sequence_matches_refresh():
     w = rng.uniform(0.1, 1.0, 20)
     u = DualWeights(w.copy())
     state = factor_from_weights(X, u)
-    kappa = gradient_refresh(state, X)
+    kappa = state.kappa
     for _ in range(50):
         j = int(rng.integers(20))
         theta = float(rng.uniform(-0.2, 0.5))
@@ -346,8 +361,8 @@ def test_rank_one_sequence_matches_refresh():
     # a refresh overwrites the state's kappa, so compare a copy
     maintained = kappa.copy()
     assert np.allclose(maintained, gradient_refresh(state, X), atol=1e-10)
-    assert np.allclose(maintained, gradient_refresh(factor_from_weights(
-        X, DualWeights(w)), X), atol=1e-10)
+    assert np.allclose(maintained, factor_from_weights(
+        X, DualWeights(w)).kappa, atol=1e-10)
 
 
 def out_of_place_modify(Minv, log_det, kappa, y, w, theta, kappa_j):
@@ -406,7 +421,7 @@ def test_rank_one_bit_identical_to_out_of_place(X, update, drops, zero_ys):
     d, m = X.dim, X.count
     u = np.full(m, 1.0 / m)
     state = factor_from_weights(X, DualWeights(u))
-    kappa = gradient_refresh(state, X)
+    kappa = state.kappa
     Minv_ref, log_det_ref, kappa_ref = (state.Minv.copy(), state.log_det,
                                         kappa.copy())
     w_ref = np.empty(m)

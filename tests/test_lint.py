@@ -24,6 +24,10 @@
   cannot report.
 - The base class MveeError is never raised bare: each failure raises the
   subclass that names it, and MveeError is only caught.
+- One caller for a full kappa recompute: gradient_refresh is called only
+  inside linalg.factor_from_weights, so every fresh state comes whole
+  from one call, and solve() moves kappa only by rank-one updates
+  between rebuilds.
 """
 
 import ast
@@ -143,6 +147,19 @@ def test_every_error_class_is_raised():
 def test_base_error_is_never_raised_bare():
     found = [site for name, site in _raise_sites() if name == "MveeError"]
     assert not found, f"raise MveeError at {found}; raise the subclass"
+
+
+def test_gradient_refresh_only_in_factor():
+    # (module.top-level name, line) of each gradient_refresh call
+    found = [(f"{path.stem}.{getattr(stmt, 'name', '')}", node.lineno)
+             for path in SOURCES
+             for stmt in ast.parse(path.read_text(), filename=str(path)).body
+             for node in ast.walk(stmt)
+             if isinstance(node, ast.Call)
+             and "gradient_refresh" in (getattr(node.func, "id", None),
+                                        getattr(node.func, "attr", None))]
+    assert [owner for owner, _ in found] == ["linalg.factor_from_weights"], (
+        f"gradient_refresh called at {found}")
 
 
 def _fresh_interpreter(probe):

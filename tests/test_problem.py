@@ -309,6 +309,12 @@ BAD_INPUTS = {
         _file(tmp, "plan.ini", "[plan]\nalgorithms = simplex\n\n[regime.r]\n"
               "n = 4\nm = 30\n"), tmp / "out"),
     "plan_missing_file": lambda tmp: _load_plan(tmp / "nope.ini", tmp / "out"),
+    "plan_percent_algorithm": lambda tmp: _load_plan(
+        _file(tmp, "plan.ini", "[plan]\nalgorithms = cd%\n\n[regime.r]\n"
+              "n = 4\nm = 30\n"), tmp / "out"),
+    "plan_percent_seed": lambda tmp: _load_plan(
+        _file(tmp, "plan.ini", "[plan]\nseed = 1%\n\n[regime.r]\nn = 4\n"
+              "m = 30\n"), tmp / "out"),
 }
 
 

@@ -16,7 +16,6 @@ from mvee.errors import (
 from mvee.harness import gen_sample
 from mvee.linalg import (
     factor_from_weights,
-    gradient_refresh,
     rank_one_modify,
 )
 from mvee.problem import (
@@ -224,12 +223,11 @@ def test_fwk_keeps_simplex_and_lands_on_boundary():
     rng = np.random.default_rng(2)
     X = PointSet(rng.standard_normal((3, 12)), symmetric=True)
     u = init_khachiyan(12)
-    state = factor_from_weights(X, u)
-    kappa = gradient_refresh(state, X)
+    kappa = factor_from_weights(X, u).kappa
     j = int(np.argmax(kappa))
     _, _, after = simplex_step(u, kappa, j, 3)
     assert after.sum() == pytest.approx(1.0, abs=1e-12)
-    fresh = gradient_refresh(factor_from_weights(X, DualWeights(after)), X)
+    fresh = factor_from_weights(X, DualWeights(after)).kappa
     assert fresh[j] == pytest.approx(3.0, abs=1e-8)
 
 
@@ -552,8 +550,7 @@ def test_fwk_stops_on_primal_feasibility_only():
     rep = solve(X, SolverConfig(algorithm=Algorithm.FWK, epsilon=1e-4,
                                 init=InitScheme.KHACHIYAN, max_iter=80_000))
     assert rep.converged
-    state = factor_from_weights(X, rep.u_final)
-    kappa = gradient_refresh(state, X)
+    kappa = factor_from_weights(X, rep.u_final).kappa
     c = select_axis_gauss_southwell(kappa, np.flatnonzero(rep.u_final.u))
     eps_plus, eps_minus = gs_eps(c, X.dim)
     assert eps_plus <= 1e-4
@@ -700,12 +697,12 @@ def test_zero_column_is_dropped_by_the_exact_stepsize():
 def test_huge_m_converges_with_a_fresh_certificate(alg):
     # 200,000 standard-normal points in R^3, lifted: the O(m) work of each
     # iteration dominates, and the reported eps still agrees with one fresh
-    # rebuild and refresh from the final weights
+    # rebuild from the final weights
     rng = np.random.default_rng(0)
     X = lift(PointSet(rng.standard_normal((3, 200_000))))
     rep = solve(X, SolverConfig(algorithm=alg, epsilon=1e-3))
     assert rep.converged
-    kappa = gradient_refresh(factor_from_weights(X, rep.u_final), X)
+    kappa = factor_from_weights(X, rep.u_final).kappa
     cert = certificate(rep.u_final, kappa, X.dim, 1e-3)
     fresh = max(cert.eps_plus, cert.eps_minus)
     assert fresh <= 1e-3
@@ -879,7 +876,7 @@ def test_simplex_weights_match_normalised_reference(alg, seed, n, extra,
     for k in range(rep.iterations + 1):
         if stale or k in rebuilt:
             state = factor_from_weights(X, DualWeights(u))
-            kappa = gradient_refresh(state, X)
+            kappa = state.kappa
             stale = False
         v, c = held[k]
         if k in rebuilt:
@@ -913,14 +910,14 @@ def test_simplex_weights_match_normalised_reference(alg, seed, n, extra,
                                   "wa_moderate"])
 def test_reported_eps_matches_fresh_certificate(runs, request):
     # the eps a solve reports from its maintained kappa agrees with one
-    # fresh rebuild and refresh from the final weights, on the fixed-seed
+    # fresh rebuild from the final weights, on the fixed-seed
     # small (n=10, m=500) and moderate (n=30, m=1800) regimes
     instances = request.getfixturevalue(
         "small_instances" if runs.endswith("small") else "moderate_instances")
     reports, _elapsed = request.getfixturevalue(runs)
     for seed, rep in reports.items():
         X = instances[seed]
-        kappa = gradient_refresh(factor_from_weights(X, rep.u_final), X)
+        kappa = factor_from_weights(X, rep.u_final).kappa
         cert = certificate(rep.u_final, kappa, X.dim, 1e-7)
         fresh = max(cert.eps_plus, cert.eps_minus)
         assert abs(fresh - rep.final_eps) <= 1e-10, (seed, fresh,
@@ -1022,8 +1019,7 @@ def test_singular_update_forces_one_rebuild(small_lifted, alg, monkeypatch):
     assert plain.iterations > 20
     assert len(factors) - plain_factors == plain_factors + 1
     assert rep.converged
-    kappa = gradient_refresh(real_factor(small_lifted, rep.u_final),
-                             small_lifted)
+    kappa = real_factor(small_lifted, rep.u_final).kappa
     cert = certificate(rep.u_final, kappa, small_lifted.dim, cfg.epsilon)
     assert abs(max(cert.eps_plus, cert.eps_minus) - rep.final_eps) <= 1e-10
 
