@@ -163,7 +163,8 @@ def read_points(path) -> np.ndarray:
     `#` starts a comment that runs to the end of the line; blank and
     comment-only lines are skipped.  An optional header row is auto-detected
     by a non-empty, non-numeric first field.  Returns the points as rows
-    (count x dim).  Errors, such as an empty field, carry line numbers.
+    (count x dim).  Errors, such as an empty field or a nan or inf value,
+    carry line numbers.
     """
     rows = []
     header_allowed = True
@@ -184,10 +185,14 @@ def read_points(path) -> np.ndarray:
             vals = []
             for t in toks:
                 try:
-                    vals.append(float(t))
+                    v = float(t)
                 except ValueError:
                     raise InvalidInput(
                         f"{path}: line {lineno}: non-numeric value {t.strip()!r}") from None
+                if not math.isfinite(v):
+                    raise InvalidInput(
+                        f"{path}: line {lineno}: non-finite value {t.strip()!r}")
+                vals.append(v)
             if rows and len(vals) != len(rows[0]):
                 raise InvalidInput(
                     f"{path}: line {lineno}: expected {len(rows[0])} columns, "

@@ -9,7 +9,7 @@ rule picks a point j, a stepsize rule gives theta in the descent direction
 coordinate step u_j <- max(u_j + theta, 0).  The algorithms differ only in
 those two rules.  enclose() is the path from points to their ellipsoid:
 it lifts an arbitrary set, solves, and reads the ellipsoid from the final
-weights.
+weights, with their certificate.
 
 fwk and wa renormalise after the step, u' = (u + theta e_j) / (1 + theta),
 which is the simplex step (1 - t) u + t e_j with t = theta / (1 + theta).
@@ -46,7 +46,7 @@ sum.
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from numbers import Real
 
@@ -60,8 +60,8 @@ from .linalg import (
     factor_from_weights,
     rank_one_modify,
 )
-from .problem import (DualWeights, Ellipsoid, PointSet, lift, objective_h,
-                      select_axis_gauss_southwell)
+from .problem import (DualWeights, Ellipsoid, PointSet, certificate, lift,
+                      objective_h, select_axis_gauss_southwell)
 
 # weights below this are dropped outright by the backtracking variant rather
 # than decayed geometrically forever (the line search itself never hits zero)
@@ -149,7 +149,8 @@ class IterationRecord:
 @dataclass
 class SolveReport:
     """What solve() returned; wall_time runs from its call to its return,
-    so it includes a start solve() computed and excludes one passed in."""
+    so it includes a start solve() computed and excludes one passed in.
+    solve() reads final_eps and converged from the kappa it maintained."""
 
     converged: bool
     iterations: int
@@ -510,7 +511,10 @@ def enclose(X: PointSet, config: SolverConfig
     complement P W P^T - c c^T, whose determinant is det M(w): H and
     ln det H = -ln det M(w) come from one factor_from_weights of M(w).
     A symmetric set has center 0 and H = M(w)^{-1}.  The ellipsoid carries
-    ln det H as logdet, which volume() and the JSON's logdet_H read.
+    ln det H as logdet, which volume() and the JSON's logdet_H read.  The
+    report's final_eps and converged are u's certificate, by solve()'s
+    stopping rule, read from the same factor's kappa: with s = e^T u,
+    kappa(u) = kappa(w) / s.
 
     Raises
     ------
@@ -520,14 +524,20 @@ def enclose(X: PointSet, config: SolverConfig
     """
     lifted = X if X.symmetric else lift(X)
     report = solve(lifted, config)
-    u = report.u_final.u
-    w = DualWeights(u / u.sum())
+    u = report.u_final
+    s = float(u.u.sum())
+    w = DualWeights(u.u / s)
     state = factor_from_weights(lifted, w)
+    cert = certificate(u, state.kappa / s, lifted.dim, config.epsilon)
+    fwk = config.algorithm is Algorithm.FWK
+    eps = cert.eps_plus if fwk else max(cert.eps_plus, cert.eps_minus)
+    converged = cert.eps_primal_feasible if fwk else cert.eps_approx_optimal
     n = X.dim
     c = np.zeros(n) if X.symmetric else X.points @ w.u
     # a copy, so the ellipsoid does not keep the state's m + n^2 buffer
-    return Ellipsoid(center=c, shape=state.Minv[:n, :n].copy(),
-                     level=float(n), logdet=-state.log_det), report
+    return (Ellipsoid(center=c, shape=state.Minv[:n, :n].copy(),
+                      level=float(n), logdet=-state.log_det),
+            replace(report, final_eps=eps, converged=converged))
 
 
 TRACE_HEADER = "iter,step_type,axis,kappa_max,kappa_min_support,eps,h,theta"

@@ -1,12 +1,13 @@
 import functools
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from mvee.errors import SingularUpdate
 from mvee.harness import gen_sample
-from mvee.problem import lift
+from mvee.problem import PointSet, lift
 from mvee.solvers import Algorithm, SolverConfig, solve
 
 settings.register_profile(
@@ -71,6 +72,20 @@ def cd_moderate(moderate_instances):
 @pytest.fixture(scope="session")
 def wa_moderate(moderate_instances):
     return capped_reports(moderate_instances, Algorithm.WA, MODERATE_CAP_WA)
+
+
+def ill_conditioned(seed):
+    """(Q1 diag(sigma)) Q2^T X + b for X = gen_sample(10, 500, seed): the
+    singular values sigma run log-spaced from 1 to 1e7, and Q1, Q2 and b
+    are drawn from default_rng(seed + 99).  The solvers' maintained kappa
+    drifts on these sets, while a fresh factor of the final weights reads
+    their certificate."""
+    X = gen_sample(10, 500, seed).points
+    rng = np.random.default_rng(seed + 99)
+    q1 = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    sigma = np.exp(np.linspace(0.0, np.log(1e7), 10))
+    return PointSet((q1 * sigma) @ q2.T @ X + rng.standard_normal((10, 1)))
 
 
 def singular_on_call(fn, k):

@@ -18,18 +18,22 @@ repetitions of the regimes (3, 40) and (5, 80); the exit code, then one
 SHA-256 per output file, results.csv and results_means.csv without their
 timing columns.  Then come the `mvee solve` lines: `mvee solve` through
 mvee.cli.main with cd, wa and fwk at eps 1e-3 on written point files,
-lifted and `--symmetric`, plus a capped solve (exit 2) and a flat set
-(exit 1); the exit code and the SHA-256 of what the command prints, the
-ellipsoid JSON on stdout and any error on stderr.  Then come the `error`
-lines: `mvee bench`, `mvee solve` and `mvee curves` through mvee.cli.main
-on nine bad inputs (an unknown or repeated algorithm, a broken INI file,
-an unknown plan key, a missing file and a `%` in a value in a plan; a bad
-token or too few points in a point file; a bad `--n-values` list), each
+lifted and `--symmetric`, and at max_iter 20,000 on gen(10,500,1234)
+mapped to condition 1e7, plus a capped solve (exit 2) and a flat set
+(exit 1); the exit code, the SHA-256 of what the command prints, the
+ellipsoid JSON on stdout without its final_eps and any error on stderr,
+and the repr of final_eps, whose last digits the reading of the
+certificate may move.  Then come the `error` lines: `mvee bench`,
+`mvee solve` and `mvee curves` through mvee.cli.main on ten bad inputs
+(an unknown or repeated algorithm, a broken INI file, an unknown plan
+key, a missing file and a `%` in a value in a plan; a bad token, a nan
+or too few points in a point file; a bad `--n-values` list), each
 the exit code, or the class name of an exception that escapes main, and
 the SHA-256 of stderr, run from inside a temporary directory on relative
 paths so that the messages, which name the file, do not vary.  The last
-line is the row total of the solves.  Two trees run the same trajectories exactly when their outputs
-do not differ:
+line is the row total of the solves.  Two trees run the same trajectories
+exactly when their outputs do not differ, but for the final_eps field of
+the `mvee solve` lines:
 
     python tests/fingerprints.py /path/to/parent/src > parent.txt
     python tests/fingerprints.py src > change.txt
@@ -165,9 +169,11 @@ def bench_fingerprints():
 
 
 def solve_fingerprints():
-    """Yield (label, "exit code digest") for each `mvee solve` run."""
+    """Yield (label, "exit code digest final_eps") for each `mvee solve`
+    run."""
     import contextlib
     import io
+    import json
     import tempfile
     from pathlib import Path
     import numpy as np
@@ -175,10 +181,18 @@ def solve_fingerprints():
     from mvee.harness import gen_sample
     from mvee.problem import write_points
 
+    # gen(10,500,1234) through a linear map of condition 1e7, and shifted
+    X = gen_sample(10, 500, 1234).points
+    rng = np.random.default_rng(1234 + 99)
+    q1 = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+    sigma = np.exp(np.linspace(0.0, np.log(1e7), 10))
+    ill = (q1 * sigma) @ q2.T @ X + rng.standard_normal((10, 1))
     points = {"gen(3,40,0)": gen_sample(3, 40, 0).points.T,
               "gen(5,80,5)": gen_sample(5, 80, 5).points.T,
               "normal(4,30,7)": np.random.default_rng(7).standard_normal(
                   (30, 4)),
+              "ill(1234)": ill.T,
               "flat": np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 5.0],
                                 [3.0, 7.0]])}
     # fwk, without away steps, stops at its 100,000-iteration cap short
@@ -187,6 +201,8 @@ def solve_fingerprints():
             for name, flags in (("gen(3,40,0)", []), ("gen(5,80,5)", []),
                                 ("normal(4,30,7)", ["--symmetric"]))
             for alg in ("cd", "wa", "fwk")]
+    runs += [("ill(1234)", [alg, "--epsilon", "1e-3", "--max-iter", "20000"])
+             for alg in ("cd", "wa", "fwk")]
     runs += [("gen(5,80,5)", ["cd", "--max-iter", "5"]), ("flat", ["cd"])]
     with tempfile.TemporaryDirectory() as tmp:
         for name, rows in points.items():
@@ -197,8 +213,11 @@ def solve_fingerprints():
                     contextlib.redirect_stderr(err):
                 code = main(["solve", str(Path(tmp) / f"{name}.txt"),
                              "--algorithm", *args])
-            digest = hashlib.sha256((out.getvalue() + err.getvalue()).encode())
-            yield f"solve {name} {' '.join(args)}", f"{code} {digest.hexdigest()}"
+            doc = json.loads(out.getvalue()) if out.getvalue() else {}
+            final_eps = doc.pop("final_eps", None)
+            digest = hashlib.sha256((json.dumps(doc) + err.getvalue()).encode())
+            yield (f"solve {name} {' '.join(args)}",
+                   f"{code} {digest.hexdigest()} {final_eps!r}")
 
 
 # (label, files to write, command line) for each error path
@@ -223,6 +242,8 @@ ERRORS = [
     ("solve bad token", {"pts.txt": "1 2\n3 oops\n5 6\n"},
      ["solve", "pts.txt"]),
     ("solve too few points", {"pts.txt": "1 2\n3 4\n"}, ["solve", "pts.txt"]),
+    ("solve non-finite value", {"pts.txt": "1 2\n3 nan\n5 6\n"},
+     ["solve", "pts.txt"]),
     ("curves bad n-values", {},
      ["curves", "--n-values", "1,x", "--output", "curves.csv"]),
 ]

@@ -10,9 +10,10 @@ import pytest
 
 import mvee
 import mvee.harness
+from conftest import ill_conditioned
 from mvee.cli import ALGORITHM_NAMES, _load_plan, main
 from mvee.errors import MveeError
-from mvee.problem import read_points
+from mvee.problem import read_points, write_points
 from mvee.solvers import Algorithm, SolverConfig
 
 SQUARE_ROWS = "1 1\n1 -1\n-1 1\n-1 -1\n"
@@ -169,6 +170,18 @@ def test_solve_outputs_and_nonconvergence_exit(tmp_path, capsys):
     lines = trace_path.read_text().strip().splitlines()
     assert lines[0].startswith("iter,step_type")
     assert len(lines) == 4
+
+
+def test_solve_exit_reads_the_fresh_certificate(tmp_path, capsys):
+    # fwk's maintained kappa reads eps 9.95e-4 here, a fresh factor of its
+    # final weights 9.0e-3: the exit code follows the fresh reading
+    path = tmp_path / "ill.txt"
+    write_points(path, ill_conditioned(1234).points.T)
+    code, out, _ = run(capsys, "solve", str(path), "--algorithm", "fwk",
+                       "--epsilon", "1e-3", "--max-iter", "20000")
+    assert code == 2
+    assert '"converged": false' in out
+    assert json.loads(out)["final_eps"] > 1e-3
 
 
 # --- gen ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import ill_conditioned
 from mvee.cli import _load_plan
 from mvee.errors import InvalidInput, MveeError, NotFullRank
 from mvee.harness import (BenchmarkPlan, Regime, emit_decrement_curves,
@@ -131,6 +132,51 @@ def test_enclose_shape_is_the_inverse_covariance(n, lifted):
     # ln det H comes from the solver's factor: -ln det M(w)
     assert E.logdet == pytest.approx(np.linalg.slogdet(E.shape)[1],
                                      rel=1e-12, abs=0.0)
+
+
+# the small sets of `mvee solve`'s fingerprint lines, as enclose takes them
+CERTIFIED_SETS = {
+    "gen(3,40,0)": lambda: gen_sample(3, 40, 0),
+    "gen(5,80,5)": lambda: gen_sample(5, 80, 5),
+    "normal(4,30,7)": lambda: PointSet(
+        np.random.default_rng(7).standard_normal((30, 4)).T, symmetric=True),
+}
+CERTIFIED_ALGORITHMS = [Algorithm.CD_CONST, Algorithm.WA, Algorithm.FWK]
+
+
+@pytest.mark.parametrize("alg", CERTIFIED_ALGORITHMS, ids=lambda a: a.value)
+@pytest.mark.parametrize("name", CERTIFIED_SETS)
+def test_enclose_report_matches_solve_on_well_conditioned_sets(name, alg):
+    # on these sets the maintained and the fresh kappa agree: enclose's
+    # reading moves nothing but the last digits of final_eps
+    X = CERTIFIED_SETS[name]()
+    config = SolverConfig(algorithm=alg, epsilon=1e-3)
+    _, rep = enclose(X, config)
+    want = solve(X if X.symmetric else lift(X), config)
+    assert rep.iterations == want.iterations
+    assert rep.final_h == want.final_h
+    assert np.array_equal(rep.u_final.u, want.u_final.u)
+    assert rep.converged is want.converged
+    assert rep.final_eps == pytest.approx(want.final_eps, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("alg", CERTIFIED_ALGORITHMS, ids=lambda a: a.value)
+@pytest.mark.parametrize("seed", [1234, 1235, 1236])
+def test_enclose_reads_the_certificate_from_a_fresh_factor(seed, alg):
+    # at cond(A) = 1e7 the kappa solve() maintains drifts, and its own
+    # certificate read eps <= 1e-3 on every one of these runs
+    X = ill_conditioned(seed)
+    eps = 1e-3
+    _, rep = enclose(X, SolverConfig(algorithm=alg, epsilon=eps,
+                                     max_iter=20_000))
+    u = rep.u_final
+    s = u.u.sum()
+    kappa = factor_from_weights(lift(X), DualWeights(u.u / s)).kappa / s
+    cert = certificate(u, kappa, X.dim + 1, eps)
+    fresh = (cert.eps_plus if alg is Algorithm.FWK
+             else max(cert.eps_plus, cert.eps_minus))
+    assert rep.final_eps == pytest.approx(fresh, rel=1e-12, abs=0.0)
+    assert rep.converged == (rep.final_eps <= eps)
 
 
 # --- volume -----------------------------------------------------------------------
@@ -295,6 +341,8 @@ BAD_INPUTS = {
         _file(tmp, "pts.txt", "1 2\n3\n")),
     "points_empty_field": lambda tmp: read_points(
         _file(tmp, "pts.csv", "1,2\n3,,4\n")),
+    "points_nan": lambda tmp: read_points(_file(tmp, "pts.txt", "1 2\n3 nan\n")),
+    "points_inf": lambda tmp: read_points(_file(tmp, "pts.txt", "1 2\n3 inf\n")),
     "points_comment_only": lambda tmp: read_points(
         _file(tmp, "pts.txt", "# nothing\n")),
     "plan_broken_ini": lambda tmp: _load_plan(
@@ -447,6 +495,15 @@ def test_read_points_rejects_empty_field(tmp_path):
     path.write_text("1,2\n3,,4\n5,6\n")
     with pytest.raises(InvalidInput, match="line 2"):
         read_points(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_read_points_names_the_line_of_a_non_finite_value(tmp_path, token):
+    path = tmp_path / "pts.txt"
+    path.write_text(f"1 2\n3 {token}\n5 6\n")
+    with pytest.raises(InvalidInput) as info:
+        read_points(path)
+    assert str(info.value) == f"{path}: line 2: non-finite value {token!r}"
 
 
 def test_read_points_rejects_ragged_rows(tmp_path):
