@@ -11,6 +11,7 @@ trace CSV.  An aggregate table adds per-(regime, algorithm) arithmetic means.
 """
 
 import csv
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,13 +27,18 @@ from .solvers import (Algorithm, InitScheme, SolverConfig, initial_weights,
 
 @dataclass
 class Regime:
-    """`repetitions` instances of m points in R^n, named `label` in outputs."""
+    """`repetitions` instances of m points in R^n, named `label` in outputs.
+    The label starts each trace's file name, so it names no directory."""
     label: str
     n: int
     m: int
     repetitions: int
 
     def __post_init__(self):
+        if self.label in ("", ".", "..") or any(
+                sep and sep in self.label for sep in ("/", os.sep, os.altsep)):
+            raise InvalidInput(f"regime label {self.label!r} must be a plain "
+                               "name: not empty, '.' or '..', and no '/'")
         check_int("n", self.n, 1)
         check_int("m", self.m, self.n + 1)  # a full-dimensional instance
         check_int("repetitions", self.repetitions, 1)

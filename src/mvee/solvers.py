@@ -8,8 +8,8 @@ rule picks a point j, a stepsize rule gives theta in the descent direction
 (up when kappa_j > n, down otherwise), and cd_step takes the projected
 coordinate step u_j <- max(u_j + theta, 0).  The algorithms differ only in
 those two rules.  enclose() is the path from points to their ellipsoid:
-it lifts an arbitrary set, solves, and reads the ellipsoid from the final
-weights, with their certificate.
+it lifts an arbitrary set, solves, and reads the ellipsoid from the fresh
+factor of the final weights that certifies solve()'s report.
 
 fwk and wa renormalise after the step, u' = (u + theta e_j) / (1 + theta),
 which is the simplex step (1 - t) u + t e_j with t = theta / (1 + theta).
@@ -37,16 +37,16 @@ sampler meets a zero gradient or an axis without a descent direction.
 Each iteration is O(m n) after an O(m n^2) initialization: kappa, M^{-1}
 and ln det M live in one linalg.FactorState, which solve() moves in place
 by one Sherman-Morrison step per iteration and rebuilds from the weights
-when it decides to.  An update is six numpy calls into the state's
-buffers: y = M^{-1} x_j, the pass w = X^T y and rank_one_modify's four.
-Besides these, the axis rule makes one O(m) argmax and one O(s) scan of
-the s support indices, and the objective is O(1) from the running weight
-sum.
+when it decides to; one more factor checks each stop.  An update is six
+numpy calls into the state's buffers: y = M^{-1} x_j, the pass
+w = X^T y and rank_one_modify's four.  Besides these, the axis rule makes
+one O(m) argmax and one O(s) scan of the s support indices, and the
+objective is O(1) from the running weight sum.
 """
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Real
 
@@ -54,12 +54,8 @@ import numpy as np
 
 from .errors import (InvalidInput, LineSearchStalled, NotFullRank,
                      SingularUpdate, check_int)
-from .linalg import (
-    PD_TOL,
-    apply_inverse,
-    factor_from_weights,
-    rank_one_modify,
-)
+from .linalg import (PD_TOL, FactorState, apply_inverse, factor_from_weights,
+                     rank_one_modify)
 from .problem import (DualWeights, Ellipsoid, PointSet, certificate, lift,
                       objective_h, select_axis_gauss_southwell)
 
@@ -150,15 +146,20 @@ class IterationRecord:
 class SolveReport:
     """What solve() returned; wall_time runs from its call to its return,
     so it includes a start solve() computed and excludes one passed in.
-    solve() reads final_eps and converged from the kappa it maintained."""
+    final_eps and converged certify u_final, read from factor, a fresh
+    factor_from_weights of u_final / e^T u_final.  loop_eps and final_h come
+    from the loop's maintained state at its last test; on an ill-conditioned
+    set they can differ from final_eps and from -factor.log_det."""
 
     converged: bool
     iterations: int
     final_eps: float
+    loop_eps: float
     final_h: float
     trace: list
     wall_time: float
     u_final: DualWeights
+    factor: FactorState = field(repr=False)
 
 
 @dataclass(slots=True)
@@ -341,8 +342,11 @@ def solve(X: PointSet, config: SolverConfig,
 
     Stops when the certificate reaches the tolerance: fwk certifies primal
     feasibility only (eps_plus <= epsilon); every other algorithm requires
-    max(eps_plus, eps_minus) <= epsilon.  Hitting max_iter returns a report
-    with converged=False rather than raising.
+    max(eps_plus, eps_minus) <= epsilon, read first from the kappa the loop
+    maintains and then from one fresh factor_from_weights of w = u / s,
+    s = e^T u, as kappa(u) = kappa(w) / s; if the fresh reading fails, the
+    loop steps on from a rebuild.  Hitting max_iter returns a report with
+    the fresh reading and converged=False rather than raising.
 
     Every algorithm takes its step through cd_step with the theta of its
     stepsize rule.  The state (kappa, M^{-1}, ln det M) and the sorted
@@ -374,7 +378,8 @@ def solve(X: PointSet, config: SolverConfig,
     Raises
     ------
     NotFullRank
-        If the points do not span R^n, as for a lifted lower-dimensional set.
+        If the points, or the support of the final weights, do not span
+        R^n, as for a lifted lower-dimensional set.
     """
     t0 = time.perf_counter()
     if not X.symmetric:
@@ -407,12 +412,12 @@ def solve(X: PointSet, config: SolverConfig,
     c = 1.0  # u = c v; kappa(v) = c kappa(u) is read against n c
     epsilon, max_iter, inf = config.epsilon, config.max_iter, math.inf
 
-    # the last pass only evaluates the stopping rule at max_iter
-    for k in range(max_iter + 1):
+    refused = -1  # the k at which a fresh certificate refused to stop
+    while True:  # each pass steps once or stops, so k counts the steps
+        k = len(trace)
         if rebuild:
-            if c != 1.0:
-                u.u *= c
-                c = 1.0
+            u.u *= c  # exact at c = 1
+            c = 1.0
             state = factor_from_weights(X, u)
             kappa = state.kappa
             support = np.flatnonzero(u.u)
@@ -426,8 +431,16 @@ def solve(X: PointSet, config: SolverConfig,
         increase = eps_plus >= eps_minus  # ties go to the increase
         eps_k = eps_minus if eps_minus > eps_plus else eps_plus
         stop_eps = eps_plus if fwk else eps_k
-        if stop_eps <= epsilon or k == max_iter:
-            break
+        if (stop_eps <= epsilon and k != refused) or k == max_iter:
+            w = DualWeights(u.u * c)  # the weights u = c v
+            s = float(w.u.sum())
+            factor = factor_from_weights(X, DualWeights(w.u / s))
+            cert = certificate(w, factor.kappa / s, n, epsilon)
+            eps = cert.eps_plus if fwk else max(cert.eps_plus, cert.eps_minus)
+            if eps <= epsilon or k == max_iter:
+                break
+            refused, rebuild = k, True  # the kappa drifted: rebuild
+            continue
         h_k = objective_h(total, state, c)
         kappa_max, kappa_min = kappa_plus / c, kappa_minus / c  # kappa(u)
 
@@ -488,14 +501,12 @@ def solve(X: PointSet, config: SolverConfig,
                 updates += 1
                 rebuild = updates >= period
 
-    final_eps = float(stop_eps)
     final_h = objective_h(total, state, c)
-    if c != 1.0:
-        u.u *= c
-    return SolveReport(converged=final_eps <= epsilon,
-                       iterations=len(trace), final_eps=final_eps,
-                       final_h=final_h, trace=trace,
-                       wall_time=time.perf_counter() - t0, u_final=u)
+    return SolveReport(converged=eps <= epsilon,
+                       iterations=len(trace), final_eps=eps,
+                       loop_eps=float(stop_eps), final_h=final_h, trace=trace,
+                       wall_time=time.perf_counter() - t0, u_final=w,
+                       factor=factor)
 
 
 def enclose(X: PointSet, config: SolverConfig
@@ -503,18 +514,16 @@ def enclose(X: PointSet, config: SolverConfig
     """The enclosing ellipsoid of X found by solve(), and solve()'s report.
 
     An arbitrary set is solved lifted, x_i -> (x_i, 1); a symmetric one
-    as it is.  The final weights are rescaled to sum to one: the optimum
-    satisfies e^T u = 1 exactly, so this is a no-op there and a
-    normalization at solver tolerance.  With w = u / e^T u and c = P w,
-    the lifted points (p_i, 1) give M(w) = [[P W P^T, c], [c^T, 1]], so
-    the top-left n x n block of M(w)^{-1} is the inverse of the Schur
-    complement P W P^T - c c^T, whose determinant is det M(w): H and
-    ln det H = -ln det M(w) come from one factor_from_weights of M(w).
-    A symmetric set has center 0 and H = M(w)^{-1}.  The ellipsoid carries
-    ln det H as logdet, which volume() and the JSON's logdet_H read.  The
-    report's final_eps and converged are u's certificate, by solve()'s
-    stopping rule, read from the same factor's kappa: with s = e^T u,
-    kappa(u) = kappa(w) / s.
+    as it is.  The ellipsoid is read from report.factor, the factor of
+    w = u / e^T u that certifies the report: the optimum satisfies
+    e^T u = 1 exactly, so the rescaling is a no-op there and a
+    normalization at solver tolerance.  With c = P w, the lifted points
+    (p_i, 1) give M(w) = [[P W P^T, c], [c^T, 1]], so the top-left n x n
+    block of M(w)^{-1} is the inverse of the Schur complement
+    P W P^T - c c^T, whose determinant is det M(w): H and
+    ln det H = -ln det M(w).  A symmetric set has center 0 and
+    H = M(w)^{-1}.  The ellipsoid carries ln det H as logdet, which
+    volume() and the JSON's logdet_H read.
 
     Raises
     ------
@@ -522,22 +531,12 @@ def enclose(X: PointSet, config: SolverConfig
         If the points, or the support of the final weights, span a
         lower-dimensional affine set.
     """
-    lifted = X if X.symmetric else lift(X)
-    report = solve(lifted, config)
-    u = report.u_final
-    s = float(u.u.sum())
-    w = DualWeights(u.u / s)
-    state = factor_from_weights(lifted, w)
-    cert = certificate(u, state.kappa / s, lifted.dim, config.epsilon)
-    fwk = config.algorithm is Algorithm.FWK
-    eps = cert.eps_plus if fwk else max(cert.eps_plus, cert.eps_minus)
-    converged = cert.eps_primal_feasible if fwk else cert.eps_approx_optimal
-    n = X.dim
-    c = np.zeros(n) if X.symmetric else X.points @ w.u
+    report = solve(X if X.symmetric else lift(X), config)
+    u, state, n = report.u_final.u, report.factor, X.dim
+    c = np.zeros(n) if X.symmetric else X.points @ (u / u.sum())
     # a copy, so the ellipsoid does not keep the state's m + n^2 buffer
     return (Ellipsoid(center=c, shape=state.Minv[:n, :n].copy(),
-                      level=float(n), logdet=-state.log_det),
-            replace(report, final_eps=eps, converged=converged))
+                      level=float(n), logdet=-state.log_det), report)
 
 
 TRACE_HEADER = "iter,step_type,axis,kappa_max,kappa_min_support,eps,h,theta"

@@ -4,19 +4,23 @@ bit-identical.
     python tests/fingerprints.py SRC_DIR > fingerprints.txt
 
 imports mvee from SRC_DIR (the `src` directory of a checkout) and prints
-one line per solve: a label and the SHA-256 of the bytes write_trace
-writes for its trace (the header and one row per iteration: its
-position, step type, axis and the repr of each float column), the
-iteration count, the repr of the final eps and h, the convergence flag
-and the bytes of u_final.  Before the first solve of each distinct
-instance comes an `instance` line: the SHA-256 of its shape, symmetric
-flag and point bytes, so a change to gen_sample or lift shows apart from
-the solves.  Then come the `mvee bench` lines: `mvee bench --parallelism
-2` through mvee.cli.main on four INI plans, one per init and seed 0 or
-1, each with all six algorithms at eps 1e-5 and max_iter 2000 and two
-repetitions of the regimes (3, 40) and (5, 80); the exit code, then one
-SHA-256 per output file, results.csv and results_means.csv without their
-timing columns.  Then come the `mvee solve` lines: `mvee solve` through
+one line per solve: a label, the SHA-256 of its trajectory (the bytes
+write_trace writes for its trace, that is the header and one row per
+iteration: its position, step type, axis and the repr of each float
+column; then the iteration count, the repr of the final h and the bytes
+of u_final), and beside the digest its certificate: the repr of the
+final eps and the convergence flag.  Before the first solve of each
+distinct instance comes an `instance` line: the SHA-256 of its shape,
+symmetric flag and point bytes, so a change to gen_sample or lift shows
+apart from the solves.  Then come the `mvee bench` lines: `mvee bench
+--parallelism 2` through mvee.cli.main on four INI plans, one per init
+and seed 0 or 1, each with all six algorithms at eps 1e-5 and max_iter
+2000 and two repetitions of the regimes (3, 40) and (5, 80); the exit
+code, then one SHA-256 per output file, results.csv and
+results_means.csv without their timing and certificate columns, each
+followed by its certificate columns (final_eps/converged per row of
+results.csv, mean_final_eps/converged_count per row of
+results_means.csv).  Then come the `mvee solve` lines: `mvee solve` through
 mvee.cli.main with cd, wa and fwk at eps 1e-3 on written point files,
 lifted and `--symmetric`, and at max_iter 20,000 on gen(10,500,1234)
 mapped to condition 1e7, plus a capped solve (exit 2) and a flat set
@@ -24,16 +28,18 @@ mapped to condition 1e7, plus a capped solve (exit 2) and a flat set
 ellipsoid JSON on stdout without its final_eps and any error on stderr,
 and the repr of final_eps, whose last digits the reading of the
 certificate may move.  Then come the `error` lines: `mvee bench`,
-`mvee solve` and `mvee curves` through mvee.cli.main on ten bad inputs
+`mvee solve` and `mvee curves` through mvee.cli.main on eleven bad inputs
 (an unknown or repeated algorithm, a broken INI file, an unknown plan
-key, a missing file and a `%` in a value in a plan; a bad token, a nan
+key, a missing file, a `%` in a value and a regime label that leaves the
+output directory in a plan; a bad token, a nan
 or too few points in a point file; a bad `--n-values` list), each
 the exit code, or the class name of an exception that escapes main, and
 the SHA-256 of stderr, run from inside a temporary directory on relative
 paths so that the messages, which name the file, do not vary.  The last
 line is the row total of the solves.  Two trees run the same trajectories
-exactly when their outputs do not differ, but for the final_eps field of
-the `mvee solve` lines:
+exactly when their digests do not differ; the certificate fields printed
+beside them may move in their last digits when the reading of the
+certificate changes:
 
     python tests/fingerprints.py /path/to/parent/src > parent.txt
     python tests/fingerprints.py src > change.txt
@@ -132,11 +138,14 @@ repetitions = 2
 """
 # timing columns of the two result tables
 TIMING = {"seconds", "mean_seconds"}
+# certificate columns of the two result tables, printed beside the digest
+CERTIFICATE = ("final_eps", "converged", "mean_final_eps", "converged_count")
 
 
 def bench_fingerprints():
     """Yield (label, digest) for each bench plan's exit code and for every
-    file of its output."""
+    file of its output; a result table's digest is followed by its
+    certificate columns, row by row."""
     import contextlib
     import csv
     import io
@@ -159,13 +168,17 @@ def bench_fingerprints():
                         with open(path, newline="") as fh:
                             table = list(csv.reader(fh))
                         keep = [i for i, col in enumerate(table[0])
-                                if col not in TIMING]
+                                if col not in TIMING and col not in CERTIFICATE]
+                        cert = [i for i, col in enumerate(table[0])
+                                if col in CERTIFICATE]
                         data = "\n".join(",".join(row[i] for i in keep)
                                           for row in table).encode()
+                        apart = " " + " ".join("/".join(row[i] for i in cert)
+                                               for row in table[1:])
                     else:
-                        data = path.read_bytes()
+                        data, apart = path.read_bytes(), ""
                     yield (f"bench {name} {path.name}",
-                           hashlib.sha256(data).hexdigest())
+                           hashlib.sha256(data).hexdigest() + apart)
 
 
 def solve_fingerprints():
@@ -239,6 +252,10 @@ ERRORS = [
     ("bench percent in plan",
      {"plan.ini": "[plan]\nseed = 1%\n\n[regime.r]\nn = 4\nm = 30\n"},
      ["bench", "--plan", "plan.ini", "--output-dir", "out"]),
+    ("bench label outside output dir",
+     {"plan.ini": "[plan]\nalgorithms = cd_const\n\n[regime.../escaped]\n"
+                  "n = 3\nm = 20\n"},
+     ["bench", "--plan", "plan.ini", "--output-dir", "out/o"]),
     ("solve bad token", {"pts.txt": "1 2\n3 oops\n5 6\n"},
      ["solve", "pts.txt"]),
     ("solve too few points", {"pts.txt": "1 2\n3 4\n"}, ["solve", "pts.txt"]),
@@ -300,11 +317,11 @@ def main(argv):
             rep = solve(X, SolverConfig(**kw))
             write_trace(rep.trace, trace_path)
             digest = hashlib.sha256(trace_path.read_bytes())
-            digest.update(f"{rep.iterations},{rep.final_eps!r},"
-                          f"{rep.final_h!r},{rep.converged}\n".encode())
+            digest.update(f"{rep.iterations},{rep.final_h!r}\n".encode())
             digest.update(rep.u_final.u.tobytes())
             rows += len(rep.trace)
-            print(f"{label}: {digest.hexdigest()}", flush=True)
+            print(f"{label}: {digest.hexdigest()} {rep.final_eps!r} "
+                  f"{rep.converged}", flush=True)
     for label, digest in bench_fingerprints():
         print(f"{label}: {digest}", flush=True)
     for label, digest in solve_fingerprints():

@@ -74,16 +74,26 @@ def test_traced_step_counts_sum_to_iterations(algorithm, monkeypatch):
 
 def test_traced_singular_update_counts_as_forced(monkeypatch):
     # a SingularUpdate raised by rank_one_modify is the forced rebuild the
-    # tracer counts; its attempts stay in update_ok_ratio's base
+    # tracer counts, and no scheduled one: the same solve traced without
+    # the injection counts as many scheduled rebuilds (the factor that
+    # certifies the report among them) and no forced one; the failed
+    # attempt stays in update_ok_ratio's base
     monkeypatch.syspath_prepend(str(PERFBENCH))
     layers = importlib.import_module("layers")
+    X = lift(gen_sample(3, 40, 0))
+
+    def traced():
+        with layers.Tracer() as tracer:
+            rep = mvee.solvers.solve(X, SolverConfig(epsilon=1e-5))
+        return rep, tracer.layer_metrics()
+
+    _, plain = traced()
     monkeypatch.setattr(mvee.solvers, "rank_one_modify",
                         singular_on_call(mvee.solvers.rank_one_modify, 20))
-    X = lift(gen_sample(3, 40, 0))
-    with layers.Tracer() as tracer:
-        rep = mvee.solvers.solve(X, SolverConfig(epsilon=1e-5))
-    metrics = tracer.layer_metrics()
+    rep, metrics = traced()
     assert rep.converged
+    assert plain["linalg.rebuilds.forced"] == 0
     assert metrics["linalg.rebuilds.forced"] == 1
-    assert metrics["linalg.rebuilds.scheduled"] == 0
+    assert (metrics["linalg.rebuilds.scheduled"]
+            == plain["linalg.rebuilds.scheduled"])
     assert metrics["linalg.update_ok_ratio"] < 1.0

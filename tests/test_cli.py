@@ -173,8 +173,9 @@ def test_solve_outputs_and_nonconvergence_exit(tmp_path, capsys):
 
 
 def test_solve_exit_reads_the_fresh_certificate(tmp_path, capsys):
-    # fwk's maintained kappa reads eps 9.95e-4 here, a fresh factor of its
-    # final weights 9.0e-3: the exit code follows the fresh reading
+    # fwk's maintained kappa reads eps 9.95e-4 here after 2,595 iterations,
+    # a fresh factor of those weights 9.0e-3: the solve steps on to
+    # max_iter, and the exit code follows the fresh reading at its end
     path = tmp_path / "ill.txt"
     write_points(path, ill_conditioned(1234).points.T)
     code, out, _ = run(capsys, "solve", str(path), "--algorithm", "fwk",

@@ -17,7 +17,8 @@ from mvee.harness import (
     run_benchmark,
 )
 from mvee.problem import lift
-from mvee.solvers import Algorithm, init_kumar_yildirim
+from mvee.solvers import (Algorithm, init_kumar_yildirim, initial_weights,
+                          solve)
 
 LN2 = np.log(2.0)
 
@@ -337,6 +338,23 @@ def test_run_benchmark_failed_start_fails_its_repetition(tmp_path,
     for alg in EVERY_ALGORITHM:
         assert (plan.output_dir / f"tiny_{alg.value}_0.csv").exists()
         assert not (plan.output_dir / f"tiny_{alg.value}_1.csv").exists()
+
+
+def test_run_benchmark_rows_carry_the_solve_certificate(tmp_path):
+    # a row reports what solve() reports on its instance from its start:
+    # the certificate of the returned weights, with a capped solve among
+    # them
+    plan = BenchmarkPlan(regimes=[Regime("tiny", 4, 30, 2)],
+                         algorithms=list(EVERY_ALGORITHM), seed=7,
+                         epsilon=1e-3, max_iter=200, output_dir=tmp_path)
+    rows = run_benchmark(plan)
+    for row, cfg in zip(rows, plan.configs * 2):
+        assert row.algorithm == cfg.algorithm.value
+        X = lift(gen_sample(4, 30, plan.seed + row.rep))
+        rep = solve(X, cfg, initial_weights(X, plan.configs[0]))
+        assert (row.final_eps, row.converged) == (rep.final_eps,
+                                                  rep.converged)
+    assert {row.converged for row in rows} == {True, False}
 
 
 def test_run_benchmark_parallel_determinism(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import mvee.solvers
 from conftest import ill_conditioned
 from mvee.cli import _load_plan
 from mvee.errors import InvalidInput, MveeError, NotFullRank
@@ -147,8 +148,7 @@ CERTIFIED_ALGORITHMS = [Algorithm.CD_CONST, Algorithm.WA, Algorithm.FWK]
 @pytest.mark.parametrize("alg", CERTIFIED_ALGORITHMS, ids=lambda a: a.value)
 @pytest.mark.parametrize("name", CERTIFIED_SETS)
 def test_enclose_report_matches_solve_on_well_conditioned_sets(name, alg):
-    # on these sets the maintained and the fresh kappa agree: enclose's
-    # reading moves nothing but the last digits of final_eps
+    # enclose returns solve()'s report, certificate and all
     X = CERTIFIED_SETS[name]()
     config = SolverConfig(algorithm=alg, epsilon=1e-3)
     _, rep = enclose(X, config)
@@ -157,18 +157,49 @@ def test_enclose_report_matches_solve_on_well_conditioned_sets(name, alg):
     assert rep.final_h == want.final_h
     assert np.array_equal(rep.u_final.u, want.u_final.u)
     assert rep.converged is want.converged
-    assert rep.final_eps == pytest.approx(want.final_eps, rel=0.0, abs=1e-12)
+    assert rep.final_eps == want.final_eps
+
+
+@pytest.mark.parametrize("alg", CERTIFIED_ALGORITHMS, ids=lambda a: a.value)
+@pytest.mark.parametrize("name", CERTIFIED_SETS)
+def test_enclose_factors_as_often_as_solve(name, alg, monkeypatch):
+    # the ellipsoid is read from the factor that certifies solve()'s report
+    calls = []
+    real = mvee.solvers.factor_from_weights
+
+    def counting(X, u):
+        calls.append(u)
+        return real(X, u)
+
+    monkeypatch.setattr(mvee.solvers, "factor_from_weights", counting)
+    X = CERTIFIED_SETS[name]()
+    config = SolverConfig(algorithm=alg, epsilon=1e-3)
+    enclose(X, config)
+    by_enclose = len(calls)
+    solve(X if X.symmetric else lift(X), config)
+    assert len(calls) - by_enclose == by_enclose
+
+
+# the two ways to a report: solve() on the lifted set, and enclose()
+ENTRY_POINTS = {
+    "solve": lambda X, config: solve(lift(X), config),
+    "enclose": lambda X, config: enclose(X, config)[1],
+}
 
 
 @pytest.mark.parametrize("alg", CERTIFIED_ALGORITHMS, ids=lambda a: a.value)
 @pytest.mark.parametrize("seed", [1234, 1235, 1236])
-def test_enclose_reads_the_certificate_from_a_fresh_factor(seed, alg):
-    # at cond(A) = 1e7 the kappa solve() maintains drifts, and its own
-    # certificate read eps <= 1e-3 on every one of these runs
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_enclose_reads_the_certificate_from_a_fresh_factor(entry, seed, alg):
+    # at cond(A) = 1e7 the kappa solve() maintains drifts, and the
+    # certificate read from it passed eps = 1e-3 on every one of these runs
+    # while a fresh factor did not; solve() steps on until the fresh
+    # reading passes or max_iter is reached
     X = ill_conditioned(seed)
     eps = 1e-3
-    _, rep = enclose(X, SolverConfig(algorithm=alg, epsilon=eps,
-                                     max_iter=20_000))
+    rep = ENTRY_POINTS[entry](X, SolverConfig(algorithm=alg, epsilon=eps,
+                                              max_iter=20_000))
+    assert rep.converged or rep.iterations == 20_000
     u = rep.u_final
     s = u.u.sum()
     kappa = factor_from_weights(lift(X), DualWeights(u.u / s)).kappa / s
@@ -311,6 +342,7 @@ BAD_INPUTS = {
     "regime_m_float": lambda tmp: Regime("r", 3, 20.5, 1),
     "regime_repetitions_float": lambda tmp: Regime("r", 3, 20, 1.5),
     "regime_bool": lambda tmp: Regime("r", True, 3, True),
+    "regime_label_dot": lambda tmp: Regime(".", 4, 30, 1),
     "plan_no_regimes": lambda tmp: BenchmarkPlan(
         [], [Algorithm.CD_CONST], tmp),
     "plan_no_algorithms": lambda tmp: BenchmarkPlan(
@@ -363,6 +395,15 @@ BAD_INPUTS = {
     "plan_percent_seed": lambda tmp: _load_plan(
         _file(tmp, "plan.ini", "[plan]\nseed = 1%\n\n[regime.r]\nn = 4\n"
               "m = 30\n"), tmp / "out"),
+    "plan_label_escapes": lambda tmp: _load_plan(
+        _file(tmp, "plan.ini", "[plan]\n\n[regime.../escaped]\nn = 4\n"
+              "m = 30\n"), tmp / "out" / "o"),
+    "plan_label_slash": lambda tmp: _load_plan(
+        _file(tmp, "plan.ini", "[plan]\n\n[regime.a/b]\nn = 4\nm = 30\n"),
+        tmp / "out"),
+    "plan_label_empty": lambda tmp: _load_plan(
+        _file(tmp, "plan.ini", "[plan]\n\n[regime.]\nn = 4\nm = 30\n"),
+        tmp / "out"),
 }
 
 
