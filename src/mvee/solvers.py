@@ -145,11 +145,12 @@ class IterationRecord:
 @dataclass
 class SolveReport:
     """What solve() returned; wall_time runs from its call to its return,
-    so it includes a start solve() computed and excludes one passed in.
-    final_eps and converged certify u_final, read from factor, a fresh
-    factor_from_weights of u_final / e^T u_final.  loop_eps and final_h come
-    from the loop's maintained state at its last test; on an ill-conditioned
-    set they can differ from final_eps and from -factor.log_det."""
+    so it counts a start solve() computed, not one passed in.  u_final is
+    solve()'s own weights, its copy of start or the start it computed, with
+    c folded in after the final objective; final_eps and converged certify
+    it from factor, the fresh factor_from_weights of u_final / e^T u_final.
+    loop_eps and final_h read the maintained state at the loop's last test;
+    on an ill-conditioned set they can differ from factor's readings."""
 
     converged: bool
     iterations: int
@@ -358,9 +359,9 @@ def solve(X: PointSet, config: SolverConfig,
     moved by each step's change of v_j.
 
     fwk and wa read c = 1 / e^T v from that sum after each step.  Every
-    rebuild first folds c into the weights (v <- c v, c <- 1), and u_final
-    is returned normalised.  Each increase multiplies c by 1 - t > 1 - 1/n,
-    so between rebuilds c >= (1 - 1/n)^(50 n), about e^-50.
+    rebuild folds c into the weights (v <- c v, c <- 1), and so does the
+    return, after the final objective.  Each increase multiplies c by
+    1 - t > 1 - 1/n, so between rebuilds c >= (1 - 1/n)^(50 n), about e^-50.
 
     Parameters
     ----------
@@ -369,7 +370,7 @@ def solve(X: PointSet, config: SolverConfig,
     config : SolverConfig
     start : DualWeights, optional
         Weights to start from, one per point, as initial_weights(X, config)
-        gives; solve() works on a copy.  None computes that start.
+        gives; solve() steps, and returns, a copy.  None computes that start.
 
     Returns
     -------
@@ -502,10 +503,11 @@ def solve(X: PointSet, config: SolverConfig,
                 rebuild = updates >= period
 
     final_h = objective_h(total, state, c)
+    u.u *= c  # w's bits, in place: a fresh copy kept by callers faults pages
     return SolveReport(converged=eps <= epsilon,
                        iterations=len(trace), final_eps=eps,
                        loop_eps=float(stop_eps), final_h=final_h, trace=trace,
-                       wall_time=time.perf_counter() - t0, u_final=w,
+                       wall_time=time.perf_counter() - t0, u_final=u,
                        factor=factor)
 
 

@@ -13,6 +13,7 @@ import mvee.harness
 from conftest import ill_conditioned
 from mvee.cli import ALGORITHM_NAMES, _load_plan, main
 from mvee.errors import MveeError
+from mvee.harness import BenchmarkPlan
 from mvee.problem import read_points, write_points
 from mvee.solvers import Algorithm, SolverConfig
 
@@ -267,6 +268,17 @@ def test_plan_fallbacks_are_the_solver_defaults(tmp_path):
     default = SolverConfig()
     assert loaded.seed == 3 and loaded.algorithms
     assert (loaded.epsilon, loaded.max_iter, loaded.init) == \
+        (default.epsilon, default.max_iter, default.init)
+    # with only the required keys, the plan file's own fallbacks apply: seed
+    # 1234 (the library's BenchmarkPlan defaults to 0), cd_const and wa, and
+    # one repetition per regime
+    plan.write_text("[plan]\n\n[regime.r]\nn = 4\nm = 30\n")
+    bare = _load_plan(plan, tmp_path / "o")
+    assert bare.seed == 1234 and BenchmarkPlan.seed == 0
+    assert bare.algorithms == [Algorithm.CD_CONST, Algorithm.WA]
+    assert [(r.label, r.n, r.m, r.repetitions) for r in bare.regimes] == [
+        ("r", 4, 30, 1)]
+    assert (bare.epsilon, bare.max_iter, bare.init) == \
         (default.epsilon, default.max_iter, default.init)
 
 

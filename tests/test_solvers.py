@@ -1154,6 +1154,30 @@ def test_solve_from_a_given_start_is_bit_identical(small_lifted, alg, init,
     assert start.u.tobytes() == before  # solve moved its own copy
 
 
+@pytest.mark.parametrize("given", [False, True])
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_report_returns_the_weights_solve_iterated_on(small_lifted, alg,
+                                                      given, monkeypatch):
+    # u_final is the array the loop stepped, not a copy made after the loop:
+    # a fresh m-length copy, kept by a caller until its checks ran, made the
+    # bench's worker threads fault in the pages of every later instance
+    cfg = SolverConfig(algorithm=alg, epsilon=1e-5, max_iter=2000)
+    start = initial_weights(small_lifted, cfg) if given else None
+    factored = []
+    real_factor = mvee.solvers.factor_from_weights
+
+    def recording(X, u):
+        factored.append(u)
+        return real_factor(X, u)
+
+    monkeypatch.setattr(mvee.solvers, "factor_from_weights", recording)
+    rep = solve(small_lifted, cfg, start)
+    # the first rebuild factors the loop's own weights
+    assert rep.u_final is factored[0]
+    if given:
+        assert rep.u_final is not start
+
+
 def test_khachiyan_init_supported():
     X = lift(gen_sample(3, 40, 8))
     rep = solve(X, SolverConfig(init=InitScheme.KHACHIYAN, epsilon=1e-7,
