@@ -74,9 +74,9 @@ def wa_moderate(moderate_instances):
     return capped_reports(moderate_instances, Algorithm.WA, MODERATE_CAP_WA)
 
 
-def ill_conditioned(seed):
+def ill_conditioned(seed, cond=1e7):
     """(Q1 diag(sigma)) Q2^T X + b for X = gen_sample(10, 500, seed): the
-    singular values sigma run log-spaced from 1 to 1e7, and Q1, Q2 and b
+    singular values sigma run log-spaced from 1 to cond, and Q1, Q2 and b
     are drawn from default_rng(seed + 99).  The solvers' maintained kappa
     drifts on these sets, while a fresh factor of the final weights reads
     their certificate."""
@@ -84,7 +84,7 @@ def ill_conditioned(seed):
     rng = np.random.default_rng(seed + 99)
     q1 = np.linalg.qr(rng.standard_normal((10, 10)))[0]
     q2 = np.linalg.qr(rng.standard_normal((10, 10)))[0]
-    sigma = np.exp(np.linspace(0.0, np.log(1e7), 10))
+    sigma = np.exp(np.linspace(0.0, np.log(cond), 10))
     return PointSet((q1 * sigma) @ q2.T @ X + rng.standard_normal((10, 1)))
 
 

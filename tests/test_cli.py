@@ -174,11 +174,12 @@ def test_solve_outputs_and_nonconvergence_exit(tmp_path, capsys):
 
 
 def test_solve_exit_reads_the_fresh_certificate(tmp_path, capsys):
-    # fwk's maintained kappa reads eps 9.95e-4 here after 2,595 iterations,
-    # a fresh factor of those weights 9.0e-3: the solve steps on to
-    # max_iter, and the exit code follows the fresh reading at its end
+    # at cond(A) = 1e8 fwk's maintained kappa passes eps and the fresh
+    # factor of the same weights refuses it, stop after stop: the solve
+    # steps on to max_iter, and the exit code follows the fresh reading at
+    # its end (eps 33.6)
     path = tmp_path / "ill.txt"
-    write_points(path, ill_conditioned(1234).points.T)
+    write_points(path, ill_conditioned(1234, cond=1e8).points.T)
     code, out, _ = run(capsys, "solve", str(path), "--algorithm", "fwk",
                        "--epsilon", "1e-3", "--max-iter", "20000")
     assert code == 2

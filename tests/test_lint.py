@@ -24,10 +24,10 @@
   cannot report.
 - The base class MveeError is never raised bare: each failure raises the
   subclass that names it, and MveeError is only caught.
-- One caller for a full kappa recompute: gradient_refresh is called only
-  inside linalg.factor_from_weights, so every fresh state comes whole
-  from one call, and solve() moves kappa only by rank-one updates
-  between rebuilds.
+- One home for a full kappa computation: linalg.factor_from_weights is
+  the only code under src/ that forms every kappa_i, and nothing there
+  calls gradient_refresh, so every fresh state comes whole from one call,
+  and solve() moves kappa only by rank-one updates between rebuilds.
 """
 
 import ast
@@ -149,17 +149,29 @@ def test_base_error_is_never_raised_bare():
     assert not found, f"raise MveeError at {found}; raise the subclass"
 
 
-def test_gradient_refresh_only_in_factor():
-    # (module.top-level name, line) of each gradient_refresh call
-    found = [(f"{path.stem}.{getattr(stmt, 'name', '')}", node.lineno)
-             for path in SOURCES
-             for stmt in ast.parse(path.read_text(), filename=str(path)).body
-             for node in ast.walk(stmt)
-             if isinstance(node, ast.Call)
-             and "gradient_refresh" in (getattr(node.func, "id", None),
-                                        getattr(node.func, "attr", None))]
-    assert [owner for owner, _ in found] == ["linalg.factor_from_weights"], (
-        f"gradient_refresh called at {found}")
+def _calls(match):
+    """(module.top-level name, line) of each call under src/ that
+    match(call) accepts."""
+    return [(f"{path.stem}.{getattr(stmt, 'name', '')}", node.lineno)
+            for path in SOURCES
+            for stmt in ast.parse(path.read_text(), filename=str(path)).body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call) and match(node)]
+
+
+def test_full_kappa_only_in_factor():
+    # a full kappa computation writes a state's whole kappa (out=....kappa);
+    # factor_from_weights is the package's one, and gradient_refresh's is
+    # left to callers outside the package
+    refresh = _calls(lambda call: "gradient_refresh" in (
+        getattr(call.func, "id", None), getattr(call.func, "attr", None)))
+    assert not refresh, f"gradient_refresh called at {refresh}"
+    whole = _calls(lambda call: any(
+        kw.arg == "out" and getattr(kw.value, "attr", None) == "kappa"
+        for kw in call.keywords))
+    assert sorted(owner for owner, _ in whole) == [
+        "linalg.factor_from_weights", "linalg.gradient_refresh"], (
+        f"kappa written whole at {whole}")
 
 
 def _fresh_interpreter(probe):
