@@ -7,9 +7,10 @@ imports mvee from SRC_DIR (the `src` directory of a checkout) and prints
 one line per solve: a label, the SHA-256 of its trajectory (the bytes
 write_trace writes for its trace, that is the header and one row per
 iteration: its position, step type, axis and the repr of each float
-column; then the iteration count, the repr of the final h and the bytes
-of u_final), and beside the digest its certificate: the repr of the
-final eps and the convergence flag.  Before the first solve of each
+column; then the iteration count and the bytes of u_final), and beside
+the digest the repr of the final h and its certificate: the repr of the
+final eps and the convergence flag.  So a change in how the final h is
+read shows apart from the trajectory.  Before the first solve of each
 distinct instance comes an `instance` line: the SHA-256 of its shape,
 symmetric flag and point bytes, so a change to gen_sample or lift shows
 apart from the solves.  Then come the `mvee bench` lines: `mvee bench
@@ -37,9 +38,9 @@ the exit code, or the class name of an exception that escapes main, and
 the SHA-256 of stderr, run from inside a temporary directory on relative
 paths so that the messages, which name the file, do not vary.  The last
 line is the row total of the solves.  Two trees run the same trajectories
-exactly when their digests do not differ; the certificate fields printed
-beside them may move in their last digits when the reading of the
-certificate changes:
+exactly when their digests do not differ; the final h and the
+certificate fields printed beside them may move in their last digits
+when the reading of the final factor changes:
 
     python tests/fingerprints.py /path/to/parent/src > parent.txt
     python tests/fingerprints.py src > change.txt
@@ -317,11 +318,11 @@ def main(argv):
             rep = solve(X, SolverConfig(**kw))
             write_trace(rep.trace, trace_path)
             digest = hashlib.sha256(trace_path.read_bytes())
-            digest.update(f"{rep.iterations},{rep.final_h!r}\n".encode())
+            digest.update(f"{rep.iterations}\n".encode())
             digest.update(rep.u_final.u.tobytes())
             rows += len(rep.trace)
-            print(f"{label}: {digest.hexdigest()} {rep.final_eps!r} "
-                  f"{rep.converged}", flush=True)
+            print(f"{label}: {digest.hexdigest()} {rep.final_h!r} "
+                  f"{rep.final_eps!r} {rep.converged}", flush=True)
     for label, digest in bench_fingerprints():
         print(f"{label}: {digest}", flush=True)
     for label, digest in solve_fingerprints():
