@@ -37,11 +37,11 @@ sampler meets a zero gradient or an axis without a descent direction.
 Each iteration is O(m n) after an O(m n^2) initialization: kappa, M^{-1}
 and ln det M live in one linalg.FactorState, which solve() moves in place
 by one Sherman-Morrison step per iteration and rebuilds from the weights
-when it decides to; one more factor checks each stop.  An update is six
-numpy calls into the state's buffers: y = M^{-1} x_j, the pass
-w = X^T y and rank_one_modify's four.  Besides these, the axis rule makes
-one O(m) argmax and one O(s) scan of the s support indices, and the
-objective is O(1) from the running weight sum.
+when it decides to; one factor checks each stop, and is the rebuild if
+the stop is refused.  An update is six numpy calls into the state's
+buffers: y = M^{-1} x_j, the pass w = X^T y and rank_one_modify's four.
+Besides these, the axis rule makes one O(m) argmax and one O(s) scan of
+the s support indices, and the objective is O(1) from the running sum.
 """
 
 import math
@@ -147,10 +147,10 @@ class SolveReport:
     """What solve() returned; wall_time runs from its call to its return,
     so it counts a start solve() computed, not one passed in.  u_final is
     solve()'s own weights, its copy of start or the start it computed, with
-    c folded in after the final objective; final_eps and converged certify
-    it from factor, the fresh factor_from_weights of u_final / e^T u_final.
-    loop_eps and final_h read the maintained state at the loop's last test;
-    on an ill-conditioned set they can differ from factor's readings."""
+    c folded in; factor, the fresh factor_from_weights of u_final itself,
+    gives final_eps, converged and final_h = h(u_final).  loop_eps reads
+    the maintained kappa at the loop's last test; on an ill-conditioned set
+    it can differ from final_eps."""
 
     converged: bool
     iterations: int
@@ -344,9 +344,9 @@ def solve(X: PointSet, config: SolverConfig,
     Stops when the certificate reaches the tolerance: fwk certifies primal
     feasibility only (eps_plus <= epsilon); every other algorithm requires
     max(eps_plus, eps_minus) <= epsilon, read first from the kappa the loop
-    maintains and then from one fresh factor_from_weights of w = u / s,
-    s = e^T u, as kappa(u) = kappa(w) / s; if the fresh reading fails, the
-    loop steps on from a rebuild.  Hitting max_iter returns a report with
+    maintains and then from one fresh factor_from_weights of u = c v, c
+    folded in, which also gives final_h; if the fresh reading fails, that
+    factor is the loop's rebuild.  Hitting max_iter returns a report with
     the fresh reading and converged=False rather than raising.
 
     Every algorithm takes its step through cd_step with the theta of its
@@ -359,9 +359,9 @@ def solve(X: PointSet, config: SolverConfig,
     moved by each step's change of v_j.
 
     fwk and wa read c = 1 / e^T v from that sum after each step.  Every
-    rebuild folds c into the weights (v <- c v, c <- 1), and so does the
-    return, after the final objective.  Each increase multiplies c by
-    1 - t > 1 - 1/n, so between rebuilds c >= (1 - 1/n)^(50 n), about e^-50.
+    rebuild and every stop test folds c into the weights (v <- c v,
+    c <- 1).  Each increase multiplies c by 1 - t > 1 - 1/n, so between
+    rebuilds c >= (1 - 1/n)^(50 n), about e^-50.
 
     Parameters
     ----------
@@ -419,7 +419,7 @@ def solve(X: PointSet, config: SolverConfig,
         if rebuild:
             u.u *= c  # exact at c = 1
             c = 1.0
-            state = factor_from_weights(X, u)
+            state = factor if k == refused else factor_from_weights(X, u)
             kappa = state.kappa
             support = np.flatnonzero(u.u)
             total = float(u.u.sum())  # e^T v, then moved by each step
@@ -433,14 +433,14 @@ def solve(X: PointSet, config: SolverConfig,
         eps_k = eps_minus if eps_minus > eps_plus else eps_plus
         stop_eps = eps_plus if fwk else eps_k
         if (stop_eps <= epsilon and k != refused) or k == max_iter:
-            w = DualWeights(u.u * c)  # the weights u = c v
-            s = float(w.u.sum())
-            factor = factor_from_weights(X, DualWeights(w.u / s))
-            cert = certificate(w, factor.kappa / s, n, epsilon)
+            u.u *= c  # the weights u = c v, in place
+            c = 1.0
+            factor = factor_from_weights(X, u)
+            cert = certificate(u, factor.kappa, n, epsilon)
             eps = cert.eps_plus if fwk else max(cert.eps_plus, cert.eps_minus)
             if eps <= epsilon or k == max_iter:
                 break
-            refused, rebuild = k, True  # the kappa drifted: rebuild
+            refused, rebuild = k, True  # the kappa drifted: factor rebuilds
             continue
         h_k = objective_h(total, state, c)
         kappa_max, kappa_min = kappa_plus / c, kappa_minus / c  # kappa(u)
@@ -502,13 +502,11 @@ def solve(X: PointSet, config: SolverConfig,
                 updates += 1
                 rebuild = updates >= period
 
-    final_h = objective_h(total, state, c)
-    u.u *= c  # w's bits, in place: a fresh copy kept by callers faults pages
-    return SolveReport(converged=eps <= epsilon,
-                       iterations=len(trace), final_eps=eps,
-                       loop_eps=float(stop_eps), final_h=final_h, trace=trace,
-                       wall_time=time.perf_counter() - t0, u_final=u,
-                       factor=factor)
+    return SolveReport(converged=eps <= epsilon, iterations=len(trace),
+                       final_eps=eps, loop_eps=float(stop_eps),
+                       final_h=objective_h(float(u.u.sum()), factor, 1.0),
+                       trace=trace, wall_time=time.perf_counter() - t0,
+                       u_final=u, factor=factor)
 
 
 def enclose(X: PointSet, config: SolverConfig
@@ -516,16 +514,16 @@ def enclose(X: PointSet, config: SolverConfig
     """The enclosing ellipsoid of X found by solve(), and solve()'s report.
 
     An arbitrary set is solved lifted, x_i -> (x_i, 1); a symmetric one
-    as it is.  The ellipsoid is read from report.factor, the factor of
-    w = u / e^T u that certifies the report: the optimum satisfies
-    e^T u = 1 exactly, so the rescaling is a no-op there and a
+    as it is.  The ellipsoid is that of w = u / s, s = e^T u, read from
+    report.factor, the factor of u that certifies the report, as
+    M(w) = M(u) / s: the optimum has s = 1 exactly, so this is a
     normalization at solver tolerance.  With c = P w, the lifted points
     (p_i, 1) give M(w) = [[P W P^T, c], [c^T, 1]], so the top-left n x n
-    block of M(w)^{-1} is the inverse of the Schur complement
-    P W P^T - c c^T, whose determinant is det M(w): H and
-    ln det H = -ln det M(w).  A symmetric set has center 0 and
-    H = M(w)^{-1}.  The ellipsoid carries ln det H as logdet, which
-    volume() and the JSON's logdet_H read.
+    block of M(w)^{-1} = s M(u)^{-1} is the inverse of the Schur complement
+    P W P^T - c c^T, whose determinant is det M(w): H and ln det H =
+    -ln det M(w) = N ln s - ln det M(u), N = n + 1.  A symmetric set has
+    center 0, H = M(w)^{-1} and N = n.  The ellipsoid carries ln det H as
+    logdet, which volume() and the JSON's logdet_H read.
 
     Raises
     ------
@@ -535,10 +533,11 @@ def enclose(X: PointSet, config: SolverConfig
     """
     report = solve(X if X.symmetric else lift(X), config)
     u, state, n = report.u_final.u, report.factor, X.dim
-    c = np.zeros(n) if X.symmetric else X.points @ (u / u.sum())
-    # a copy, so the ellipsoid does not keep the state's m + n^2 buffer
-    return (Ellipsoid(center=c, shape=state.Minv[:n, :n].copy(),
-                      level=float(n), logdet=-state.log_det), report)
+    s = float(u.sum())
+    c = np.zeros(n) if X.symmetric else X.points @ (u / s)
+    return (Ellipsoid(center=c, shape=s * state.Minv[:n, :n], level=float(n),
+                      logdet=len(state.Minv) * math.log(s) - state.log_det),
+            report)
 
 
 TRACE_HEADER = "iter,step_type,axis,kappa_max,kappa_min_support,eps,h,theta"

@@ -180,6 +180,25 @@ def test_enclose_factors_as_often_as_solve(name, alg, monkeypatch):
     assert len(calls) - by_enclose == by_enclose
 
 
+@pytest.mark.parametrize("alg", CERTIFIED_ALGORITHMS, ids=lambda a: a.value)
+@pytest.mark.parametrize("name", CERTIFIED_SETS)
+def test_enclose_reads_h_and_the_ellipsoid_from_the_factor_of_u(name, alg):
+    # the report's factor is that of u_final itself, and final h is read
+    # from it; H = s M(u)^{-1} and ln det H = N ln s - ln det M(u), s = e^T u,
+    # agree with a factor of the normalised weights u / s
+    X = CERTIFIED_SETS[name]()
+    E, rep = enclose(X, SolverConfig(algorithm=alg, epsilon=1e-3))
+    solved = X if X.symmetric else lift(X)
+    u = rep.u_final
+    s = float(u.u.sum())
+    assert rep.final_h == objective_h(s, factor_from_weights(solved, u), 1.0)
+    n = X.dim
+    normalised = factor_from_weights(solved, DualWeights(u.u / s))
+    want = normalised.Minv[:n, :n]
+    assert np.abs(E.shape - want).max() <= 1e-12 * np.abs(want).max()
+    assert E.logdet == pytest.approx(-normalised.log_det, rel=1e-12, abs=0.0)
+
+
 # the two ways to a report: solve() on the lifted set, and enclose()
 ENTRY_POINTS = {
     "solve": lambda X, config: solve(lift(X), config),
@@ -192,18 +211,19 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_enclose_reads_the_certificate_from_a_fresh_factor(entry, seed, alg):
     # at cond(A) = 1e7 the kappa solve() maintains drifts, and the
-    # certificate read from it passed eps = 1e-3 on every one of these runs
-    # while a fresh factor did not; solve() steps on until the fresh
-    # reading passes or max_iter is reached
+    # certificate read from it passed eps = 1e-3 on these runs while a
+    # fresh factor did not; solve() steps on until the fresh reading passes
+    # or max_iter is reached.  The report reads the factor of u_final
+    # itself: a factor of u / e^T u rounds differently, by up to about
+    # 1e-6 of eps here
     X = ill_conditioned(seed)
     eps = 1e-3
     rep = ENTRY_POINTS[entry](X, SolverConfig(algorithm=alg, epsilon=eps,
                                               max_iter=20_000))
     assert rep.converged or rep.iterations == 20_000
     u = rep.u_final
-    s = u.u.sum()
-    kappa = factor_from_weights(lift(X), DualWeights(u.u / s)).kappa / s
-    cert = certificate(u, kappa, X.dim + 1, eps)
+    cert = certificate(u, factor_from_weights(lift(X), u).kappa, X.dim + 1,
+                       eps)
     fresh = (cert.eps_plus if alg is Algorithm.FWK
              else max(cert.eps_plus, cert.eps_minus))
     assert rep.final_eps == pytest.approx(fresh, rel=1e-12, abs=0.0)

@@ -46,7 +46,7 @@ from mvee.solvers import (
     write_trace,
 )
 
-from conftest import singular_on_call
+from conftest import ill_conditioned, singular_on_call
 
 CROSS = PointSet(np.eye(2), symmetric=True)  # {+-e1, +-e2} via implicit mirror
 
@@ -849,7 +849,7 @@ def test_simplex_weights_match_normalised_reference(alg, seed, n, extra,
         return real_objective(total, state, c)
 
     def factor(X, v):
-        # a rebuild factors the held weights; the certificate a copy
+        # a rebuild and each stop's certificate factor the held weights
         if v is weights[-1]:
             rebuilt.add(len(held))
         return real_factor(X, v)
@@ -925,6 +925,96 @@ def test_reported_eps_matches_fresh_certificate(runs, request):
         fresh = max(cert.eps_plus, cert.eps_minus)
         for read in (rep.loop_eps, rep.final_eps):
             assert abs(fresh - read) <= 1e-10, (seed, fresh, read)
+
+
+def longdouble_kappa(P, u):
+    """kappa_i = p_i^T M^{-1} p_i for M = P diag(u) P^T by Gaussian
+    elimination with partial pivoting in long double, and a first-order
+    bound on its error relative to kappa.
+
+    On the ill-conditioned sets cond(M) reaches 1e17, so elimination on M
+    itself keeps only about cond(M) eps_ld = 1e-2 of kappa.  The points are
+    first mapped through T = S^{-1} U^T of the float64 SVD P = U S V^T:
+    kappa is the same for Y = T P in exact arithmetic, and M(Y) = T M T^T
+    is well conditioned.  The rounding left is that of forming Y, at most
+    rho = N^1.5 eps_ld cond(P) of each column, which moves kappa by at most
+    4 rho sqrt(N cond(M(Y))) of itself, and that of forming and
+    eliminating M(Y) in long double, (m + 2 N) N eps_ld cond(M(Y)).
+    """
+    N, m = P.shape
+    U, sv, _ = np.linalg.svd(P, full_matrices=False)
+    Y = (U / sv).T.astype(np.longdouble) @ P.astype(np.longdouble)
+    A = (Y * u.astype(np.longdouble)) @ Y.T
+    cond_my = np.linalg.cond(A.astype(float))
+    B = Y.copy()
+    for p in range(N):
+        q = p + int(np.abs(A[p:, p]).argmax())
+        A[[p, q]], B[[p, q]] = A[[q, p]], B[[q, p]]
+        f = A[p + 1:, p] / A[p, p]
+        A[p + 1:] -= f[:, None] * A[p]
+        B[p + 1:] -= f[:, None] * B[p]
+    Z = np.empty_like(B)
+    for p in range(N - 1, -1, -1):
+        Z[p] = (B[p] - A[p, p + 1:] @ Z[p + 1:]) / A[p, p]
+    eps_ld = float(np.finfo(np.longdouble).eps)
+    rho = N ** 1.5 * eps_ld * sv[0] / sv[-1]
+    bound = (4.0 * rho * math.sqrt(N * cond_my)
+             + (m + 2 * N) * N * eps_ld * cond_my)
+    return np.einsum("ij,ij->j", Y, Z).astype(float), bound
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="long double is no wider than double here, so "
+                    "the oracle would be no more precise than the solver")
+@pytest.mark.parametrize("alg", [Algorithm.FWK, Algorithm.WA,
+                                 Algorithm.CD_CONST])
+@pytest.mark.parametrize("seed", [1234, 1235, 1236])
+def test_reported_eps_holds_to_a_long_double_oracle(seed, alg):
+    # at cond(A) = 1e7 the fresh kappa read as x^T (M^{-1} x) kept about one
+    # digit: wa on seed 1235 reported converged at eps 9.09e-4 while its
+    # weights read 1.02e-3.  Read as ||R^{-T} x||^2, a sum of squares from a
+    # backward-stable QR of B = P U^{1/2}, kappa carries a relative error of
+    # at most about 4 N u cond(B).  The reported eps, kappa / N - 1, is held
+    # to the oracle within (1 + eps) times the two readings' relative
+    # bounds, and its converged flag must agree wherever the oracle is
+    # farther than that from the tolerance
+    X = lift(ill_conditioned(seed))
+    eps = 1e-3
+    rep = solve(X, SolverConfig(algorithm=alg, epsilon=eps, max_iter=20_000))
+    u = rep.u_final.u
+    N = X.dim
+    kappa, oracle_bound = longdouble_kappa(X.points, u)
+    support = np.flatnonzero(u)
+    sv = np.linalg.svd(X.points[:, support] * np.sqrt(u[support]),
+                       compute_uv=False)
+    solver_bound = 4 * N * np.finfo(float).eps * sv[0] / sv[-1]
+    tol = (1.0 + eps) * (oracle_bound + solver_bound)
+    cert = certificate(rep.u_final, kappa, N, eps)
+    oracle = (cert.eps_plus if alg is Algorithm.FWK
+              else max(cert.eps_plus, cert.eps_minus))
+    assert abs(rep.final_eps - oracle) <= tol, (rep.final_eps, oracle, tol)
+    if abs(oracle - eps) > tol:
+        assert rep.converged == (oracle <= eps), (rep.final_eps, oracle)
+
+
+def test_no_stop_factors_the_weights_of_the_factor_before(monkeypatch):
+    # each stop test makes one factor, of the weights solve() returns, and a
+    # refused stop's factor is the rebuild; so no two consecutive factors
+    # are of the same weights, up to scale.  On this set fwk's maintained
+    # kappa drifts and the fresh certificate refuses stops
+    weights = []
+    real_factor = mvee.solvers.factor_from_weights
+
+    def recording(X, u):
+        weights.append(u.u / u.u.sum())
+        return real_factor(X, u)
+
+    monkeypatch.setattr(mvee.solvers, "factor_from_weights", recording)
+    solve(lift(ill_conditioned(1236)), SolverConfig(
+        algorithm=Algorithm.FWK, epsilon=1e-3, max_iter=20_000))
+    repeats = [k for k in range(1, len(weights))
+               if np.allclose(weights[k], weights[k - 1], rtol=1e-12, atol=0)]
+    assert len(weights) > 2 and not repeats, (len(weights), repeats)
 
 
 # iterations and final h of every algorithm from both starts on lifted
