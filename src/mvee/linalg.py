@@ -83,10 +83,9 @@ def factor_from_weights(X, u):
     squares.  Read as x_i^T (M^{-1} x_i), as gradient_refresh does, its
     terms cancel: on points through a linear map of condition 1e7 that
     reading keeps about one digit.  This is the package's one full kappa
-    computation.  O(m n^2).  numpy only: the LU
-    solve for R^{-1} is a triangular solve, as R is upper triangular
-    (partial pivoting swaps no rows) and the rank check rules out a zero
-    pivot.
+    computation.  O(m n^2).  numpy only: the LU solve for R^{-1} is a
+    triangular solve, as R is upper triangular (partial pivoting swaps no
+    rows) and the rank check rules out a zero pivot.
 
     Parameters
     ----------
