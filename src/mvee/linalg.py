@@ -9,8 +9,9 @@ M^{-1}, O(n^2), and on kappa, O(m) from the O(m n) pass w = X^T M^{-1} x
 the caller writes into state.w, plus a determinant-lemma step on ln det M.
 A full rebuild from the current weights is an orthogonal factorization,
 O(m n^2).  When to rebuild (at initialization, on a schedule that bounds
-floating-point drift, and after a numerically singular update) is decided
-by solvers.solve, not here.  numpy is the only dependency, so importing
+floating-point drift, after a numerically singular update or a simplex
+step's full jump, and for a stop, which solve accepts only on a fresh
+state) is decided by solvers.solve, not here.  numpy is the only dependency, so importing
 the package stays cheap.
 """
 

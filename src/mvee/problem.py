@@ -106,10 +106,12 @@ def lift(X: PointSet) -> PointSet:
 
 def volume(E: Ellipsoid) -> float:
     """Volume of {x : (x-c)^T H (x-c) <= level}, i.e.
-    level^{n/2} Vol(B_n) / sqrt(det H)."""
+    level^{n/2} Vol(B_n) / sqrt(det H); inf, without a warning, where it
+    overflows a double, as E.logdet still gives it."""
     n = E.center.size
-    return float(np.exp(0.5 * n * np.log(E.level) + 0.5 * n * np.log(np.pi)
-                        - math.lgamma(0.5 * n + 1.0) - 0.5 * E.logdet))
+    with np.errstate(over="ignore"):
+        return float(np.exp(0.5 * n * np.log(E.level) + 0.5 * n * np.log(np.pi)
+                            - math.lgamma(0.5 * n + 1.0) - 0.5 * E.logdet))
 
 
 def objective_h(total: float, state, c: float = 1.0) -> float:
@@ -212,15 +214,17 @@ def write_points(path, rows: np.ndarray) -> None:
 
 
 def write_ellipsoid_json(E: Ellipsoid, fh, extra: dict | None = None) -> None:
-    """Write E as the ellipsoid JSON, `extra`'s keys after its own."""
+    """Write E as the ellipsoid JSON, `extra`'s keys after its own, a
+    volume past a double as null.  Any other non-finite value raises
+    ValueError before a byte is written: fh gets strict JSON or nothing."""
+    vol = volume(E)
     doc = {
         "n": int(E.center.size),
         "center": [float(v) for v in E.center],
         "shape": [[float(v) for v in row] for row in E.shape],
         "level": float(E.level),
         "logdet_H": float(E.logdet),
-        "volume": volume(E),
+        "volume": vol if math.isfinite(vol) else None,
         **(extra or {}),
     }
-    json.dump(doc, fh, indent=2)
-    fh.write("\n")
+    fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")

@@ -37,11 +37,11 @@ sampler meets a zero gradient or an axis without a descent direction.
 Each iteration is O(m n) after an O(m n^2) initialization: kappa, M^{-1}
 and ln det M live in one linalg.FactorState, which solve() moves in place
 by one Sherman-Morrison step per iteration and rebuilds from the weights
-when it decides to; one factor checks each stop, and is the rebuild if
-the stop is refused.  An update is six numpy calls into the state's
-buffers: y = M^{-1} x_j, the pass w = X^T y and rank_one_modify's four.
-Besides these, the axis rule makes one O(m) argmax and one O(s) scan of
-the s support indices, and the objective is O(1) from the running sum.
+when it decides to; a stop is one more rebuild, so one factor checks
+each stop.  An update is six numpy calls into the state's buffers:
+y = M^{-1} x_j, the pass w = X^T y and rank_one_modify's four.  Besides
+these, the axis rule makes one O(m) argmax and one O(s) scan of the s
+support indices, and the objective is O(1) from the running sum.
 """
 
 import math
@@ -56,8 +56,8 @@ from .errors import (InvalidInput, LineSearchStalled, NotFullRank,
                      SingularUpdate, check_int)
 from .linalg import (PD_TOL, FactorState, apply_inverse, factor_from_weights,
                      rank_one_modify)
-from .problem import (DualWeights, Ellipsoid, PointSet, certificate, lift,
-                      objective_h, select_axis_gauss_southwell)
+from .problem import (DualWeights, Ellipsoid, PointSet, lift, objective_h,
+                      select_axis_gauss_southwell)
 
 # weights below this are dropped outright by the backtracking variant rather
 # than decayed geometrically forever (the line search itself never hits zero)
@@ -147,10 +147,10 @@ class SolveReport:
     """What solve() returned; wall_time runs from its call to its return,
     so it counts a start solve() computed, not one passed in.  u_final is
     solve()'s own weights, its copy of start or the start it computed, with
-    c folded in; factor, the fresh factor_from_weights of u_final itself,
-    gives final_eps, converged and final_h = h(u_final).  loop_eps reads
-    the maintained kappa at the loop's last test; on an ill-conditioned set
-    it can differ from final_eps."""
+    c folded in; factor, the state solve() rebuilt from u_final to stop,
+    gives final_eps, converged and final_h = h(u_final).  loop_eps is the
+    maintained kappa's reading that called for that rebuild (final_eps if
+    it was made anyway), which can differ on an ill-conditioned set."""
 
     converged: bool
     iterations: int
@@ -343,25 +343,25 @@ def solve(X: PointSet, config: SolverConfig,
 
     Stops when the certificate reaches the tolerance: fwk certifies primal
     feasibility only (eps_plus <= epsilon); every other algorithm requires
-    max(eps_plus, eps_minus) <= epsilon, read first from the kappa the loop
-    maintains and then from one fresh factor_from_weights of u = c v, c
-    folded in, which also gives final_h; if the fresh reading fails, that
-    factor is the loop's rebuild.  Hitting max_iter returns a report with
-    the fresh reading and converged=False rather than raising.
+    max(eps_plus, eps_minus) <= epsilon.  Each pass reads it once.  A pass
+    on the maintained kappa that passes, or is at max_iter, rebuilds and
+    tests again: the loop stops only on a fresh state, else steps on from
+    it.  final_eps, converged (true or not at max_iter), the factor and
+    final_h are that state's, of the returned weights u = c v, c folded in.
 
     Every algorithm takes its step through cd_step with the theta of its
     stepsize rule.  The state (kappa, M^{-1}, ln det M) and the sorted
     support indices are rebuilt from the weights at the start, after the
-    full jump of a simplex step (n = 1 only), after a SingularUpdate, and
-    after every 50 n incremental updates.  Between rebuilds the state is
-    updated in place and the support array changes only when v_j crosses
-    zero.  The weight sum e^T v is re-summed at every rebuild and otherwise
-    moved by each step's change of v_j.
+    full jump of a simplex step (n = 1 only), after a SingularUpdate,
+    after every 50 n incremental updates and for a stop.  Between rebuilds
+    the state is updated in place and the support array changes only when
+    v_j crosses zero.  The weight sum e^T v is re-summed at every rebuild
+    and otherwise moved by each step's change of v_j.
 
     fwk and wa read c = 1 / e^T v from that sum after each step.  Every
-    rebuild and every stop test folds c into the weights (v <- c v,
-    c <- 1).  Each increase multiplies c by 1 - t > 1 - 1/n, so between
-    rebuilds c >= (1 - 1/n)^(50 n), about e^-50.
+    rebuild folds c into the weights (v <- c v, c <- 1).  Each increase
+    multiplies c by 1 - t > 1 - 1/n, so between rebuilds
+    c >= (1 - 1/n)^(50 n), about e^-50.
 
     Parameters
     ----------
@@ -413,13 +413,13 @@ def solve(X: PointSet, config: SolverConfig,
     c = 1.0  # u = c v; kappa(v) = c kappa(u) is read against n c
     epsilon, max_iter, inf = config.epsilon, config.max_iter, math.inf
 
-    refused = -1  # the k at which a fresh certificate refused to stop
-    while True:  # each pass steps once or stops, so k counts the steps
+    loop_eps = None  # the maintained reading that called for a rebuild
+    while True:  # each pass steps once, stops or rebuilds to test again
         k = len(trace)
         if rebuild:
             u.u *= c  # exact at c = 1
             c = 1.0
-            state = factor if k == refused else factor_from_weights(X, u)
+            state = factor_from_weights(X, u)
             kappa = state.kappa
             support = np.flatnonzero(u.u)
             total = float(u.u.sum())  # e^T v, then moved by each step
@@ -432,16 +432,13 @@ def solve(X: PointSet, config: SolverConfig,
         increase = eps_plus >= eps_minus  # ties go to the increase
         eps_k = eps_minus if eps_minus > eps_plus else eps_plus
         stop_eps = eps_plus if fwk else eps_k
-        if (stop_eps <= epsilon and k != refused) or k == max_iter:
-            u.u *= c  # the weights u = c v, in place
-            c = 1.0
-            factor = factor_from_weights(X, u)
-            cert = certificate(u, factor.kappa, n, epsilon)
-            eps = cert.eps_plus if fwk else max(cert.eps_plus, cert.eps_minus)
-            if eps <= epsilon or k == max_iter:
+        if stop_eps <= epsilon or k == max_iter:
+            if rebuild:  # a fresh state: its reading is the report's
                 break
-            refused, rebuild = k, True  # the kappa drifted: factor rebuilds
+            loop_eps, rebuild = stop_eps, True  # test again on a rebuild
             continue
+        if rebuild:
+            loop_eps = None  # the fresh reading refused the stop, if any
         h_k = objective_h(total, state, c)
         kappa_max, kappa_min = kappa_plus / c, kappa_minus / c  # kappa(u)
 
@@ -502,11 +499,12 @@ def solve(X: PointSet, config: SolverConfig,
                 updates += 1
                 rebuild = updates >= period
 
-    return SolveReport(converged=eps <= epsilon, iterations=len(trace),
-                       final_eps=eps, loop_eps=float(stop_eps),
-                       final_h=objective_h(float(u.u.sum()), factor, 1.0),
+    return SolveReport(converged=stop_eps <= epsilon, iterations=k,
+                       final_eps=stop_eps,
+                       loop_eps=stop_eps if loop_eps is None else loop_eps,
+                       final_h=objective_h(total, state, 1.0),
                        trace=trace, wall_time=time.perf_counter() - t0,
-                       u_final=u, factor=factor)
+                       u_final=u, factor=state)
 
 
 def enclose(X: PointSet, config: SolverConfig

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,26 @@ def test_solve_exit_reads_the_fresh_certificate(tmp_path, capsys):
     assert code == 2
     assert '"converged": false' in out
     assert json.loads(out)["final_eps"] > 1e-3
+
+
+def _strict(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+def test_solve_writes_an_overflowing_volume_as_null(tmp_path, capsys):
+    # a set scaled by 1e120 has ln det H = -1659.7, whose volume overflows
+    # a double: the JSON carries null there, not the non-JSON Infinity, and
+    # the overflow warns nowhere
+    path = tmp_path / "huge.txt"
+    write_points(path, np.random.default_rng(0).standard_normal((40, 3))
+                 * 1e120)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve", str(path), "--symmetric")
+    assert code == 0 and err == ""
+    payload = json.loads(out, parse_constant=_strict)
+    assert payload["volume"] is None
+    assert payload["logdet_H"] == pytest.approx(-1659.687, abs=1e-3)
 
 
 # --- gen ---------------------------------------------------------------------------

@@ -28,6 +28,9 @@
   the only code under src/ that forms every kappa_i, and nothing there
   calls gradient_refresh, so every fresh state comes whole from one call,
   and solve() moves kappa only by rank-one updates between rebuilds.
+- One home for a fresh state: solvers.py calls factor_from_weights at
+  exactly one site, solve()'s rebuild, and never calls certificate, so a
+  stop is read from the state that rebuild makes, by the loop's own test.
 """
 
 import ast
@@ -172,6 +175,18 @@ def test_full_kappa_only_in_factor():
     assert sorted(owner for owner, _ in whole) == [
         "linalg.factor_from_weights", "linalg.gradient_refresh"], (
         f"kappa written whole at {whole}")
+
+
+def test_one_fresh_state_site_in_solvers():
+    path = Path(mvee.__file__).parent / "solvers.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    called = [(name, node.lineno) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              for name in (getattr(node.func, "id", None),
+                           getattr(node.func, "attr", None))
+              if name in ("factor_from_weights", "certificate")]
+    assert sorted(name for name, _ in called) == ["factor_from_weights"], (
+        f"solvers.py: fresh states or certificates made at {called}")
 
 
 def _fresh_interpreter(probe):

@@ -589,6 +589,20 @@ def test_ellipsoid_dict_fields():
     assert d["logdet_H"] == pytest.approx(np.log(4.0))
 
 
+def test_ellipsoid_json_writes_strict_json_or_nothing():
+    # a volume past a double is null; any other non-finite value raises
+    # before a byte is written
+    E = Ellipsoid(np.zeros(2), np.eye(2), 2.0, -2000.0)
+    buf = io.StringIO()
+    write_ellipsoid_json(E, buf)
+    assert json.loads(buf.getvalue())["volume"] is None
+    E.shape = np.array([[1.0, 0.0], [0.0, np.nan]])
+    buf = io.StringIO()
+    with pytest.raises(ValueError):
+        write_ellipsoid_json(E, buf)
+    assert buf.getvalue() == ""
+
+
 def test_ellipsoid_json_with_extras():
     E = Ellipsoid(np.zeros(2), np.eye(2), 2.0, 0.0)
     buf = io.StringIO()

@@ -997,11 +997,19 @@ def test_reported_eps_holds_to_a_long_double_oracle(seed, alg):
         assert rep.converged == (oracle <= eps), (rep.final_eps, oracle)
 
 
-def test_no_stop_factors_the_weights_of_the_factor_before(monkeypatch):
-    # each stop test makes one factor, of the weights solve() returns, and a
-    # refused stop's factor is the rebuild; so no two consecutive factors
-    # are of the same weights, up to scale.  On this set fwk's maintained
-    # kappa drifts and the fresh certificate refuses stops
+@pytest.mark.parametrize("instance,alg,eps,max_iter,factors", [
+    ("ill 1236", Algorithm.FWK, 1e-3, 20_000, None),
+    ("gen 3 40", Algorithm.FWK, 1e-5, 200, 2),
+    ("gen 3 40", Algorithm.CD_DIMINISH, 1e-5, 200, 2),
+])
+def test_no_stop_factors_the_weights_of_the_factor_before(
+        instance, alg, eps, max_iter, factors, monkeypatch):
+    # a stop is a rebuild, and solve() stops only on a state it has just
+    # rebuilt, so no two consecutive factors are of the same weights, up to
+    # scale.  On the ill-conditioned set fwk's maintained kappa drifts and
+    # fresh readings refuse stops.  On gen_sample(3, 40, 0) (n = 4) the
+    # scheduled rebuild after 50 n = 200 updates lands on k = max_iter, so
+    # the start and that rebuild are the solve's only factors
     weights = []
     real_factor = mvee.solvers.factor_from_weights
 
@@ -1009,12 +1017,19 @@ def test_no_stop_factors_the_weights_of_the_factor_before(monkeypatch):
         weights.append(u.u / u.u.sum())
         return real_factor(X, u)
 
+    X = lift(ill_conditioned(1236) if instance == "ill 1236"
+             else gen_sample(3, 40, 0))
     monkeypatch.setattr(mvee.solvers, "factor_from_weights", recording)
-    solve(lift(ill_conditioned(1236)), SolverConfig(
-        algorithm=Algorithm.FWK, epsilon=1e-3, max_iter=20_000))
+    rep = solve(X, SolverConfig(algorithm=alg, epsilon=eps, max_iter=max_iter))
     repeats = [k for k in range(1, len(weights))
                if np.allclose(weights[k], weights[k - 1], rtol=1e-12, atol=0)]
-    assert len(weights) > 2 and not repeats, (len(weights), repeats)
+    assert not repeats, (len(weights), repeats)
+    if factors is None:
+        assert len(weights) > 2, len(weights)
+    else:
+        assert len(weights) == factors and rep.iterations == max_iter
+        # the stop read the state the schedule rebuilt
+        assert rep.loop_eps == rep.final_eps
 
 
 # iterations and final h of every algorithm from both starts on lifted
@@ -1078,8 +1093,11 @@ def test_kernels_called_once_per_iteration_through_module(small_lifted, alg,
                                            max_iter=300))
     assert rep.iterations > 0
     assert calls["cd_step"] == rep.iterations
-    # the last stopping test and the final objective make one call more each
-    assert calls["select_axis_gauss_southwell"] == rep.iterations + 1
+    # the axis rule reads the certificate once per pass: one per step, one
+    # for the last test on the maintained state, which calls for a rebuild,
+    # and one for the fresh state's reading, which stops; the final
+    # objective makes one objective_h call more
+    assert calls["select_axis_gauss_southwell"] == rep.iterations + 2
     assert calls["objective_h"] == rep.iterations + 1
     # a step with a finite nonzero factor change is one incremental update
     updates = sum(math.isfinite(o.theta_rel) and o.theta_rel != 0.0
