@@ -39,20 +39,13 @@ repetitions = 10
 """
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; the contract here is 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(1)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="mvee",
-                     description="Minimum volume enclosing ellipsoid solvers")
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="mvee", description="Minimum volume enclosing ellipsoid solvers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve one instance from a point file")
+    p_solve.set_defaults(run=_cmd_solve)
     p_solve.add_argument("input", help="point file, one point per row")
     p_solve.add_argument("--algorithm", default="cd",
                          choices=sorted(ALGORITHM_NAMES))
@@ -69,12 +62,14 @@ def _build_parser() -> _Parser:
                          help="write the ellipsoid JSON here instead of stdout")
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
+    p_gen.set_defaults(run=_cmd_gen)
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--output", required=True)
 
     p_bench = sub.add_parser("bench", help="run a benchmark plan")
+    p_bench.set_defaults(run=_cmd_bench)
     p_bench.add_argument("--plan", default=None,
                          help="INI plan file; omitted runs the built-in default")
     p_bench.add_argument("--output-dir", default="benchmark_out")
@@ -82,6 +77,7 @@ def _build_parser() -> _Parser:
 
     p_curves = sub.add_parser("curves",
                               help="emit the per-step decrement curves")
+    p_curves.set_defaults(run=_cmd_curves)
     p_curves.add_argument("--n-values", default="1,2,3",
                           help="comma-separated dimensions")
     p_curves.add_argument("--output", default="decrement_curves.csv")
@@ -92,7 +88,7 @@ def _cmd_solve(args) -> int:
     points = PointSet(read_points(args.input).T, symmetric=args.symmetric)
     config = SolverConfig(algorithm=ALGORITHM_NAMES[args.algorithm],
                           epsilon=args.epsilon, max_iter=args.max_iter,
-                          init=InitScheme(args.init), seed=args.seed)
+                          init=args.init, seed=args.seed)
     ellipsoid, report = enclose(points, config)
     extra = {"converged": report.converged,
              "iterations": report.iterations,
@@ -192,15 +188,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse exits 0 after --help and 2 on a usage error, which is 1 here
+        return 1 if exc.code else 0
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        return _cmd_curves(args)
+        return args.run(args)
     except (MveeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

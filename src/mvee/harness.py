@@ -65,12 +65,12 @@ class BenchmarkPlan:
                                      self.init, self.seed)
                         for alg in self.algorithms]
         # one trace file and one row per (regime, algorithm, repetition)
-        seen = set()
-        for cfg in self.configs:
-            if cfg.algorithm in seen:
-                raise InvalidInput(
-                    f"algorithm {cfg.algorithm.value!r} is listed twice")
-            seen.add(cfg.algorithm)
+        for kind, names in (("regime", [r.label for r in self.regimes]),
+                            ("algorithm",
+                             [c.algorithm.value for c in self.configs])):
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise InvalidInput(f"{kind} {name!r} is listed twice")
 
 
 @dataclass
@@ -150,12 +150,11 @@ def emit_decrement_curves(n_values: Sequence[int], output) -> None:
         writer = csv.writer(fh)
         writer.writerow(["n", "curve", "kappa", "delta"])
         for n in n_values:
-            grid = np.linspace(n, 20.0 * n, 500)
-            for k, d in zip(grid, delta_plus(grid, n)):
-                writer.writerow([n, "plus", repr(float(k)), repr(float(d))])
-            grid = np.linspace(0.01 * n, n, 500)
-            for k, d in zip(grid, delta_minus(grid, n)):
-                writer.writerow([n, "minus", repr(float(k)), repr(float(d))])
+            for curve, delta, lo, hi in (("plus", delta_plus, n, 20.0 * n),
+                                         ("minus", delta_minus, 0.01 * n, n)):
+                grid = np.linspace(lo, hi, 500)
+                for k, d in zip(grid, delta(grid, n)):
+                    writer.writerow([n, curve, repr(float(k)), repr(float(d))])
 
 
 def run_benchmark(plan: BenchmarkPlan,
@@ -237,11 +236,9 @@ def write_means_csv(rows: Sequence[BenchmarkRow], path) -> None:
         writer.writerow(["regime", "n", "m", "algorithm", "mean_iterations",
                          "mean_seconds", "mean_final_eps", "converged_count"])
         for (regime, alg), grp in groups.items():
-            ok = [r for r in grp if r.error is None]
-            writer.writerow([
-                regime, grp[0].n, grp[0].m, alg,
-                repr(float(np.mean([r.iterations for r in ok])) if ok else float("nan")),
-                repr(float(np.mean([r.seconds for r in ok])) if ok else float("nan")),
-                repr(float(np.mean([r.final_eps for r in ok])) if ok else float("nan")),
-                sum(1 for r in grp if r.converged),
-            ])
+            ok = [(r.iterations, r.seconds, r.final_eps)
+                  for r in grp if r.error is None]
+            means = [np.mean(col) for col in zip(*ok)] if ok else [np.nan] * 3
+            writer.writerow([regime, grp[0].n, grp[0].m, alg,
+                             *(repr(float(x)) for x in means),
+                             sum(1 for r in grp if r.converged)])

@@ -214,7 +214,7 @@ def init_kumar_yildirim(X: PointSet, seed: int) -> DualWeights:
         j = int(p.argmax())
         r = pts[:, j] - Q @ (Q.T @ pts[:, j])
         rnorm = np.linalg.norm(r)
-        if rnorm <= 1e-10 * max(1.0, np.linalg.norm(pts[:, j])):
+        if rnorm <= 1e-10 * np.linalg.norm(pts[:, j]):
             raise NotFullRank("points do not span the space")
         Q = np.hstack([Q, (r / rnorm)[:, None]])
         chosen.append(j)

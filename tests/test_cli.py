@@ -438,7 +438,25 @@ def test_curves_bad_dimensions(capsys, tmp_path):
 
 # --- parser contract ------------------------------------------------------------------
 
-def test_no_subcommand_is_usage_error(capsys):
-    code, _, err = run(capsys)
+@pytest.mark.parametrize("argv", [
+    [],
+    ["solve"],
+    ["solve", "pts.txt", "--bogus"],
+    ["solve", "pts.txt", "--algorithm", "newton"],
+    ["gen", "--n", "x", "--m", "30", "--output", "o.txt"],
+], ids=["no_subcommand", "solve_without_input", "unknown_flag",
+        "unknown_algorithm", "non_integer_gen_n"])
+def test_usage_error_is_exit_1(capsys, argv):
+    # argparse's own status for these is 2, which `mvee` keeps for a
+    # solve that does not converge
+    code, _, err = run(capsys, *argv)
     assert code == 1
-    assert "error" in err
+    assert err.startswith("usage: mvee")
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bench", "--help"]])
+def test_help_is_exit_0(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: mvee")

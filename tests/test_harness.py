@@ -203,6 +203,18 @@ def test_plan_validation(tmp_path):
                       output_dir=tmp_path)
 
 
+def test_plan_rejects_a_repeated_regime_label(tmp_path):
+    # two regimes labelled 'a' would write one a_cd_const_0.csv and average
+    # both into one results_means.csv row; the repeated-algorithm case is
+    # tests/test_cli.py's plan file "repeated_algorithm"
+    out = tmp_path / "out"
+    with pytest.raises(InvalidInput) as exc:
+        BenchmarkPlan([Regime("a", 3, 20, 1), Regime("a", 4, 30, 1)],
+                      [Algorithm.CD_CONST], out)
+    assert str(exc.value) == "regime 'a' is listed twice"
+    assert not out.exists()
+
+
 def test_run_benchmark_rows_and_files(tmp_path):
     plan = tiny_plan(tmp_path)
     rows = run_benchmark(plan)

@@ -137,6 +137,23 @@ def test_kumar_yildirim_starts_on_rescaled_rows(seed, decades):
     assert solve(X, SolverConfig()).converged
 
 
+@pytest.mark.parametrize("k", [-400, -200, -40, 0, 200, 400])
+def test_kumar_yildirim_start_is_scale_free(k):
+    # scaling by 2^k is exact, and the start's rank test is relative to the
+    # picked point's norm, so the scaled set starts and solves like the unit
+    # one; points shorter than 1 used to fail an absolute test
+    P = np.random.default_rng(0).standard_normal((3, 40))
+    unit = PointSet(P, symmetric=True)
+    scaled = PointSet(P * 2.0 ** k, symmetric=True)
+    assert np.array_equal(init_kumar_yildirim(scaled, 0).u,
+                          init_kumar_yildirim(unit, 0).u)
+    for alg in (Algorithm.CD_CONST, Algorithm.WA):
+        config = SolverConfig(algorithm=alg)
+        report = solve(scaled, config)
+        assert report.converged
+        assert report.iterations == solve(unit, config).iterations
+
+
 # --- axis selection --------------------------------------------------------------
 
 def test_axis_selection_basic():
