@@ -166,11 +166,13 @@ def run_benchmark(plan: BenchmarkPlan,
     One task per (regime, repetition) builds the instance, seeded
     plan.seed + repetition, and its one start, then solves it with every
     algorithm and writes each solve's trace.  A row's seconds are the
-    start's time plus the solve's, the time to solve from scratch.  An
-    error in the instance or the start fails every row of its repetition;
-    an error in a solve fails that row alone, with no trace, and the plan
-    goes on.  Rows come back in plan order whatever the parallelism (an
-    integer of at least 1); only the seconds column depends on timing.
+    start's time plus the solve's, the time to solve from scratch.  The
+    one failure path is a solve's MveeError: it fails that row alone, with
+    no trace, and the plan goes on.  Neither the instance nor the start
+    raises one, so a lower-dimensional instance fails every row of its
+    repetition through its own solves, each at its first factor.  Rows
+    come back in plan order whatever the parallelism (an integer of at
+    least 1); only the seconds column depends on timing.
     """
     from concurrent.futures import ThreadPoolExecutor  # only mvee bench
     check_int("parallelism", parallelism, 1)
@@ -179,33 +181,28 @@ def run_benchmark(plan: BenchmarkPlan,
     outdir = Path(plan.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    def _failed(regime, rep, cfg, exc):
-        return BenchmarkRow(regime.label, regime.n, regime.m,
-                            cfg.algorithm.value, rep, 0, 0.0, float("nan"),
-                            False, error=str(exc))
-
     def _run(task):
         regime, rep = task
-        try:
-            X = lift(gen_sample(regime.n, regime.m, plan.seed + rep))
-            t0 = time.perf_counter()
-            start = initial_weights(X, plan.configs[0])
-            start_s = time.perf_counter() - t0
-        except MveeError as exc:
-            return [_failed(regime, rep, cfg, exc) for cfg in plan.configs]
+        X = lift(gen_sample(regime.n, regime.m, plan.seed + rep))
+        t0 = time.perf_counter()
+        start = initial_weights(X, plan.configs[0])
+        start_s = time.perf_counter() - t0
         rows = []
         for cfg in plan.configs:
+            alg = cfg.algorithm.value
             try:
                 report = solve(X, cfg, start)
             except MveeError as exc:
-                rows.append(_failed(regime, rep, cfg, exc))
-                continue
-            alg = cfg.algorithm.value
-            write_trace(report.trace, outdir / f"{regime.label}_{alg}_{rep}.csv")
-            rows.append(BenchmarkRow(regime.label, regime.n, regime.m, alg,
-                                     rep, report.iterations,
-                                     start_s + report.wall_time,
-                                     report.final_eps, report.converged))
+                rows.append(BenchmarkRow(regime.label, regime.n, regime.m, alg,
+                                         rep, 0, 0.0, float("nan"), False,
+                                         error=str(exc)))
+            else:
+                write_trace(report.trace,
+                            outdir / f"{regime.label}_{alg}_{rep}.csv")
+                rows.append(BenchmarkRow(regime.label, regime.n, regime.m,
+                                         alg, rep, report.iterations,
+                                         start_s + report.wall_time,
+                                         report.final_eps, report.converged))
         return rows
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:

@@ -101,7 +101,9 @@ def factor_from_weights(X, u):
     Raises
     ------
     NotFullRank
-        If the weighted support points do not span R^n.
+        If the weighted support points do not span R^n, or M^{-1} is out
+        of floating-point range: not finite, or a diagonal entry not
+        positive.  This is the package's one rank decision.
     """
     pts = X.points
     n = X.dim
@@ -116,7 +118,9 @@ def factor_from_weights(X, u):
         raise NotFullRank("weighted points are rank deficient")
     Rinv = np.linalg.solve(R, np.eye(n))
     state = FactorState(X.count, n)
-    np.matmul(Rinv, Rinv.T, out=state.Minv)
+    Minv = np.matmul(Rinv, Rinv.T, out=state.Minv)
+    if not (np.isfinite(Minv).all() and Minv.diagonal().min() > 0.0):
+        raise NotFullRank("weighted points are rank deficient")
     state.log_det = 2.0 * float(np.log(d).sum())
     Z = Rinv.T @ pts
     np.einsum("ij,ij->j", Z, Z, out=state.kappa)
@@ -140,13 +144,13 @@ def rank_one_modify(state, j, theta):
     Raises
     ------
     SingularUpdate
-        If 1 + theta * kappa_j <= PD_TOL: M + theta x x^T is (numerically)
-        singular and the caller should rebuild from (X, u) instead; the
-        state is not touched.
+        If 1 + theta * kappa_j <= PD_TOL, or is nan, as an overflowed
+        M^{-1} makes it: M + theta x x^T is (numerically) singular and the
+        caller should rebuild from (X, u) instead; the state is not touched.
     """
     w = state.w
     denom = 1.0 + theta * w.item(j)
-    if denom <= PD_TOL:
+    if not denom > PD_TOL:  # nan too
         raise SingularUpdate(f"update denominator {denom:.3e}")
     # w * w and y y^T are rounded, then scaled, then subtracted: the
     # roundings of kappa - s (w * w) and M^{-1} - s (y y^T) taken one

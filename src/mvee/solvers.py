@@ -52,8 +52,8 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import (InvalidInput, LineSearchStalled, NotFullRank,
-                     SingularUpdate, check_int)
+from .errors import (InvalidInput, LineSearchStalled, SingularUpdate,
+                     check_int)
 from .linalg import (PD_TOL, FactorState, apply_inverse, factor_from_weights,
                      rank_one_modify)
 from .problem import (DualWeights, Ellipsoid, PointSet, lift, objective_h,
@@ -190,12 +190,9 @@ def init_kumar_yildirim(X: PointSet, seed: int) -> DualWeights:
     standard-normal draw projected orthogonally to the span of the points
     already chosen, with no retry: a draw within rounding of that span has
     probability near zero.  Along each direction the point with the largest
-    |d . x| is taken.  The resulting X U X^T is positive definite.
-
-    Raises
-    ------
-    NotFullRank
-        If the points do not span R^n.
+    |d . x| is taken, and a nonzero residual against the basis extends it.
+    The start does not judge rank: it always returns n points, and solve()'s
+    first factor rejects them if they do not span R^n.
     """
     pts = X.points
     n, m = pts.shape
@@ -214,9 +211,8 @@ def init_kumar_yildirim(X: PointSet, seed: int) -> DualWeights:
         j = int(p.argmax())
         r = pts[:, j] - Q @ (Q.T @ pts[:, j])
         rnorm = np.linalg.norm(r)
-        if rnorm <= 1e-10 * np.linalg.norm(pts[:, j]):
-            raise NotFullRank("points do not span the space")
-        Q = np.hstack([Q, (r / rnorm)[:, None]])
+        if rnorm:
+            Q = np.hstack([Q, (r / rnorm)[:, None]])
         chosen.append(j)
     u = np.zeros(m)
     u[chosen] = 1.0 / n

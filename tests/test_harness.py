@@ -1,4 +1,5 @@
 import csv
+import math
 import time
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import mvee.harness
 import mvee.solvers
-from mvee.errors import InvalidInput, MveeError, NotFullRank
+from mvee.errors import InvalidInput, MveeError
 from mvee.harness import (
     BenchmarkPlan,
     Regime,
@@ -16,7 +17,7 @@ from mvee.harness import (
     gen_sample,
     run_benchmark,
 )
-from mvee.problem import lift
+from mvee.problem import PointSet, lift
 from mvee.solvers import (Algorithm, init_kumar_yildirim, initial_weights,
                           solve)
 
@@ -269,28 +270,6 @@ def test_run_benchmark_builds_each_instance_once(tmp_path, monkeypatch):
         (0, "cd_const"), (0, "wa"), (1, "cd_const"), (1, "wa")]
 
 
-def test_run_benchmark_unbuildable_instance_fails_every_algorithm(
-        tmp_path, monkeypatch):
-    real = mvee.harness.gen_sample
-
-    def failing(n, m, seed):
-        if seed == 8:
-            raise NotFullRank("instance 8 is degenerate")
-        return real(n, m, seed)
-
-    monkeypatch.setattr(mvee.harness, "gen_sample", failing)
-    plan = tiny_plan(tmp_path)
-    rows = run_benchmark(plan)
-    assert [(r.rep, r.algorithm) for r in rows] == [
-        (0, "cd_const"), (0, "wa"), (1, "cd_const"), (1, "wa")]
-    assert [r.error for r in rows] == [None, None,
-                                       "instance 8 is degenerate",
-                                       "instance 8 is degenerate"]
-    assert not rows[2].converged and rows[2].iterations == 0
-    assert (plan.output_dir / "tiny_wa_0.csv").exists()
-    assert not (plan.output_dir / "tiny_wa_1.csv").exists()
-
-
 # every algorithm of the plan, so a start shared by all of them shows
 EVERY_ALGORITHM = (Algorithm.CD_CONST, Algorithm.WA, Algorithm.RCD,
                    Algorithm.FWK)
@@ -327,29 +306,36 @@ def test_run_benchmark_seconds_include_the_shared_start(tmp_path,
     assert all(r.seconds >= 0.05 for r in rows)
 
 
-def test_run_benchmark_failed_start_fails_its_repetition(tmp_path,
-                                                         monkeypatch):
-    calls = []
-    real = mvee.solvers.init_kumar_yildirim
-    bad = lift(gen_sample(4, 30, 8)).points  # repetition 1's instance
+def test_run_benchmark_flat_instance_fails_its_repetition(tmp_path,
+                                                          monkeypatch):
+    # neither the instance nor the start raises: a flat instance fails each
+    # row of its repetition through its own solve, at the first factor
+    real = mvee.harness.gen_sample
 
-    def failing(X, seed):
-        calls.append(seed)
-        if np.array_equal(X.points, bad):
-            raise NotFullRank("no start for instance 8")
-        return real(X, seed)
+    def flat_at_8(n, m, seed):
+        points = real(n, m, seed).points
+        if seed == 8:
+            points[-1] = 0.5  # every point on one hyperplane
+        return PointSet(points)
 
-    monkeypatch.setattr(mvee.solvers, "init_kumar_yildirim", failing)
-    plan = tiny_plan(tmp_path, algorithms=EVERY_ALGORITHM)
-    rows = run_benchmark(plan)
-    assert len(calls) == 2  # the failed start is not tried again
+    plain = run_benchmark(tiny_plan(tmp_path, "plain", EVERY_ALGORITHM))
+    monkeypatch.setattr(mvee.harness, "gen_sample", flat_at_8)
+    rows = run_benchmark(tiny_plan(tmp_path, "flat", EVERY_ALGORITHM))
     assert [(r.rep, r.algorithm, r.error) for r in rows] == [
         (0, alg.value, None) for alg in EVERY_ALGORITHM] + [
-        (1, alg.value, "no start for instance 8") for alg in EVERY_ALGORITHM]
-    assert not any(r.converged or r.iterations for r in rows[4:])
+        (1, alg.value, "weighted points are rank deficient")
+        for alg in EVERY_ALGORITHM]
+    assert not any(r.converged or r.iterations or r.seconds
+                   for r in rows[4:])
+    assert all(math.isnan(r.final_eps) for r in rows[4:])
+    for row, before in zip(rows[:4], plain[:4]):
+        assert (row.iterations, row.final_eps, row.converged) == (
+            before.iterations, before.final_eps, before.converged)
     for alg in EVERY_ALGORITHM:
-        assert (plan.output_dir / f"tiny_{alg.value}_0.csv").exists()
-        assert not (plan.output_dir / f"tiny_{alg.value}_1.csv").exists()
+        trace = f"tiny_{alg.value}_0.csv"
+        assert (tmp_path / "flat" / trace).read_bytes() == (
+            tmp_path / "plain" / trace).read_bytes()
+        assert not (tmp_path / "flat" / f"tiny_{alg.value}_1.csv").exists()
 
 
 def test_run_benchmark_rows_carry_the_solve_certificate(tmp_path):

@@ -19,6 +19,10 @@
   count, dimension and seed.
 - One home for the singular decision: `raise SingularUpdate` appears at
   exactly one site, so M^{-1}, ln det M and kappa fail the same test.
+- One home for the rank decision: `raise NotFullRank` appears only in
+  linalg.py, whose factor_from_weights judges every start and every
+  rebuild by one rule, so no start rejects a set another start accepts
+  by a test of its own.
 - Every exception class defined in errors.py, but the base class, is
   raised somewhere in the package, so no error names a failure the program
   cannot report.
@@ -135,6 +139,12 @@ def _raise_sites():
 def test_one_site_raises_singular_update():
     found = [site for name, site in _raise_sites() if name == "SingularUpdate"]
     assert len(found) == 1, f"raise SingularUpdate at {found}"
+
+
+def test_not_full_rank_raised_only_in_linalg():
+    found = [site for name, site in _raise_sites()
+             if name == "NotFullRank" and not site.startswith("linalg.py:")]
+    assert not found, f"raise NotFullRank at {found}; only the factor judges"
 
 
 def test_every_error_class_is_raised():

@@ -105,9 +105,13 @@ def test_kumar_yildirim_picks_spanning_pair():
 
 
 def test_kumar_yildirim_rank_deficient():
+    # the start does not judge rank: on points along a line of R^2 it still
+    # picks n points, and the factor of solve's first rebuild rejects them
     X = PointSet(np.array([[1.0, 2.0, -3.0], [0.0, 0.0, 0.0]]), symmetric=True)
-    with pytest.raises(NotFullRank):
-        init_kumar_yildirim(X, seed=0)
+    u = init_kumar_yildirim(X, seed=0)
+    assert np.count_nonzero(u.support) == X.dim
+    with pytest.raises(NotFullRank, match="rank deficient"):
+        solve(X, SolverConfig(), u)
 
 
 def test_kumar_yildirim_deterministic_per_seed():
@@ -139,9 +143,8 @@ def test_kumar_yildirim_starts_on_rescaled_rows(seed, decades):
 
 @pytest.mark.parametrize("k", [-400, -200, -40, 0, 200, 400])
 def test_kumar_yildirim_start_is_scale_free(k):
-    # scaling by 2^k is exact, and the start's rank test is relative to the
-    # picked point's norm, so the scaled set starts and solves like the unit
-    # one; points shorter than 1 used to fail an absolute test
+    # scaling by 2^k is exact and the start picks by |d . x| alone, so the
+    # scaled set starts and solves like the unit one
     P = np.random.default_rng(0).standard_normal((3, 40))
     unit = PointSet(P, symmetric=True)
     scaled = PointSet(P * 2.0 ** k, symmetric=True)
@@ -152,6 +155,71 @@ def test_kumar_yildirim_start_is_scale_free(k):
         report = solve(scaled, config)
         assert report.converged
         assert report.iterations == solve(unit, config).iterations
+
+
+# (n, m, seed, k, t): gen_sample(n, m, seed) scaled by 2^k and translated by
+# t (1, ..., 1) / sqrt(n), then lifted.  From the default start each raised
+# NotFullRank while it had a rank test of its own, which the Khachiyan
+# start's factor did not share; the Khachiyan start solved each of them.
+GAP_CELLS = [(3, 40, 1235, -38, 0.0), (3, 40, 1236, -38, 0.0),
+             (10, 500, 1234, -38, 0.0), (10, 500, 1235, -38, 0.0),
+             (10, 500, 1236, -38, 0.0), (3, 40, 1235, -36, 0.0),
+             (3, 40, 1236, -36, 0.0), (10, 500, 1235, -36, 0.0),
+             (10, 500, 1236, -36, 0.0), (3, 40, 1235, -34, 0.0),
+             (3, 40, 1234, 28, 0.0), (3, 40, 1234, 30, 0.0),
+             (10, 500, 1234, 30, 0.0), (10, 500, 1236, 0, 1e5)]
+
+
+def _thin(seed, row, delta):
+    """40 standard-normal points in R^3, row `row` scaled by delta."""
+    P = np.random.default_rng(seed).standard_normal((3, 40))
+    P[row] *= delta
+    return PointSet(P)
+
+
+def test_both_starts_accept_and_reject_the_same_sets():
+    # one rule judges both starts: the factor of solve's first rebuild.  At
+    # delta = 1e-12 the thin axis sits at PD_TOL, and over 60 thin sets 9
+    # still split by start (6 rejected from the default start only, 3 from
+    # the Khachiyan start only), as the two starts factor different weights;
+    # (0, 1) is one that both accept
+    t0 = time.perf_counter()
+    accepted = [PointSet(gen_sample(n, m, s).points * 2.0 ** k
+                         + t / math.sqrt(n))
+                for n, m, s, k, t in GAP_CELLS]
+    accepted += [_thin(seed, row, 1e-11) for seed in range(2)
+                 for row in range(3)] + [_thin(0, 1, 1e-12)]
+    for X in accepted:
+        for init in InitScheme:
+            _, report = enclose(X, SolverConfig(epsilon=1e-3, init=init))
+            assert report.converged
+    for seed in range(2):
+        for row in range(3):
+            messages = set()
+            for init in InitScheme:
+                with pytest.raises(NotFullRank) as info:
+                    enclose(_thin(seed, row, 1e-13),
+                            SolverConfig(epsilon=1e-3, init=init))
+                messages.add(str(info.value))
+            assert messages == {"weighted points are rank deficient"}
+    assert time.perf_counter() - t0 < 2.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflows
+@pytest.mark.parametrize("init", list(InitScheme))
+@pytest.mark.parametrize("k", [-1000, -600, -512, 512, 600, 1000])
+def test_extreme_scales_converge_or_raise_not_full_rank(k, init):
+    # past about 2^+-512 M^{-1} leaves the floating-point range: the factor
+    # rejects it, or an update's nan denominator counts as singular and the
+    # rebuild rejects it.  An empty support once ended these solves in a
+    # bare ValueError
+    P = np.random.default_rng(0).standard_normal((3, 40)) * 2.0 ** k
+    try:
+        report = solve(PointSet(P, symmetric=True),
+                       SolverConfig(epsilon=1e-5, init=init))
+    except NotFullRank:
+        return
+    assert report.converged
 
 
 # --- axis selection --------------------------------------------------------------
