@@ -3,16 +3,17 @@
 Every solver iteration goes through this module.  The step rules need only
 M^{-1} x_j, the quadratic forms kappa_i = x_i^T M^{-1} x_i and ln det M, so
 the state holds M^{-1}, kappa and ln det M rather than a factor of M.  A
-rank-one change M -> M + theta x x^T is one in-place call that reads
-vectors the state owns (see FactorState): a Sherman-Morrison step on
-M^{-1}, O(n^2), and on kappa, O(m) from the O(m n) pass w = X^T M^{-1} x
-the caller writes into state.w, plus a determinant-lemma step on ln det M.
-A full rebuild from the current weights is an orthogonal factorization,
-O(m n^2).  When to rebuild (at initialization, on a schedule that bounds
-floating-point drift, after a numerically singular update or a simplex
-step's full jump, and for a stop, which solve accepts only on a fresh
-state) is decided by solvers.solve, not here.  numpy is the only dependency, so importing
-the package stays cheap.
+rank-one change M -> M + theta x_j x_j^T is one in-place call,
+rank_one_modify: it forms y = M^{-1} x_j, O(n^2), and the O(m n) pass
+w = X^T y in buffers the state owns (see FactorState), then takes a
+Sherman-Morrison step on M^{-1}, O(n^2), and on kappa, O(m), and a
+determinant-lemma step on ln det M.  A full rebuild from the current
+weights is an orthogonal factorization, O(m n^2).  When to rebuild (at
+initialization, on a schedule that bounds floating-point drift, after a
+numerically singular update or a simplex step's full jump, and for a
+stop, which solve accepts only on a fresh state) is decided by
+solvers.solve, not here.  numpy is the only dependency, so importing the
+package stays cheap.
 """
 
 import math
@@ -35,11 +36,12 @@ class FactorState:
 
     kappa and Minv are views of one contiguous buffer of m + n^2 floats, and
     a scratch buffer of the same layout holds the rank-one change, so an
-    update is one scale and one subtract over both.  The state owns the two
-    vectors rank_one_modify reads: y = M^{-1} x_j, which apply_inverse
-    writes, and w, the scratch buffer's first m floats, where the caller
-    writes the gradient pass X^T y.  FactorState(m, n) allocates the buffers
-    for m points in R^n; factor_from_weights fills kappa, Minv and log_det.
+    update is one scale and one subtract over both.  The state also owns
+    the two vectors rank_one_modify forms: y = M^{-1} x_j, which
+    apply_inverse writes, and the pass w = X^T y, the scratch buffer's
+    first m floats; both are private to this module.  FactorState(m, n)
+    allocates the buffers for m points in R^n; factor_from_weights fills
+    kappa, Minv and log_det.
 
     Attributes
     ----------
@@ -51,14 +53,9 @@ class FactorState:
         Symmetric positive definite inverse of M, the view buf[m:].
     log_det : float
         ln det M.
-    w : ndarray, shape (m,)
-        The pass X^T y, the head of the scratch buffer; rank_one_modify
-        overwrites it.
-    y : ndarray, shape (n,)
-        M^{-1} x_j, apply_inverse's result.
     """
 
-    __slots__ = ("buf", "kappa", "Minv", "log_det", "w", "y", "_change",
+    __slots__ = ("buf", "kappa", "Minv", "log_det", "_w", "_y", "_change",
                  "_change_Minv", "_y_col", "_y_row")
 
     def __init__(self, m, n):
@@ -67,11 +64,11 @@ class FactorState:
         self.Minv = self.buf[m:].reshape(n, n)
         self.log_det = 0.0
         self._change = np.empty(m + n * n)
-        self.w = self._change[:m]
+        self._w = self._change[:m]
         self._change_Minv = self._change[m:].reshape(n, n)
-        self.y = np.empty(n)
-        self._y_col = self.y[:, None]
-        self._y_row = self.y[None, :]
+        self._y = np.empty(n)
+        self._y_col = self._y[:, None]
+        self._y_row = self._y[None, :]
 
 
 def factor_from_weights(X, u):
@@ -127,28 +124,29 @@ def factor_from_weights(X, u):
     return state
 
 
-def rank_one_modify(state, j, theta):
+def rank_one_modify(state, points_t, j, theta):
     """Move the state to M' = M + theta * x_j x_j^T in place.
 
-    Reads y = M^{-1} x_j from state.y, where apply_inverse leaves it, and
-    the pass w = X^T y from state.w, where the caller writes it, rather
-    than x_j.  kappa_j = w_j is read from the pass, not from the maintained
-    kappa, whose error 1 / (1 + theta kappa_j) would scale.  With
-    s = theta / (1 + theta kappa_j): kappa_i <- kappa_i - s w_i^2,
+    points_t is the m x n view X.points.T, whose row j is x_j.  Forms
+    y = M^{-1} x_j through apply_inverse and the pass w = X^T y, O(m n),
+    in the state's buffers.  kappa_j = w_j is read from the pass, not from
+    the maintained kappa, whose error 1 / (1 + theta kappa_j) would scale.
+    With s = theta / (1 + theta kappa_j): kappa_i <- kappa_i - s w_i^2,
     M'^{-1} = M^{-1} - s y y^T and ln det M' = ln det M + ln(1 + theta
-    kappa_j).  O(n^2 + m) in four numpy calls and no allocation; w * w is
-    formed and scaled in state.w, so the pass is lost.  y y^T is one BLAS
-    product of the n x 1 and 1 x n views of state.y, made once per state,
-    which rounds each y_i y_j once.
+    kappa_j).  Six numpy calls and no allocation: the product, the pass
+    and four for the step; w * w is formed and scaled in the pass's
+    buffer.  y y^T is one BLAS product of the n x 1 and 1 x n views of y,
+    made once per state, which rounds each y_i y_j once.
 
     Raises
     ------
     SingularUpdate
         If 1 + theta * kappa_j <= PD_TOL, or is nan, as an overflowed
         M^{-1} makes it: M + theta x x^T is (numerically) singular and the
-        caller should rebuild from (X, u) instead; the state is not touched.
+        caller should rebuild from (X, u) instead; kappa, M^{-1} and
+        ln det M are not touched.
     """
-    w = state.w
+    w = points_t.dot(apply_inverse(state, points_t[j]), out=state._w)
     denom = 1.0 + theta * w.item(j)
     if not denom > PD_TOL:  # nan too
         raise SingularUpdate(f"update denominator {denom:.3e}")
@@ -164,9 +162,9 @@ def rank_one_modify(state, j, theta):
 
 
 def apply_inverse(state, x):
-    """M^{-1} x, one matrix-vector product into state.y, which it returns.
-    O(n^2)."""
-    return state.Minv.dot(x, out=state.y)
+    """M^{-1} x, one matrix-vector product into the state's y buffer,
+    which it returns.  O(n^2)."""
+    return state.Minv.dot(x, out=state._y)
 
 
 def gradient_refresh(state, X):

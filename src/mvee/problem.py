@@ -160,7 +160,8 @@ def certificate(u: DualWeights, kappa: np.ndarray, n: int,
 # point-file and ellipsoid-JSON interfaces
 
 def read_points(path) -> np.ndarray:
-    """Read a point file: one point per row, CSV or whitespace-delimited.
+    """Read a UTF-8 point file, a leading byte-order mark dropped: one point
+    per row, CSV or whitespace-delimited.
 
     `#` starts a comment that runs to the end of the line; blank and
     comment-only lines are skipped.  An optional header row is auto-detected
@@ -170,7 +171,7 @@ def read_points(path) -> np.ndarray:
     """
     rows = []
     header_allowed = True
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -38,10 +38,10 @@ Each iteration is O(m n) after an O(m n^2) initialization: kappa, M^{-1}
 and ln det M live in one linalg.FactorState, which solve() moves in place
 by one Sherman-Morrison step per iteration and rebuilds from the weights
 when it decides to; a stop is one more rebuild, so one factor checks
-each stop.  An update is six numpy calls into the state's buffers:
-y = M^{-1} x_j, the pass w = X^T y and rank_one_modify's four.  Besides
-these, the axis rule makes one O(m) argmax and one O(s) scan of the s
-support indices, and the objective is O(1) from the running sum.
+each stop.  An update is one linalg.rank_one_modify call, which forms
+y = M^{-1} x_j and the pass w = X^T y itself.  Besides it, the axis rule
+makes one O(m) argmax and one O(s) scan of the s support indices, and
+the objective is O(1) from the running sum.
 """
 
 import math
@@ -54,8 +54,7 @@ import numpy as np
 
 from .errors import (InvalidInput, LineSearchStalled, SingularUpdate,
                      check_int)
-from .linalg import (PD_TOL, FactorState, apply_inverse, factor_from_weights,
-                     rank_one_modify)
+from .linalg import PD_TOL, FactorState, factor_from_weights, rank_one_modify
 from .problem import (DualWeights, Ellipsoid, PointSet, lift, objective_h,
                       select_axis_gauss_southwell)
 
@@ -210,6 +209,8 @@ def init_kumar_yildirim(X: PointSet, seed: int) -> DualWeights:
         p[chosen] = -1.0
         j = int(p.argmax())
         r = pts[:, j] - Q @ (Q.T @ pts[:, j])
+        # an exact power-of-two scale keeps the norm's squares in range
+        r = np.ldexp(r, -math.frexp(np.abs(r).max())[1])
         rnorm = np.linalg.norm(r)
         if rnorm:
             Q = np.hstack([Q, (r / rnorm)[:, None]])
@@ -482,12 +483,9 @@ def solve(X: PointSet, config: SolverConfig,
         # period-th update rebuild instead
         rebuild = False
         if theta_rel != 0.0:
-            # y and the pass land in the state's buffers, where the
-            # update reads them
-            pts_t.dot(apply_inverse(state, pts_t[j]), out=state.w)
             try:
                 # moves kappa, M^{-1} and ln det M in place
-                rank_one_modify(state, j, theta_rel)
+                rank_one_modify(state, pts_t, j, theta_rel)
             except SingularUpdate:
                 # exact drop of a geometrically loaded point; rebuild
                 rebuild = True

@@ -39,12 +39,7 @@ import numpy as np
 import pytest
 
 from mvee.harness import delta_minus, delta_plus, gen_sample
-from mvee.linalg import (
-    apply_inverse,
-    factor_from_weights,
-    gradient_refresh,
-    rank_one_modify,
-)
+from mvee.linalg import factor_from_weights, gradient_refresh, rank_one_modify
 from mvee.problem import DualWeights, PointSet, lift, volume
 from mvee.solvers import Algorithm, SolverConfig, StepType, enclose, solve
 
@@ -360,17 +355,15 @@ def test_criterion_08_factor_oracle_and_drift():
         theta = float(rng.uniform(0.1, 0.6))
         j = int(rng.integers(m))
         xj = X.points[:, j]
-        np.dot(X.points.T, apply_inverse(state, xj), out=state.w)
         # the update moves the state, kappa included, in place
-        rank_one_modify(state, j, theta)
+        rank_one_modify(state, X.points.T, j, theta)
         Mup = M + theta * np.outer(xj, xj)
         assert np.abs(state.Minv - np.linalg.inv(Mup)).max() < 1e-10
         assert abs(state.log_det - np.linalg.slogdet(Mup)[1]) < 1e-10
         dense_up = np.einsum("ij,ij->j", X.points,
                              np.linalg.solve(Mup, X.points))
         assert np.abs(state.kappa - dense_up).max() < 1e-10
-        np.dot(X.points.T, apply_inverse(state, xj), out=state.w)
-        rank_one_modify(state, j, -theta)
+        rank_one_modify(state, X.points.T, j, -theta)
         assert np.abs(state.Minv - np.linalg.inv(M)).max() < 1e-10
         assert abs(state.log_det - np.linalg.slogdet(M)[1]) < 1e-10
 
@@ -390,9 +383,7 @@ def test_criterion_08_factor_oracle_and_drift():
         kj = float(kappa[j])
         if 1.0 + theta * kj <= 0.05:
             continue
-        np.dot(X.points.T, apply_inverse(state, X.points[:, j]),
-               out=state.w)
-        rank_one_modify(state, j, theta)
+        rank_one_modify(state, X.points.T, j, theta)
         w[j] += theta
         updates += 1
         if updates % (50 * n) == 0:

@@ -39,10 +39,10 @@ def factor_of(M):
 
 
 def modify(state, x, theta):
-    """Move the state to M + theta x x^T in place, fed as solve() feeds it,
-    with x as the column of kappa slot 0."""
-    state.w[0] = state.kappa[0] = x @ apply_inverse(state, x)
-    rank_one_modify(state, 0, theta)
+    """Move the state to M + theta x x^T in place by the one-call update,
+    with x as the only point, that of kappa slot 0."""
+    state.kappa[0] = quad_form(state, x)
+    rank_one_modify(state, x[None, :], 0, theta)
 
 
 def random_state(rng, n):
@@ -150,23 +150,28 @@ def test_rank_one_downdate_to_singular_raises():
         modify(st_, np.array([1.0]), -1.0)
 
 
+# three points in R^2 with dyadic coordinates: at M = I the pass
+# w = X^T M^{-1} x_j is exact, [0.5, -1.0, 0.5] for j = 2
+DYADIC = np.array([[1.0, -1.0, 0.5], [0.0, -1.0, 0.5]])
+
+
 def test_rank_one_moves_the_state_in_place():
     # solve() holds one state between rebuilds and its kappa view: the update
-    # writes into the state's buffer, whose views stay, and leaves y
+    # writes into the state's buffer, whose views stay, and leaves the points
     st_ = state_from_matrix(np.eye(2), m=3)
     buf, kappa, Minv = st_.buf, st_.kappa, st_.Minv
     kappa[:] = [1.0, 2.0, 3.0]
-    y = np.array([0.3, 0.4])
-    w = np.array([0.5, -1.0, 0.25])
-    st_.y[:], st_.w[:] = y, w
-    rank_one_modify(st_, 2, 1.0)
+    X = PointSet(DYADIC, symmetric=True)
+    y = X.points[:, 2].copy()  # M^{-1} x_2 at M = I
+    w = np.array([0.5, -1.0, 0.5])
+    rank_one_modify(st_, X.points.T, 2, 1.0)
     assert st_.buf is buf and st_.kappa is kappa and st_.Minv is Minv
     assert np.shares_memory(kappa, buf) and np.shares_memory(Minv, buf)
-    s = 1.0 / (1.0 + 0.25)
+    s = 1.0 / (1.0 + 0.5)
     assert np.array_equal(Minv, np.eye(2) - s * (y[:, None] * y))
     assert np.array_equal(kappa, [1.0, 2.0, 3.0] - s * (w * w))
-    assert st_.log_det == math.log(1.25)
-    assert np.array_equal(st_.y, y)
+    assert st_.log_det == math.log(1.5)
+    assert np.array_equal(X.points, DYADIC)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 6),
@@ -241,8 +246,8 @@ def test_apply_inverse_matches_solve():
     st_ = state_from_matrix(M)
     y = apply_inverse(st_, x)
     assert np.allclose(y, np.linalg.solve(M, x), atol=1e-12)
-    # the result lands in the state's buffer, which rank_one_modify reads
-    assert y is st_.y
+    # the result lands in a buffer the state owns, so no call allocates
+    assert apply_inverse(st_, x) is y
 
 
 # --- logdet ---------------------------------------------------------------------
@@ -304,37 +309,37 @@ def test_gradient_refresh_matches_dense():
 def test_rank_one_zero_theta_is_identity():
     st_ = state_from_matrix(np.eye(2), m=3)
     st_.kappa[:] = [1.0, 2.0, 3.0]
-    st_.y[:], st_.w[:] = 0.5, 0.5
-    rank_one_modify(st_, 1, 0.0)
+    rank_one_modify(st_, DYADIC.T, 1, 0.0)
     assert np.array_equal(st_.kappa, [1.0, 2.0, 3.0])
     assert np.array_equal(st_.Minv, np.eye(2))
     assert st_.log_det == 0.0
 
 
 def test_rank_one_updates_kappa_in_place_from_the_pass():
-    # kappa_j is read from the pass w, not from the maintained kappa
+    # kappa_j is read from the pass w, not from the maintained kappa; at
+    # M = I, x_2 = (1, 1) makes w = [0.5, -1.0, 2.0] exactly
     st_ = state_from_matrix(np.eye(2), m=3)
     kappa = st_.kappa
     kappa[:] = [1.0, 2.0, 3.0]
     w = np.array([0.5, -1.0, 2.0])
     want = np.array([1.0, 2.0, 3.0]) - (0.5 / (1.0 + 0.5 * 2.0)) * (w * w)
-    st_.y[:], st_.w[:] = 1.0, w
-    rank_one_modify(st_, 2, 0.5)
+    rank_one_modify(st_, np.array([[0.5, 0.0], [-0.5, -0.5], [1.0, 1.0]]),
+                    2, 0.5)
     assert np.array_equal(kappa, want)
 
 
 def test_rank_one_singular_pivot_raises():
     # the state is rebuilt after this, so kappa and the state must be left
-    # as they were, to the byte
-    st_ = state_from_matrix(np.eye(1))
+    # as they were, to the byte; at M = I, x = (1, 1) has kappa_j = 2
+    # exactly, and theta = -1/2 makes 1 + theta kappa_j = 0
+    st_ = state_from_matrix(np.eye(2))
     st_.kappa[0] = 2.0
-    st_.y[0], st_.w[0] = 1.0, 2.0
     before = st_.buf.tobytes()
     with pytest.raises(SingularUpdate):
-        rank_one_modify(st_, 0, -0.5)
+        rank_one_modify(st_, np.ones((1, 2)), 0, -0.5)
     assert st_.buf.tobytes() == before
     assert np.array_equal(st_.kappa, [2.0])
-    assert np.array_equal(st_.Minv, np.eye(1))
+    assert np.array_equal(st_.Minv, np.eye(2))
     assert st_.log_det == 0.0
 
 
@@ -354,9 +359,7 @@ def test_rank_one_sequence_matches_refresh():
         kj = float(kappa[j])
         if 1.0 + theta * kj <= 0.05:
             continue
-        np.dot(X.points.T, apply_inverse(state, X.points[:, j]),
-               out=state.w)
-        rank_one_modify(state, j, theta)
+        rank_one_modify(state, X.points.T, j, theta)
         w[j] += theta
     # a refresh overwrites the state's kappa, so compare a copy
     maintained = kappa.copy()
@@ -407,14 +410,10 @@ UPDATE_CASES = [
 ]
 
 
-# each case with the pass in state.w, as solve() writes it
-@pytest.mark.parametrize("X, update, drops, zero_ys", [
-    pytest.param(*case.values, id=f"{case.id}-state_w")
-    for case in UPDATE_CASES
-])
+@pytest.mark.parametrize("X, update, drops, zero_ys", UPDATE_CASES)
 def test_rank_one_bit_identical_to_out_of_place(X, update, drops, zero_ys):
-    # the shared-buffer kernel (y y^T one BLAS product) and solve's pass
-    # rounding for rounding as the out-of-place update (y y^T broadcast) and
+    # the one-call kernel (y y^T one BLAS product, its own pass) rounding
+    # for rounding as the out-of-place update (y y^T broadcast) fed by
     # np.dot, and M^{-1} exactly symmetric, after each of 60 updates;
     # np.array_equal takes -0.0 == 0.0
     pts, pts_t = X.points, X.points.T
@@ -430,13 +429,10 @@ def test_rank_one_bit_identical_to_out_of_place(X, update, drops, zero_ys):
         j, theta = update(k, u, kappa, d)
         u[j] += theta
         seen_drops += u[j] == 0.0
-        y = apply_inverse(state, pts[:, j])
-        seen_zero_ys += not y.any()
-        w = pts_t.dot(y, out=state.w)
         y_ref = Minv_ref.dot(pts[:, j])
+        seen_zero_ys += not y_ref.any()
         np.dot(pts_t, y_ref, out=w_ref)
-        assert np.array_equal(y, y_ref) and np.array_equal(w, w_ref), k
-        rank_one_modify(state, j, theta)
+        rank_one_modify(state, pts_t, j, theta)
         Minv_ref, log_det_ref = out_of_place_modify(
             Minv_ref, log_det_ref, kappa_ref, y_ref, w_ref, theta,
             w_ref.item(j))

@@ -35,6 +35,10 @@
 - One home for a fresh state: solvers.py calls factor_from_weights at
   exactly one site, solve()'s rebuild, and never calls certificate, so a
   stop is read from the state that rebuild makes, by the loop's own test.
+- One home for the update protocol: apply_inverse is called only in
+  linalg.py, and no other module names a state's _y or _w, so
+  rank_one_modify forms M^{-1} x_j and the pass it reads itself, and no
+  caller can leave it a stale pass.
 """
 
 import ast
@@ -197,6 +201,21 @@ def test_one_fresh_state_site_in_solvers():
               if name in ("factor_from_weights", "certificate")]
     assert sorted(name for name, _ in called) == ["factor_from_weights"], (
         f"solvers.py: fresh states or certificates made at {called}")
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_update_protocol_only_in_linalg(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("_y", "_w"):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call) and "apply_inverse" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)):
+            found.append((node.lineno, "apply_inverse"))
+    assert not found, f"{path.name}: update protocol outside linalg.py {found}"
 
 
 def _fresh_interpreter(probe):

@@ -512,6 +512,23 @@ def test_read_points_csv_with_header(tmp_path):
     assert np.array_equal(read_points(path), [[1.0, 2.0], [3.0, 4.0]])
 
 
+@pytest.mark.parametrize("text", [
+    "0,0\n1,0\n0,1\n1,1\n",
+    "x,y\n0,0\n1,0\n0,1\n1,1\n",
+    "0 0\n1 0\n0 1\n1 1\n",
+], ids=["csv", "csv_header", "whitespace"])
+def test_read_points_ignores_a_byte_order_mark(tmp_path, text):
+    # a UTF-8 byte-order mark before the first point is no header: read in
+    # the locale's encoding it made the first field non-numeric, and the
+    # point was skipped as a header row
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert np.array_equal(read_points(marked), read_points(plain))
+    assert read_points(marked).shape == (4, 2)
+
+
 def test_read_points_skips_blank_lines(tmp_path):
     path = tmp_path / "pts.txt"
     path.write_text("1.0 2.0\n\n3.0 4.0\n")

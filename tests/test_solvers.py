@@ -1,11 +1,13 @@
 import math
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import mvee.linalg
 import mvee.solvers
 from mvee.errors import (
     LineSearchStalled,
@@ -141,17 +143,27 @@ def test_kumar_yildirim_starts_on_rescaled_rows(seed, decades):
     assert solve(X, SolverConfig()).converged
 
 
-@pytest.mark.parametrize("k", [-400, -200, -40, 0, 200, 400])
+@pytest.mark.parametrize("k", [-1000, -700, -600, -540, -520, -400, -200,
+                               -40, 0, 200, 400, 511, 512, 600, 1000])
 def test_kumar_yildirim_start_is_scale_free(k):
     # scaling by 2^k is exact and the start picks by |d . x| alone, so the
-    # scaled set starts and solves like the unit one
+    # scaled set starts like the unit one at every k, with no overflow or
+    # underflow warning from the residual's norm, and solves like it while
+    # M^{-1}, about 2^-2k, is in floating-point range; past it the factor
+    # rejects the set, as it does from either start
     P = np.random.default_rng(0).standard_normal((3, 40))
     unit = PointSet(P, symmetric=True)
     scaled = PointSet(P * 2.0 ** k, symmetric=True)
-    assert np.array_equal(init_kumar_yildirim(scaled, 0).u,
-                          init_kumar_yildirim(unit, 0).u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.array_equal(init_kumar_yildirim(scaled, 0).u,
+                              init_kumar_yildirim(unit, 0).u)
     for alg in (Algorithm.CD_CONST, Algorithm.WA):
         config = SolverConfig(algorithm=alg)
+        if abs(k) > 512:
+            with pytest.raises(NotFullRank):
+                solve(scaled, config)
+            continue
         report = solve(scaled, config)
         assert report.converged
         assert report.iterations == solve(unit, config).iterations
@@ -980,10 +992,8 @@ def test_simplex_weights_match_normalised_reference(alg, seed, n, extra,
         if not math.isfinite(theta_rel):
             stale = True
             continue
-        np.matmul(state.Minv, X.points[:, row.axis], out=state.y)
-        np.matmul(X.points.T, state.y, out=state.w)
         try:
-            rank_one_modify(state, row.axis, theta_rel)
+            rank_one_modify(state, X.points.T, row.axis, theta_rel)
         except SingularUpdate:
             stale = True
             continue
@@ -1157,7 +1167,8 @@ def test_kernels_called_once_per_iteration_through_module(small_lifted, alg,
     # the benchmark traces each layer by patching these module attributes,
     # and clocks its reference beside the solve from objective_h, so solve()
     # must look them up at call time and call each once per iteration or
-    # once per incremental update
+    # once per incremental update; rank_one_modify looks apply_inverse up
+    # through mvee.linalg
     calls = Counter()
     outcomes = []
 
@@ -1170,10 +1181,12 @@ def test_kernels_called_once_per_iteration_through_module(small_lifted, alg,
             return out
         return wrapper
 
-    for name in ("cd_step", "select_axis_gauss_southwell",
-                 "objective_h", "apply_inverse", "rank_one_modify"):
-        monkeypatch.setattr(mvee.solvers, name,
-                            counting(getattr(mvee.solvers, name)))
+    for module, name in ((mvee.solvers, "cd_step"),
+                         (mvee.solvers, "select_axis_gauss_southwell"),
+                         (mvee.solvers, "objective_h"),
+                         (mvee.linalg, "apply_inverse"),
+                         (mvee.solvers, "rank_one_modify")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     rep = solve(small_lifted, SolverConfig(algorithm=alg, epsilon=1e-5,
                                            max_iter=300))
     assert rep.iterations > 0
