@@ -7,7 +7,7 @@ that use the bench harness and configparser import them.
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .errors import InvalidInput, MveeError
@@ -17,10 +17,6 @@ from .solvers import Algorithm, InitScheme, SolverConfig, enclose, write_trace
 # accepted names on the command line and in plan files: every algorithm's
 # value, plus "cd" for cd_const
 ALGORITHM_NAMES = {a.value: a for a in Algorithm} | {"cd": Algorithm.CD_CONST}
-
-# `solve`'s epsilon, max_iter, seed and init, and a plan file's epsilon,
-# max_iter and init, default to the solver's own
-_DEFAULTS = SolverConfig()
 
 DEFAULT_PLAN = """\
 [plan]
@@ -49,10 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("input", help="point file, one point per row")
     p_solve.add_argument("--algorithm", default="cd",
                          choices=sorted(ALGORITHM_NAMES))
-    p_solve.add_argument("--epsilon", type=float, default=_DEFAULTS.epsilon)
-    p_solve.add_argument("--max-iter", type=int, default=_DEFAULTS.max_iter)
-    p_solve.add_argument("--seed", type=int, default=_DEFAULTS.seed)
-    p_solve.add_argument("--init", default=_DEFAULTS.init.value,
+    p_solve.add_argument("--epsilon", type=float, default=SolverConfig.epsilon)
+    p_solve.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p_solve.add_argument("--seed", type=int, default=SolverConfig.seed)
+    p_solve.add_argument("--init", default=SolverConfig.init.value,
                          choices=[i.value for i in InitScheme])
     p_solve.add_argument("--symmetric", action="store_true",
                          help="rows are one representative per +-x pair")
@@ -140,24 +136,28 @@ def _load_plan(path, output_dir):
     sections = [s for s in cp.sections() if s.startswith("regime.")]
     if not sections:
         raise InvalidInput("plan file needs at least one [regime.<label>] section")
-    sec = cp["plan"]
-    names = [t.strip() for t in sec.get("algorithms", "cd_const,wa").split(",")
-             if t.strip()]
+    listed = cp["plan"].get("algorithms", "cd_const,wa").split(",")
+    names = [t.strip() for t in listed if t.strip()]
     for name in names:
         if name not in ALGORITHM_NAMES:
             raise InvalidInput(f"unknown algorithm {name!r}")
     try:
-        return BenchmarkPlan(
-            regimes=[Regime(s.split(".", 1)[1], cp[s].getint("n"),
-                            cp[s].getint("m"), cp[s].getint("repetitions", 1))
-                     for s in sections],
-            algorithms=[ALGORITHM_NAMES[name] for name in names],
-            output_dir=Path(output_dir), seed=sec.getint("seed", 1234),
-            epsilon=sec.getfloat("epsilon", _DEFAULTS.epsilon),
-            max_iter=sec.getint("max_iter", _DEFAULTS.max_iter),
-            init=sec.get("init", _DEFAULTS.init))
+        return _from_keys(
+            BenchmarkPlan, cp["plan"],
+            [_from_keys(Regime, cp[s], s.split(".", 1)[1]) for s in sections],
+            [ALGORITHM_NAMES[name] for name in names], Path(output_dir),
+            seed=1234)
     except (ValueError, TypeError) as exc:
         raise InvalidInput(f"malformed plan: {exc}") from None
+
+
+def _from_keys(cls, section, *given, **values):
+    """cls(*given, ...), each later field read from its key by its type; a
+    key left out takes `values`, the field's default, or None for its check."""
+    later = fields(cls)[len(given):]
+    values = {f.name: None for f in later if f.default is MISSING} | values
+    return cls(*given, **values | {f.name: f.type(section[f.name])
+                                   for f in later if f.name in section})
 
 
 def _cmd_bench(args) -> int:

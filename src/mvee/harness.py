@@ -32,7 +32,7 @@ class Regime:
     label: str
     n: int
     m: int
-    repetitions: int
+    repetitions: int = 1
 
     def __post_init__(self):
         if self.label in ("", ".", "..") or any(

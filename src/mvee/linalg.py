@@ -113,11 +113,14 @@ def factor_from_weights(X, u):
     d = np.abs(np.diag(R))
     if d.min() <= PD_TOL * d.max():
         raise NotFullRank("weighted points are rank deficient")
-    Rinv = np.linalg.solve(R, np.eye(n))
     state = FactorState(X.count, n)
-    Minv = np.matmul(Rinv, Rinv.T, out=state.Minv)
+    # far from 1 in scale, M^{-1} leaves the floating-point range: the test
+    # below names that, not numpy's warning
+    with np.errstate(over="ignore", under="ignore"):
+        Rinv = np.linalg.solve(R, np.eye(n))
+        Minv = np.matmul(Rinv, Rinv.T, out=state.Minv)
     if not (np.isfinite(Minv).all() and Minv.diagonal().min() > 0.0):
-        raise NotFullRank("weighted points are rank deficient")
+        raise NotFullRank("M^-1 of the weighted points is out of range")
     state.log_det = 2.0 * float(np.log(d).sum())
     Z = Rinv.T @ pts
     np.einsum("ij,ij->j", Z, Z, out=state.kappa)

@@ -69,6 +69,10 @@ _ARMIJO_ALPHA = 0.5
 _ARMIJO_BETA = 0.5
 # incremental updates per dimension between rebuilds, bounding their drift
 _REBUILD_PER_DIM = 50
+# enclose solves a set translated to its midrange when that lies more than
+# this many ranges from the origin: near 1e6 ranges the lifted points'
+# factor reads the set as lower-dimensional, and a nearer set keeps its bits
+_FAR = 1024
 
 
 class Algorithm(str, Enum):
@@ -515,7 +519,10 @@ def enclose(X: PointSet, config: SolverConfig
     P W P^T - c c^T, whose determinant is det M(w): H and ln det H =
     -ln det M(w) = N ln s - ln det M(u), N = n + 1.  A symmetric set has
     center 0, H = M(w)^{-1} and N = n.  The ellipsoid carries ln det H as
-    logdet, which volume() and the JSON's logdet_H read.
+    logdet, which volume() and the JSON's logdet_H read.  An arbitrary set
+    whose coordinate-wise midrange r has an entry more than 1024 times its
+    widest coordinate range is solved as x_i - r, and r is added back to
+    the center; H and ln det H do not change under a translation.
 
     Raises
     ------
@@ -523,10 +530,19 @@ def enclose(X: PointSet, config: SolverConfig
         If the points, or the support of the final weights, span a
         lower-dimensional affine set.
     """
+    mid = None
+    if not X.symmetric:
+        # halves, so that neither lo + hi nor hi - lo overflows
+        lo, hi = X.points.min(axis=1) / 2, X.points.max(axis=1) / 2
+        if np.abs(lo + hi).max() > _FAR * 2 * (hi - lo).max():
+            mid = lo + hi
+            X = PointSet(X.points - mid[:, None])
     report = solve(X if X.symmetric else lift(X), config)
     u, state, n = report.u_final.u, report.factor, X.dim
     s = float(u.sum())
     c = np.zeros(n) if X.symmetric else X.points @ (u / s)
+    if mid is not None:
+        c += mid
     return (Ellipsoid(center=c, shape=s * state.Minv[:n, :n], level=float(n),
                       logdet=len(state.Minv) * math.log(s) - state.log_det),
             report)

@@ -208,6 +208,21 @@ def test_solve_writes_an_overflowing_volume_as_null(tmp_path, capsys):
     assert payload["logdet_H"] == pytest.approx(-1659.687, abs=1e-3)
 
 
+@pytest.mark.parametrize("k", [-520, 600])
+def test_solve_names_an_inverse_out_of_range(tmp_path, capsys, k):
+    # the set scaled by 2^k is full-rank, but its M^{-1}, about 2^-2k, is
+    # not a finite double: one error line names that, and no numpy warning
+    # comes before it
+    path = tmp_path / "far.txt"
+    write_points(path, np.ldexp(
+        np.random.default_rng(0).standard_normal((40, 3)), k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve", str(path), "--symmetric")
+    assert code == 1 and out == ""
+    assert err == "error: M^-1 of the weighted points is out of range\n"
+
+
 # --- gen ---------------------------------------------------------------------------
 
 def test_gen_deterministic_and_shaped(tmp_path, capsys):

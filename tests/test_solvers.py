@@ -217,6 +217,27 @@ def test_both_starts_accept_and_reject_the_same_sets():
     assert time.perf_counter() - t0 < 2.0
 
 
+@pytest.mark.parametrize("init", list(InitScheme))
+def test_enclose_solves_a_far_set_like_its_translate(init):
+    # lifted as it is, a set of spread about 1 translated by t = 1e6 or more
+    # reads as lower-dimensional (6 of these 12 (set, start) pairs raised
+    # NotFullRank at 1e6, all 12 at 1e7); enclose solves it translated to
+    # its midrange, and its ln det H stays within the certified gap
+    # N ln(1 + eps) of the set's own
+    eps = 1e-3
+    config = SolverConfig(epsilon=eps, init=init)
+    for n, m in ((3, 40), (10, 500)):
+        for seed in (1234, 1235, 1236):
+            P = gen_sample(n, m, seed)
+            near, _ = enclose(P, config)
+            for t in 10.0 ** np.arange(3, 13):
+                E, report = enclose(PointSet(P.points + t / math.sqrt(n)),
+                                    config)
+                assert report.converged, (n, seed, t)
+                assert abs(E.logdet - near.logdet) <= \
+                    (n + 1) * math.log1p(eps), (n, seed, t)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflows
 @pytest.mark.parametrize("init", list(InitScheme))
 @pytest.mark.parametrize("k", [-1000, -600, -512, 512, 600, 1000])
