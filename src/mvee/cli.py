@@ -20,8 +20,6 @@ ALGORITHM_NAMES = {a.value: a for a in Algorithm} | {"cd": Algorithm.CD_CONST}
 
 DEFAULT_PLAN = """\
 [plan]
-seed = 1234
-algorithms = cd_const, wa
 
 [regime.small]
 n = 10

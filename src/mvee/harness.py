@@ -13,7 +13,7 @@ trace CSV.  An aggregate table adds per-(regime, algorithm) arithmetic means.
 import csv
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -75,17 +75,18 @@ class BenchmarkPlan:
 
 @dataclass
 class BenchmarkRow:
-    """One solve of a plan: its iterations, seconds (start plus solve),
-    final eps and convergence, or the error that failed it."""
+    """One solve of a plan, a results.csv row of every field but error:
+    its iterations, seconds (start plus solve), final eps and convergence,
+    or the error that failed it, with the outcome fields' defaults."""
     regime: str
     n: int
     m: int
     algorithm: str
     rep: int
-    iterations: int
-    seconds: float
-    final_eps: float
-    converged: bool
+    iterations: int = 0
+    seconds: float = 0.0
+    final_eps: float = float("nan")
+    converged: bool = False
     error: Optional[str] = None
 
 
@@ -190,19 +191,19 @@ def run_benchmark(plan: BenchmarkPlan,
         rows = []
         for cfg in plan.configs:
             alg = cfg.algorithm.value
+            row = BenchmarkRow(regime.label, regime.n, regime.m, alg, rep)
             try:
                 report = solve(X, cfg, start)
             except MveeError as exc:
-                rows.append(BenchmarkRow(regime.label, regime.n, regime.m, alg,
-                                         rep, 0, 0.0, float("nan"), False,
-                                         error=str(exc)))
+                row.error = str(exc)
             else:
                 write_trace(report.trace,
                             outdir / f"{regime.label}_{alg}_{rep}.csv")
-                rows.append(BenchmarkRow(regime.label, regime.n, regime.m,
-                                         alg, rep, report.iterations,
-                                         start_s + report.wall_time,
-                                         report.final_eps, report.converged))
+                row.iterations = report.iterations
+                row.seconds = start_s + report.wall_time
+                row.final_eps = report.final_eps
+                row.converged = report.converged
+            rows.append(row)
         return rows
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
@@ -213,14 +214,13 @@ def run_benchmark(plan: BenchmarkPlan,
 
 
 def write_rows_csv(rows: Sequence[BenchmarkRow], path) -> None:
+    names = [f.name for f in fields(BenchmarkRow) if f.name != "error"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["regime", "n", "m", "algorithm", "rep", "iterations",
-                         "seconds", "final_eps", "converged"])
+        writer.writerow(names)
         for r in rows:
-            writer.writerow([r.regime, r.n, r.m, r.algorithm, r.rep,
-                             r.iterations, repr(r.seconds), repr(r.final_eps),
-                             "true" if r.converged else "false"])
+            writer.writerow([str(v).lower() if isinstance(v, bool) else v
+                             for v in (getattr(r, name) for name in names)])
 
 
 def write_means_csv(rows: Sequence[BenchmarkRow], path) -> None:

@@ -208,10 +208,7 @@ def read_points(path) -> np.ndarray:
 
 def write_points(path, rows: np.ndarray) -> None:
     """Write points (one per row) in the whitespace format, full precision."""
-    with open(path, "w") as fh:
-        for row in np.atleast_2d(rows):
-            fh.write(" ".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+    np.savetxt(path, np.atleast_2d(rows), fmt="%.17g")
 
 
 def write_ellipsoid_json(E: Ellipsoid, fh, extra: dict | None = None) -> None:

@@ -353,11 +353,12 @@ def solve(X: PointSet, config: SolverConfig,
     Every algorithm takes its step through cd_step with the theta of its
     stepsize rule.  The state (kappa, M^{-1}, ln det M) and the sorted
     support indices are rebuilt from the weights at the start, after the
-    full jump of a simplex step (n = 1 only), after a SingularUpdate,
-    after every 50 n incremental updates and for a stop.  Between rebuilds
-    the state is updated in place and the support array changes only when
-    v_j crosses zero.  The weight sum e^T v is re-summed at every rebuild
-    and otherwise moved by each step's change of v_j.
+    full jump of a simplex step (n = 1 only), after a SingularUpdate or
+    an update that overflows or makes a nan (the loop runs under numpy's
+    errstate raise), after every 50 n incremental updates and for a stop.
+    Between rebuilds the state is updated in place and the support array
+    changes only when v_j crosses zero.  The weight sum e^T v is re-summed
+    at every rebuild and otherwise moved by each step's change of v_j.
 
     fwk and wa read c = 1 / e^T v from that sum after each step.  Every
     rebuild folds c into the weights (v <- c v, c <- 1).  Each increase
@@ -415,87 +416,89 @@ def solve(X: PointSet, config: SolverConfig,
     epsilon, max_iter, inf = config.epsilon, config.max_iter, math.inf
 
     loop_eps = None  # the maintained reading that called for a rebuild
-    while True:  # each pass steps once, stops or rebuilds to test again
-        k = len(trace)
-        if rebuild:
-            u.u *= c  # exact at c = 1
-            c = 1.0
-            state = factor_from_weights(X, u)
-            kappa = state.kappa
-            support = np.flatnonzero(u.u)
-            total = float(u.u.sum())  # e^T v, then moved by each step
-            updates = 0
-        j_plus, j_minus, kappa_plus, kappa_minus = \
-            select_axis_gauss_southwell(kappa, support)
-        nc = n * c
-        eps_plus = kappa_plus / nc - 1.0
-        eps_minus = 1.0 - kappa_minus / nc
-        increase = eps_plus >= eps_minus  # ties go to the increase
-        eps_k = eps_minus if eps_minus > eps_plus else eps_plus
-        stop_eps = eps_plus if fwk else eps_k
-        if stop_eps <= epsilon or k == max_iter:
-            if rebuild:  # a fresh state: its reading is the report's
-                break
-            loop_eps, rebuild = stop_eps, True  # test again on a rebuild
-            continue
-        if rebuild:
-            loop_eps = None  # the fresh reading refused the stop, if any
-        h_k = objective_h(total, state, c)
-        kappa_max, kappa_min = kappa_plus / c, kappa_minus / c  # kappa(u)
+    with np.errstate(over="raise", invalid="raise"):  # once, not per step
+        while True:  # each pass steps once, stops or rebuilds to test again
+            k = len(trace)
+            if rebuild:
+                u.u *= c  # exact at c = 1
+                c = 1.0
+                state = factor_from_weights(X, u)
+                kappa = state.kappa
+                support = np.flatnonzero(u.u)
+                total = float(u.u.sum())  # e^T v, then moved by each step
+                updates = 0
+            j_plus, j_minus, kappa_plus, kappa_minus = \
+                select_axis_gauss_southwell(kappa, support)
+            nc = n * c
+            eps_plus = kappa_plus / nc - 1.0
+            eps_minus = 1.0 - kappa_minus / nc
+            increase = eps_plus >= eps_minus  # ties go to the increase
+            eps_k = eps_minus if eps_minus > eps_plus else eps_plus
+            stop_eps = eps_plus if fwk else eps_k
+            if stop_eps <= epsilon or k == max_iter:
+                if rebuild:  # a fresh state: its reading is the report's
+                    break
+                loop_eps, rebuild = stop_eps, True  # test again on a rebuild
+                continue
+            if rebuild:
+                loop_eps = None  # the fresh reading refused the stop, if any
+            h_k = objective_h(total, state, c)
+            kappa_max, kappa_min = kappa_plus / c, kappa_minus / c  # kappa(u)
 
-        # the rule sees u_j = c v_j and kappa_j(u), exact at c = 1
-        if rcd:
-            j = rcd_pick(n - kappa, rng)
-            kappa_j = kappa.item(j)
-        elif fwk or increase:
-            j, kappa_j = j_plus, kappa_max
-        else:
-            j, kappa_j = j_minus, kappa_min
-        vj = u.u.item(j)
-        theta = stepsize(c * vj, kappa_j, n, k)
-        outcome = cd_step(u, j, theta / c)
-        theta_rel = outcome.theta_rel
-        if simplex:
-            # lambda = |t| of u' = (1 - t) u + t e_j; 1 for the full jump
-            step = c * theta_rel
-            recorded = abs(step / (1.0 + step)) if theta < inf else 1.0
-        else:
-            recorded = theta_rel
-        trace.append(IterationRecord(outcome.step_type, j, kappa_max,
-                                     kappa_min, eps_k, h_k, recorded))
-        if theta == inf:
-            # the full jump u' = e_j (n = 1): rebuild from the new weights
-            u.u.fill(0.0)
-            u.u[j] = 1.0
-            c, rebuild = 1.0, True
-            continue
-
-        # only v_j changed
-        vj_new = u.u.item(j)
-        total += vj_new - vj
-        if simplex:
-            c = 1.0 / total
-        on_support = vj_new > 0.0
-        if on_support != (vj > 0.0):
-            i = support.searchsorted(j)
-            if on_support:
-                support = np.concatenate((support[:i], (j,), support[i:]))
+            # the rule sees u_j = c v_j and kappa_j(u), exact at c = 1
+            if rcd:
+                j = rcd_pick(n - kappa, rng)
+                kappa_j = kappa.item(j)
+            elif fwk or increase:
+                j, kappa_j = j_plus, kappa_max
             else:
-                support = np.concatenate((support[:i], support[i + 1:]))
-
-        # inverse and gradient maintenance; a singular update and the
-        # period-th update rebuild instead
-        rebuild = False
-        if theta_rel != 0.0:
-            try:
-                # moves kappa, M^{-1} and ln det M in place
-                rank_one_modify(state, pts_t, j, theta_rel)
-            except SingularUpdate:
-                # exact drop of a geometrically loaded point; rebuild
-                rebuild = True
+                j, kappa_j = j_minus, kappa_min
+            vj = u.u.item(j)
+            theta = stepsize(c * vj, kappa_j, n, k)
+            outcome = cd_step(u, j, theta / c)
+            theta_rel = outcome.theta_rel
+            if simplex:
+                # lambda = |t| of u' = (1 - t) u + t e_j; 1 for the full jump
+                step = c * theta_rel
+                recorded = abs(step / (1.0 + step)) if theta < inf else 1.0
             else:
-                updates += 1
-                rebuild = updates >= period
+                recorded = theta_rel
+            trace.append(IterationRecord(outcome.step_type, j, kappa_max,
+                                         kappa_min, eps_k, h_k, recorded))
+            if theta == inf:
+                # the full jump u' = e_j (n = 1): rebuild from the new weights
+                u.u.fill(0.0)
+                u.u[j] = 1.0
+                c, rebuild = 1.0, True
+                continue
+
+            # only v_j changed
+            vj_new = u.u.item(j)
+            total += vj_new - vj
+            if simplex:
+                c = 1.0 / total
+            on_support = vj_new > 0.0
+            if on_support != (vj > 0.0):
+                i = support.searchsorted(j)
+                if on_support:
+                    support = np.concatenate((support[:i], (j,), support[i:]))
+                else:
+                    support = np.concatenate((support[:i], support[i + 1:]))
+
+            # inverse and gradient maintenance; a singular update and the
+            # period-th update rebuild instead
+            rebuild = False
+            if theta_rel != 0.0:
+                try:
+                    # moves kappa, M^{-1} and ln det M in place
+                    rank_one_modify(state, pts_t, j, theta_rel)
+                except (SingularUpdate, FloatingPointError):
+                    # exact drop of a geometrically loaded point, or an
+                    # update out of floating-point range; rebuild
+                    rebuild = True
+                else:
+                    updates += 1
+                    rebuild = updates >= period
 
     return SolveReport(converged=stop_eps <= epsilon, iterations=k,
                        final_eps=stop_eps,

@@ -234,6 +234,9 @@ def test_run_benchmark_rows_and_files(tmp_path):
             assert (outdir / f"tiny_{alg}_{rep}.csv").exists()
 
     with open(outdir / "results.csv") as fh:
+        assert fh.readline() == ("regime,n,m,algorithm,rep,iterations,"
+                                 "seconds,final_eps,converged\n")
+        fh.seek(0)
         got = list(csv.DictReader(fh))
     assert len(got) == 4
     assert got[0]["regime"] == "tiny"
@@ -336,6 +339,17 @@ def test_run_benchmark_flat_instance_fails_its_repetition(tmp_path,
         assert (tmp_path / "flat" / trace).read_bytes() == (
             tmp_path / "plain" / trace).read_bytes()
         assert not (tmp_path / "flat" / f"tiny_{alg.value}_1.csv").exists()
+    # a failed row is written with the outcome defaults, and the means are
+    # those of repetition 0 alone
+    lines = (tmp_path / "flat" / "results.csv").read_text().splitlines()
+    assert [line.split(",", 5)[5] for line in lines[5:]] == [
+        "0,0.0,nan,false"] * len(EVERY_ALGORITHM)
+    with open(tmp_path / "flat" / "results_means.csv") as fh:
+        means = list(csv.DictReader(fh))
+    assert [(r["algorithm"], r["mean_iterations"], r["mean_seconds"],
+             r["mean_final_eps"], r["converged_count"]) for r in means] == [
+        (row.algorithm, repr(float(row.iterations)), repr(row.seconds),
+         repr(row.final_eps), str(int(row.converged))) for row in rows[:4]]
 
 
 def test_run_benchmark_rows_carry_the_solve_certificate(tmp_path):
