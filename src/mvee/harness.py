@@ -155,7 +155,7 @@ def emit_decrement_curves(n_values: Sequence[int], output) -> None:
                                          ("minus", delta_minus, 0.01 * n, n)):
                 grid = np.linspace(lo, hi, 500)
                 for k, d in zip(grid, delta(grid, n)):
-                    writer.writerow([n, curve, repr(float(k)), repr(float(d))])
+                    writer.writerow([n, curve, k, d])
 
 
 def run_benchmark(plan: BenchmarkPlan,
@@ -236,6 +236,5 @@ def write_means_csv(rows: Sequence[BenchmarkRow], path) -> None:
             ok = [(r.iterations, r.seconds, r.final_eps)
                   for r in grp if r.error is None]
             means = [np.mean(col) for col in zip(*ok)] if ok else [np.nan] * 3
-            writer.writerow([regime, grp[0].n, grp[0].m, alg,
-                             *(repr(float(x)) for x in means),
+            writer.writerow([regime, grp[0].n, grp[0].m, alg, *means,
                              sum(1 for r in grp if r.converged)])

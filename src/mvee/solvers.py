@@ -46,7 +46,7 @@ the objective is O(1) from the running sum.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from numbers import Real
 
@@ -131,18 +131,21 @@ class SolverConfig:
 @dataclass(slots=True)
 class IterationRecord:
     """One trace row, read before the iteration at its position steps on
-    `axis`: kappa_max and kappa_min_support are kappa(u) (not kappa(v) of
-    the held weights), eps_k is max(eps_plus, eps_minus) for every
-    algorithm (fwk stops on eps_plus alone), h_value is h(u), and
-    theta_or_lambda is the step's lambda for fwk and wa and theta otherwise."""
+    `axis`; the fields name the trace CSV's columns.  kappa_max and
+    kappa_min_support are kappa(u) (not kappa(v) of the held weights), eps
+    is max(eps_plus, eps_minus) for every algorithm (fwk stops on eps_plus
+    alone), h is h(u), and theta is the step on u_j as taken, after the
+    projection.  For fwk and wa that is the theta of the simplex step
+    u' = (u + theta e_j) / (1 + theta), whose lambda is |theta / (1 + theta)|,
+    +inf at the full jump."""
 
     step_type: StepType
     axis: int
     kappa_max: float
     kappa_min_support: float
-    eps_k: float
-    h_value: float
-    theta_or_lambda: float
+    eps: float
+    h: float
+    theta: float
 
 
 @dataclass
@@ -457,14 +460,8 @@ def solve(X: PointSet, config: SolverConfig,
             theta = stepsize(c * vj, kappa_j, n, k)
             outcome = cd_step(u, j, theta / c)
             theta_rel = outcome.theta_rel
-            if simplex:
-                # lambda = |t| of u' = (1 - t) u + t e_j; 1 for the full jump
-                step = c * theta_rel
-                recorded = abs(step / (1.0 + step)) if theta < inf else 1.0
-            else:
-                recorded = theta_rel
             trace.append(IterationRecord(outcome.step_type, j, kappa_max,
-                                         kappa_min, eps_k, h_k, recorded))
+                                         kappa_min, eps_k, h_k, c * theta_rel))
             if theta == inf:
                 # the full jump u' = e_j (n = 1): rebuild from the new weights
                 u.u.fill(0.0)
@@ -551,7 +548,7 @@ def enclose(X: PointSet, config: SolverConfig
             report)
 
 
-TRACE_HEADER = "iter,step_type,axis,kappa_max,kappa_min_support,eps,h,theta"
+TRACE_HEADER = ",".join(["iter", *(f.name for f in fields(IterationRecord))])
 
 
 def write_trace(trace, path) -> None:
@@ -560,5 +557,4 @@ def write_trace(trace, path) -> None:
         fh.write(TRACE_HEADER + "\n")
         for k, r in enumerate(trace):
             fh.write(f"{k},{r.step_type.value},{r.axis},{r.kappa_max!r},"
-                     f"{r.kappa_min_support!r},{r.eps_k!r},{r.h_value!r},"
-                     f"{r.theta_or_lambda!r}\n")
+                     f"{r.kappa_min_support!r},{r.eps!r},{r.h!r},{r.theta!r}\n")

@@ -28,7 +28,10 @@ mapped to condition 1e7, plus a capped solve (exit 2) and a flat set
 (exit 1); the exit code, the SHA-256 of what the command prints, the
 ellipsoid JSON on stdout without its final_eps and any error on stderr,
 and the repr of final_eps, whose last digits the reading of the
-certificate may move.  Then come the `error` lines: `mvee bench`,
+certificate may move.  Then come the `gen` and `curves` lines: `mvee gen
+--n 5 --m 80 --seed 5` and `mvee curves --n-values 1,2,3,10,30,100`
+through mvee.cli.main, each the exit code and the SHA-256 of the file it
+writes.  Then come the `error` lines: `mvee bench`,
 `mvee solve` and `mvee curves` through mvee.cli.main on eleven bad inputs
 (an unknown or repeated algorithm, a broken INI file, an unknown plan
 key, a missing file, a `%` in a value and a regime label that leaves the
@@ -234,6 +237,26 @@ def solve_fingerprints():
                    f"{code} {digest.hexdigest()} {final_eps!r}")
 
 
+def output_fingerprints():
+    """Yield (label, "exit code digest") for `mvee gen` and `mvee curves`,
+    the digest that of the file each command writes."""
+    import contextlib
+    import io
+    import tempfile
+    from pathlib import Path
+    from mvee.cli import main
+
+    runs = [["gen", "--n", "5", "--m", "80", "--seed", "5"],
+            ["curves", "--n-values", "1,2,3,10,30,100"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.txt"
+        for args in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([*args, "--output", str(out)])
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            yield " ".join(args), f"{code} {digest}"
+
+
 # (label, files to write, command line) for each error path
 ERRORS = [
     ("bench unknown algorithm",
@@ -326,6 +349,8 @@ def main(argv):
     for label, digest in bench_fingerprints():
         print(f"{label}: {digest}", flush=True)
     for label, digest in solve_fingerprints():
+        print(f"{label}: {digest}", flush=True)
+    for label, digest in output_fingerprints():
         print(f"{label}: {digest}", flush=True)
     for label, digest in error_fingerprints():
         print(f"{label}: {digest}", flush=True)

@@ -260,9 +260,9 @@ def test_criterion_05_per_step_decrement_bounds(cd_small, cd_moderate):
         for seed, rep in reports.items():
             trace = rep.trace
             for k, rec in enumerate(trace):
-                h_next = trace[k + 1].h_value if k + 1 < len(trace) \
+                h_next = trace[k + 1].h if k + 1 < len(trace) \
                     else rep.final_h
-                dec = rec.h_value - h_next
+                dec = rec.h - h_next
                 if rec.step_type in (StepType.ADD, StepType.INCREASE):
                     kap = rec.kappa_max
                     bound = (n - kap) ** 2 / (2.0 * kap * kap)

@@ -641,7 +641,7 @@ def test_h_monotone_for_exact_stepsize_algorithms():
     for alg in (Algorithm.CD_CONST, Algorithm.WA, Algorithm.FWK):
         rep = solve(X, SolverConfig(algorithm=alg, epsilon=1e-6,
                                     max_iter=3000))
-        hs = np.array([r.h_value for r in rep.trace])
+        hs = np.array([r.h for r in rep.trace])
         assert (np.diff(hs) <= 1e-9).all(), alg
 
 
@@ -712,7 +712,7 @@ def test_exact_stepsize_decrements_meet_bounds(alg, eps, monkeypatch):
         assert rep.converged
     assert rep.iterations > 0
     assert len(kappas) == rep.iterations
-    h = [r.h_value for r in rep.trace] + [rep.final_h]
+    h = [r.h for r in rep.trace] + [rep.final_h]
     short = []
     for k, (rec, kj) in enumerate(zip(rep.trace, kappas)):
         if rec.step_type in (StepType.ADD, StepType.INCREASE):
@@ -790,7 +790,7 @@ def test_zero_step_on_the_support_is_labelled_a_decrease():
                                 epsilon=1e-12, max_iter=50, seed=3550))
     for k in (3, 4):
         row = rep.trace[k]
-        assert row.theta_or_lambda == 0.0
+        assert row.theta == 0.0
         assert row.step_type is StepType.DECREASE, (k, row)
 
 
@@ -1009,6 +1009,13 @@ def test_simplex_weights_match_normalised_reference(alg, seed, n, extra,
         step_type, scale, theta_rel = reference_simplex_step(
             u, kappa, row.axis, increase, n)
         assert step_type is row.step_type, (k, step_type, row)
+        # the trace's theta is the step on u, t / (1 - t), and inf at the
+        # jump; within 1e-12 of it, as the weights are, since near
+        # kappa_j = n the step magnifies kappa's rounding by
+        # kappa_j / (kappa_j - n): 1.6e-12 relative on fwk from the
+        # Kumar-Yildirim start at seed 0, n 3, extra 4
+        assert math.isclose(row.theta, theta_rel, rel_tol=1e-12,
+                            abs_tol=1e-12), (k, row.theta, theta_rel)
         if not math.isfinite(theta_rel):
             stale = True
             continue
@@ -1441,7 +1448,9 @@ def test_trace_csv_format(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace(rep.trace, path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == TRACE_HEADER
+    # the documented header: a renamed IterationRecord field must show here
+    assert lines[0] == TRACE_HEADER == (
+        "iter,step_type,axis,kappa_max,kappa_min_support,eps,h,theta")
     assert len(lines) == rep.iterations + 1
     for k, line in enumerate(lines[1:]):
         cols = line.split(",")
@@ -1449,3 +1458,42 @@ def test_trace_csv_format(tmp_path):
         assert cols[1] in {s.value for s in StepType}
         for col in cols[:1] + cols[2:]:
             float(col)  # every numeric column parses
+
+
+@pytest.mark.parametrize("init", list(InitScheme))
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_trace_theta_is_signed_by_the_step(alg, init):
+    # theta is the step on u as taken, so it is positive exactly on the
+    # steps that move u_j up; a wa away step reads negative, like a cd one
+    X = lift(gen_sample(3, 40, 0))
+    rep = solve(X, SolverConfig(algorithm=alg, init=init, epsilon=1e-5,
+                                max_iter=2000))
+    assert rep.trace
+    for k, row in enumerate(rep.trace):
+        up = row.step_type in (StepType.ADD, StepType.INCREASE)
+        assert (row.theta > 0.0) == up, (k, row)
+
+
+@pytest.mark.parametrize("alg", [Algorithm.FWK, Algorithm.WA])
+def test_simplex_full_jump_at_n_1(alg, tmp_path):
+    # at n = 1 the simplex increase is the full jump u' = e_j onto the
+    # farthest point, which already certifies the optimum
+    X = PointSet(np.random.default_rng(0).standard_normal((1, 7)),
+                 symmetric=True)
+    x = X.points[0]
+    j = int(np.abs(x).argmax())
+    cfg = SolverConfig(algorithm=alg, init=InitScheme.KHACHIYAN)
+    rep = solve(X, cfg)
+    assert rep.iterations == 1 and rep.converged
+    (row,) = rep.trace
+    assert (row.step_type, row.axis, row.theta) == (
+        StepType.INCREASE, j, math.inf)
+    assert np.array_equal(rep.u_final.u, np.eye(7)[j])
+    E, _ = enclose(X, cfg)
+    assert E.shape[0, 0] == pytest.approx(1.0 / x[j] ** 2, rel=1e-15)
+    path = tmp_path / "trace.csv"
+    write_trace(rep.trace, path)
+    assert path.read_text().splitlines()[1].split(",")[-1] == "inf"
+    # the Kumar-Yildirim start is that point already
+    rep = solve(X, SolverConfig(algorithm=alg))
+    assert rep.iterations == 0 and rep.converged
