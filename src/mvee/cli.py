@@ -8,7 +8,6 @@ that use the bench harness and configparser import them.
 import argparse
 import sys
 from dataclasses import MISSING, fields
-from pathlib import Path
 
 from .errors import InvalidInput, MveeError
 from .problem import PointSet, read_points, write_ellipsoid_json, write_points
@@ -18,21 +17,6 @@ from .solvers import Algorithm, InitScheme, SolverConfig, enclose, write_trace
 # value, plus "cd" for cd_const
 ALGORITHM_NAMES = {a.value: a for a in Algorithm} | {"cd": Algorithm.CD_CONST}
 
-DEFAULT_PLAN = """\
-[plan]
-
-[regime.small]
-n = 10
-m = 500
-repetitions = 10
-
-[regime.moderate]
-n = 30
-m = 1800
-repetitions = 10
-"""
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvee", description="Minimum volume enclosing ellipsoid solvers")
@@ -41,7 +25,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one instance from a point file")
     p_solve.set_defaults(run=_cmd_solve)
     p_solve.add_argument("input", help="point file, one point per row")
-    p_solve.add_argument("--algorithm", default="cd",
+    p_solve.add_argument("--algorithm", default=SolverConfig.algorithm.value,
                          choices=sorted(ALGORITHM_NAMES))
     p_solve.add_argument("--epsilon", type=float, default=SolverConfig.epsilon)
     p_solve.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
@@ -66,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(run=_cmd_bench)
     p_bench.add_argument("--plan", default=None,
                          help="INI plan file; omitted runs the built-in default")
-    p_bench.add_argument("--output-dir", default="benchmark_out")
+    p_bench.add_argument("--output-dir", default=None,
+                         help="omitted writes to the plan's default")
     p_bench.add_argument("--parallelism", type=int, default=1)
 
     p_curves = sub.add_parser("curves",
@@ -105,19 +90,21 @@ def _cmd_gen(args) -> int:
 
 
 def _load_plan(path, output_dir):
-    import configparser
+    """The plan file at `path` as a BenchmarkPlan writing to output_dir, or
+    with no path the built-in plan; a left-out value takes its default."""
     from .harness import BenchmarkPlan, Regime
-    cp = configparser.ConfigParser(interpolation=None)
+    given = {} if output_dir is None else {"output_dir": output_dir}
     if path is None:
-        cp.read_string(DEFAULT_PLAN)
-    else:
-        try:
-            with open(path) as fh:
-                cp.read_file(fh)
-        except OSError as exc:
-            raise InvalidInput(f"cannot read plan: {exc}") from None
-        except configparser.Error as exc:
-            raise InvalidInput(f"malformed plan: {exc}") from None
+        return BenchmarkPlan(**given)
+    import configparser
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read plan: {exc}") from None
+    except configparser.Error as exc:
+        raise InvalidInput(f"malformed plan: {exc}") from None
     if "plan" not in cp:
         raise InvalidInput("plan file needs a [plan] section")
     # the keys are the fields a plan file can set; [DEFAULT]'s join each
@@ -134,39 +121,42 @@ def _load_plan(path, output_dir):
     sections = [s for s in cp.sections() if s.startswith("regime.")]
     if not sections:
         raise InvalidInput("plan file needs at least one [regime.<label>] section")
-    listed = cp["plan"].get("algorithms", "cd_const,wa").split(",")
-    names = [t.strip() for t in listed if t.strip()]
-    for name in names:
-        if name not in ALGORITHM_NAMES:
-            raise InvalidInput(f"unknown algorithm {name!r}")
+    if "algorithms" in cp["plan"]:
+        listed = cp["plan"]["algorithms"].split(",")
+        names = [t.strip() for t in listed if t.strip()]
+        for name in names:
+            if name not in ALGORITHM_NAMES:
+                raise InvalidInput(f"unknown algorithm {name!r}")
+        given["algorithms"] = [ALGORITHM_NAMES[name] for name in names]
     try:
         return _from_keys(
             BenchmarkPlan, cp["plan"],
-            [_from_keys(Regime, cp[s], s.split(".", 1)[1]) for s in sections],
-            [ALGORITHM_NAMES[name] for name in names], Path(output_dir),
-            seed=1234)
+            regimes=[_from_keys(Regime, cp[s], label=s.split(".", 1)[1])
+                     for s in sections], **given)
     except (ValueError, TypeError) as exc:
         raise InvalidInput(f"malformed plan: {exc}") from None
 
 
-def _from_keys(cls, section, *given, **values):
-    """cls(*given, ...), each later field read from its key by its type; a
-    key left out takes `values`, the field's default, or None for its check."""
-    later = fields(cls)[len(given):]
-    values = {f.name: None for f in later if f.default is MISSING} | values
-    return cls(*given, **values | {f.name: f.type(section[f.name])
-                                   for f in later if f.name in section})
+def _from_keys(cls, section, **given):
+    """cls(**given), each other field read from its key by its type; a key
+    left out keeps the field's default, or is None for its check if the
+    field has none."""
+    return cls(**given, **{
+        f.name: f.type(section[f.name]) if f.name in section else None
+        for f in fields(cls) if f.name not in given and (
+            f.name in section
+            or f.default is MISSING and f.default_factory is MISSING)})
 
 
 def _cmd_bench(args) -> int:
     from .harness import run_benchmark
-    rows = run_benchmark(_load_plan(args.plan, args.output_dir),
-                         parallelism=args.parallelism)
+    plan = _load_plan(args.plan, args.output_dir)
+    rows = run_benchmark(plan, parallelism=args.parallelism)
     failed = [r for r in rows if r.error is not None]
     for r in failed:
         print(f"row ({r.regime}, {r.algorithm}, rep {r.rep}) failed: {r.error}",
               file=sys.stderr)
-    print(f"wrote {len(rows)} rows to {args.output_dir}")
+    print(f"wrote {len(rows)} rows to {plan.output_dir}")
     return 2 if failed else 0
 
 

@@ -13,7 +13,7 @@ trace CSV.  An aggregate table adds per-(regime, algorithm) arithmetic means.
 import csv
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -46,12 +46,16 @@ class Regime:
 
 @dataclass
 class BenchmarkPlan:
-    """Every algorithm runs under one setting, SolverConfig's by default;
-    repetition r's instance is seeded seed + r and its start seed."""
-    regimes: Sequence[Regime]
-    algorithms: Sequence[Algorithm]
-    output_dir: Path
-    seed: int = SolverConfig.seed
+    """Every algorithm runs under one setting; repetition r's instance is
+    seeded seed + r and its start seed.  The defaults are the built-in plan,
+    which a plan file's left-out keys fall back to: the small and moderate
+    regimes, cd_const and wa, seed 1234 and SolverConfig's other settings."""
+    regimes: Sequence[Regime] = field(default_factory=lambda: [
+        Regime("small", 10, 500, 10), Regime("moderate", 30, 1800, 10)])
+    algorithms: Sequence[Algorithm] = field(default_factory=lambda: [
+        Algorithm.CD_CONST, Algorithm.WA])
+    output_dir: Path = Path("benchmark_out")
+    seed: int = 1234
     epsilon: float = SolverConfig.epsilon
     max_iter: int = SolverConfig.max_iter
     init: InitScheme = SolverConfig.init

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,11 @@ import pytest
 import mvee
 import mvee.harness
 from conftest import ill_conditioned
-from mvee.cli import ALGORITHM_NAMES, _load_plan, main
+from mvee.cli import ALGORITHM_NAMES, _build_parser, _load_plan, main
 from mvee.errors import MveeError
-from mvee.harness import BenchmarkPlan
+from mvee.harness import BenchmarkPlan, Regime
 from mvee.problem import read_points, write_points
-from mvee.solvers import Algorithm, SolverConfig
+from mvee.solvers import Algorithm, InitScheme, SolverConfig
 
 SQUARE_ROWS = "1 1\n1 -1\n-1 1\n-1 -1\n"
 
@@ -306,12 +307,11 @@ def test_plan_fallbacks_are_the_solver_defaults(tmp_path):
     assert loaded.seed == 3 and loaded.algorithms
     assert (loaded.epsilon, loaded.max_iter, loaded.init) == \
         (default.epsilon, default.max_iter, default.init)
-    # with only the required keys, the plan file's own fallbacks apply: seed
-    # 1234 (the library's BenchmarkPlan defaults to 0), cd_const and wa, and
-    # one repetition per regime
+    # with only the required keys, BenchmarkPlan's defaults apply: seed
+    # 1234, cd_const and wa, and one repetition per regime
     plan.write_text("[plan]\n\n[regime.r]\nn = 4\nm = 30\n")
     bare = _load_plan(plan, tmp_path / "o")
-    assert bare.seed == 1234 and BenchmarkPlan.seed == 0
+    assert bare.seed == 1234 and BenchmarkPlan.seed == 1234
     assert bare.algorithms == [Algorithm.CD_CONST, Algorithm.WA]
     assert [(r.label, r.n, r.m, r.repetitions) for r in bare.regimes] == [
         ("r", 4, 30, 1)]
@@ -329,6 +329,36 @@ def test_default_plan_is_the_documented_one(tmp_path):
     assert (plan.epsilon, plan.max_iter, plan.init) == \
         (default.epsilon, default.max_iter, default.init)
     assert plan.output_dir == tmp_path / "o"
+
+
+def test_each_setting_has_one_default(tmp_path):
+    # mvee solve's options default to SolverConfig's fields
+    args = _build_parser().parse_args(["solve", "points.txt"])
+    parsed = {"algorithm": ALGORITHM_NAMES[args.algorithm],
+              "init": InitScheme(args.init)}
+    config = SolverConfig()
+    for f in fields(SolverConfig):
+        assert parsed.get(f.name, getattr(args, f.name)) == \
+            getattr(config, f.name), f.name
+    # the built-in plan and a plan file's left-out keys are BenchmarkPlan's
+    out = tmp_path / "o"
+    assert _load_plan(None, out) == BenchmarkPlan(output_dir=out)
+    assert _load_plan(None, None) == BenchmarkPlan()
+    plan = tmp_path / "plan.ini"
+    plan.write_text("[plan]\n\n[regime.r]\nn = 4\nm = 30\n")
+    assert _load_plan(plan, out) == BenchmarkPlan(
+        regimes=[Regime("r", 4, 30)], output_dir=out)
+
+
+def test_bench_output_dir_defaults_to_the_plan_s(tmp_path, capsys,
+                                                 monkeypatch):
+    plan = tmp_path / "plan.ini"
+    plan.write_text(TINY_PLAN)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "bench", "--plan", str(plan))
+    assert code == 0
+    assert out == "wrote 4 rows to benchmark_out\n"
+    assert (tmp_path / "benchmark_out" / "results.csv").exists()
 
 
 @pytest.mark.parametrize("text,message", [

@@ -2,6 +2,7 @@ import math
 import time
 import warnings
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from mvee.problem import (
 from mvee.solvers import (
     Algorithm,
     InitScheme,
+    IterationRecord,
     SolverConfig,
     StepOutcome,
     StepType,
@@ -1442,9 +1444,10 @@ def test_solver_config_coerces_and_validates():
         assert isinstance(info.value, ValueError)
 
 
-def test_trace_csv_format(tmp_path):
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_trace_csv_format(alg, tmp_path):
     X = lift(gen_sample(3, 30, 5))
-    rep = solve(X, SolverConfig(epsilon=1e-5, max_iter=500))
+    rep = solve(X, SolverConfig(algorithm=alg, epsilon=1e-5, max_iter=500))
     path = tmp_path / "trace.csv"
     write_trace(rep.trace, path)
     lines = path.read_text().strip().splitlines()
@@ -1452,12 +1455,18 @@ def test_trace_csv_format(tmp_path):
     assert lines[0] == TRACE_HEADER == (
         "iter,step_type,axis,kappa_max,kappa_min_support,eps,h,theta")
     assert len(lines) == rep.iterations + 1
-    for k, line in enumerate(lines[1:]):
+    # a row's cells are its position and IterationRecord's fields in order,
+    # so a field write_trace leaves out or moves shows here
+    numeric = [f.name for f in fields(IterationRecord) if f.type is float]
+    assert numeric == TRACE_HEADER.split(",")[3:]
+    for k, (line, rec) in enumerate(zip(lines[1:], rep.trace)):
         cols = line.split(",")
+        assert len(cols) == len(TRACE_HEADER.split(","))
         assert cols[0] == str(k)  # a row's iteration is its position
-        assert cols[1] in {s.value for s in StepType}
-        for col in cols[:1] + cols[2:]:
-            float(col)  # every numeric column parses
+        assert cols[1] == rec.step_type.value
+        assert int(cols[2]) == rec.axis
+        for name, cell in zip(numeric, cols[3:]):
+            assert float(cell) == getattr(rec, name), (k, name)
 
 
 @pytest.mark.parametrize("init", list(InitScheme))
